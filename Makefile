@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fairvet-selfcheck race bench bench-smoke bench-check
+.PHONY: all build test vet lint fairvet-selfcheck race bench bench-smoke bench-check fuzz-smoke bench-e2e-smoke
 
 all: lint build test
 
@@ -123,3 +123,19 @@ bench-smoke:
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x
 	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad/rate=500' -benchtime 1x
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1x
+	$(GO) test ./internal/dataset -run 'TestCSVStreamAllocs' -bench 'BenchmarkCSVStream' -benchtime 1x
+
+# fuzz-smoke runs each CSV fuzz target on a short fixed budget.
+# FuzzCSVDecode is the differential test of the byte-level CSV
+# tokenizer against encoding/csv; a crasher it finds is written under
+# internal/dataset/testdata/fuzz and must be committed as a regression
+# input.
+fuzz-smoke:
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
+
+# bench-e2e-smoke runs the end-to-end benchmark module's own tests
+# (benchmark/ is a separate Go module, so `go test ./...` at the root
+# does not reach it).
+bench-e2e-smoke:
+	cd benchmark && $(GO) test ./...

@@ -89,28 +89,6 @@ func TestFairstreamEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFairstreamCentroidsAlias: the legacy -centroids flag now emits
-// the artifact (with a deprecation warning), not the lossy CSV.
-func TestFairstreamCentroidsAlias(t *testing.T) {
-	csv := writeTestCSV(t, 400)
-	aliasOut := filepath.Join(t.TempDir(), "alias.model.json")
-	var buf bytes.Buffer
-	err := run([]string{
-		"-in", csv, "-features", "x,y", "-sensitive", "grp",
-		"-k", "2", "-lambda", "50", "-m", "16", "-skip-eval",
-		"-centroids", aliasOut,
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "deprecated") {
-		t.Error("no deprecation warning for -centroids")
-	}
-	if _, err := model.Load(aliasOut); err != nil {
-		t.Errorf("-centroids did not write a loadable artifact: %v", err)
-	}
-}
-
 // TestFairstreamSharded drives the byte-range sharded ingestion path:
 // the report shows the shard count, and the full output — summary,
 // solve and second-pass metrics — is identical for every worker count.

@@ -1,11 +1,12 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // CSVSpec tells ReadCSV how to interpret columns of a headed CSV file.
@@ -19,19 +20,28 @@ type CSVSpec struct {
 	NumericSensitive []string
 }
 
-// ReadCSV parses a headed CSV stream into a Dataset according to spec.
-// Feature and numeric-sensitive cells must parse as floats; whitespace
-// around cells is trimmed.
-func ReadCSV(r io.Reader, spec CSVSpec) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
+// csvReader is the front half both ReadCSV and CSVStream share: it
+// reads the header, locates spec's columns in it, and decodes each
+// record's cells through the byte-level tokenizer.
+type csvReader struct {
+	tok              *tokenizer
+	spec             CSVSpec
+	fIdx, cIdx, nIdx []int
+	cats             [][]byte // the current record's categorical cells
+	line             int      // records read, header included
+}
+
+// openCSV reads r's header and locates spec's columns in it, so column
+// errors surface before any row is read.
+func openCSV(r io.Reader, spec CSVSpec) (*csvReader, error) {
+	tok := newTokenizer(r, tokenBufSize)
+	header, err := tok.next()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
 	col := make(map[string]int, len(header))
 	for i, h := range header {
-		col[strings.TrimSpace(h)] = i
+		col[string(bytes.TrimSpace(h))] = i
 	}
 	locate := func(names []string) ([]int, error) {
 		idx := make([]int, len(names))
@@ -44,19 +54,93 @@ func ReadCSV(r io.Reader, spec CSVSpec) (*Dataset, error) {
 		}
 		return idx, nil
 	}
-	fIdx, err := locate(spec.Features)
-	if err != nil {
+	c := &csvReader{tok: tok, spec: spec, line: 1}
+	if c.fIdx, err = locate(spec.Features); err != nil {
 		return nil, err
 	}
-	cIdx, err := locate(spec.CategoricalSensitive)
-	if err != nil {
+	if c.cIdx, err = locate(spec.CategoricalSensitive); err != nil {
 		return nil, err
 	}
-	nIdx, err := locate(spec.NumericSensitive)
-	if err != nil {
+	if c.nIdx, err = locate(spec.NumericSensitive); err != nil {
 		return nil, err
 	}
+	c.cats = make([][]byte, len(c.cIdx))
+	return c, nil
+}
 
+// read decodes the next record: its feature and numeric-sensitive cells
+// into feats and nums, and its categorical cells, trimmed, into the
+// returned slices, which stay valid until the next call. It returns
+// io.EOF once the input is exhausted.
+func (c *csvReader) read(feats, nums []float64) ([][]byte, error) {
+	rec, err := c.tok.next()
+	if err == io.EOF {
+		return nil, io.EOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading CSV line %d: %w", c.line+1, err)
+	}
+	c.line++
+	for i, j := range c.fIdx {
+		// string(b) in the call does not allocate for short cells, and
+		// strconv rounds exactly as it does for any other string.
+		v, err := strconv.ParseFloat(string(trimCell(rec[j])), 64)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: line %d column %q: %w", c.line, c.spec.Features[i], err)
+		}
+		feats[i] = v
+	}
+	for i, j := range c.cIdx {
+		c.cats[i] = trimCell(rec[j])
+	}
+	for i, j := range c.nIdx {
+		v, err := strconv.ParseFloat(string(trimCell(rec[j])), 64)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: line %d column %q: %w", c.line, c.spec.NumericSensitive[i], err)
+		}
+		nums[i] = v
+	}
+	return c.cats, nil
+}
+
+// trimCell trims the white space around a cell as bytes.TrimSpace
+// does, skipping the scan for a cell that starts and ends with a
+// non-space ASCII byte — almost every cell.
+func trimCell(b []byte) []byte {
+	if n := len(b); n > 0 && b[0] > ' ' && b[0] < utf8.RuneSelf && b[n-1] > ' ' && b[n-1] < utf8.RuneSelf {
+		return b
+	}
+	return bytes.TrimSpace(b)
+}
+
+// rowSlab hands out fixed-width rows carved from shared blocks of rows,
+// so decoding a table costs one allocation per block, not one per row.
+// Rows are capped at their width: appending to one never writes into
+// its neighbour.
+type rowSlab[T any] struct {
+	width, rows int
+	free        []T
+}
+
+// row returns the next row. A zero-width row is empty but non-nil, as
+// make would return it.
+func (s *rowSlab[T]) row() []T {
+	if s.free == nil || len(s.free) < s.width {
+		s.free = make([]T, s.width*s.rows)
+	}
+	r := s.free[:s.width:s.width]
+	s.free = s.free[s.width:]
+	return r
+}
+
+// ReadCSV parses a headed CSV stream into a Dataset according to spec.
+// Feature and numeric-sensitive cells must parse as floats; whitespace
+// around cells is trimmed.
+func ReadCSV(r io.Reader, spec CSVSpec) (*Dataset, error) {
+	c, err := openCSV(r, spec)
+	if err != nil {
+		return nil, err
+	}
 	b := NewBuilder(spec.Features...)
 	for _, name := range spec.CategoricalSensitive {
 		b.AddCategoricalSensitive(name)
@@ -64,36 +148,28 @@ func ReadCSV(r io.Reader, spec CSVSpec) (*Dataset, error) {
 	for _, name := range spec.NumericSensitive {
 		b.AddNumericSensitive(name)
 	}
-
-	line := 1
+	// Each distinct categorical value is kept as one string, interned
+	// by a domain index, whatever number of rows repeat it.
+	interned := make([]*DomainIndex, len(c.cIdx))
+	for i := range interned {
+		interned[i] = NewDomainIndex()
+	}
+	featRows := rowSlab[float64]{width: len(c.fIdx), rows: DefaultChunkSize}
+	catRows := rowSlab[string]{width: len(c.cIdx), rows: DefaultChunkSize}
+	numRows := rowSlab[float64]{width: len(c.nIdx), rows: DefaultChunkSize}
 	for {
-		rec, err := cr.Read()
+		feats, nums := featRows.row(), numRows.row()
+		cells, err := c.read(feats, nums)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV line %d: %w", line+1, err)
+			return nil, err
 		}
-		line++
-		feats := make([]float64, len(fIdx))
-		for i, j := range fIdx {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %q: %w", line, spec.Features[i], err)
-			}
-			feats[i] = v
-		}
-		cats := make([]string, len(cIdx))
-		for i, j := range cIdx {
-			cats[i] = strings.TrimSpace(rec[j])
-		}
-		nums := make([]float64, len(nIdx))
-		for i, j := range nIdx {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %q: %w", line, spec.NumericSensitive[i], err)
-			}
-			nums[i] = v
+		cats := catRows.row()
+		for i, v := range cells {
+			code := interned[i].codeBytes(v)
+			cats[i] = interned[i].Values()[code]
 		}
 		b.Row(feats, cats, nums)
 	}

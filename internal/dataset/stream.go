@@ -1,11 +1,8 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // CSVStream reads a headed CSV source in bounded chunks, so arbitrarily
@@ -23,16 +20,18 @@ import (
 // value strings, not on domain cardinality, which can still grow.
 // Declared domains (CSVSpec columns listed in a builder with fixed
 // domains) are unnecessary here: the pipeline re-keys by value string.
+//
+// The rows of a chunk's Features share one []float64 slab per
+// DefaultChunkSize rows, each row capped at its width so appending to
+// it never touches its neighbour. A consumer that keeps a row beyond
+// the chunk should copy it, as coreset.Stream.Add does, or it keeps
+// the whole slab alive.
 type CSVStream struct {
-	cr    *csv.Reader
-	spec  CSVSpec
-	chunk int
-
-	fIdx, cIdx, nIdx []int
-	domains          []*DomainIndex
-
-	line int
-	done bool
+	c       *csvReader
+	chunk   int
+	nums    []float64 // the current record's numeric-sensitive cells
+	domains []*DomainIndex
+	done    bool
 }
 
 // DomainIndex accumulates one categorical domain incrementally: Code
@@ -89,6 +88,15 @@ func (d *DomainIndex) Code(v string) int {
 	return c
 }
 
+// codeBytes is Code for a value held as bytes. The lookup does not
+// allocate, so only a first sighting copies the value into a string.
+func (d *DomainIndex) codeBytes(v []byte) int {
+	if c, ok := d.index[string(v)]; ok {
+		return c
+	}
+	return d.Code(string(v))
+}
+
 // Values returns the domain in code order. The slice is the index's
 // live backing store — callers that retain or mutate it must copy.
 func (d *DomainIndex) Values() []string { return d.values }
@@ -104,38 +112,16 @@ func NewCSVStream(r io.Reader, spec CSVSpec, chunkSize int) (*CSVStream, error) 
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
+	c, err := openCSV(r, spec)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	col := make(map[string]int, len(header))
-	for i, h := range header {
-		col[strings.TrimSpace(h)] = i
-	}
-	locate := func(names []string) ([]int, error) {
-		idx := make([]int, len(names))
-		for i, name := range names {
-			j, ok := col[name]
-			if !ok {
-				return nil, fmt.Errorf("dataset: CSV is missing column %q", name)
-			}
-			idx[i] = j
-		}
-		return idx, nil
-	}
-	s := &CSVStream{cr: cr, spec: spec, chunk: chunkSize, line: 1}
-	if s.fIdx, err = locate(spec.Features); err != nil {
 		return nil, err
 	}
-	if s.cIdx, err = locate(spec.CategoricalSensitive); err != nil {
-		return nil, err
+	s := &CSVStream{
+		c:       c,
+		chunk:   chunkSize,
+		nums:    make([]float64, len(c.nIdx)),
+		domains: make([]*DomainIndex, len(c.cIdx)),
 	}
-	if s.nIdx, err = locate(spec.NumericSensitive); err != nil {
-		return nil, err
-	}
-	s.domains = make([]*DomainIndex, len(spec.CategoricalSensitive))
 	for i := range s.domains {
 		s.domains[i] = NewDomainIndex()
 	}
@@ -150,36 +136,35 @@ func (s *CSVStream) Next() (*Dataset, error) {
 	if s.done {
 		return nil, io.EOF
 	}
+	spec := s.c.spec
+	// Blocks of at most DefaultChunkSize rows: a default-sized chunk is
+	// one slab, and a huge chunkSize is not allocated up front.
+	block := min(s.chunk, DefaultChunkSize)
+	slab := rowSlab[float64]{width: len(s.c.fIdx), rows: block}
 	features := make([][]float64, 0, s.chunk)
-	codes := make([][]int, len(s.cIdx))
-	reals := make([][]float64, len(s.nIdx))
+	codes := make([][]int, len(s.c.cIdx))
+	for i := range codes {
+		codes[i] = make([]int, 0, block)
+	}
+	reals := make([][]float64, len(s.c.nIdx))
+	for i := range reals {
+		reals[i] = make([]float64, 0, block)
+	}
 	for len(features) < s.chunk {
-		rec, err := s.cr.Read()
+		row := slab.row()
+		cats, err := s.c.read(row, s.nums)
 		if err == io.EOF {
 			s.done = true
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV line %d: %w", s.line+1, err)
-		}
-		s.line++
-		row := make([]float64, len(s.fIdx))
-		for i, j := range s.fIdx {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %q: %w", s.line, s.spec.Features[i], err)
-			}
-			row[i] = v
+			return nil, err
 		}
 		features = append(features, row)
-		for i, j := range s.cIdx {
-			codes[i] = append(codes[i], s.domains[i].Code(strings.TrimSpace(rec[j])))
+		for i, v := range cats {
+			codes[i] = append(codes[i], s.domains[i].codeBytes(v))
 		}
-		for i, j := range s.nIdx {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d column %q: %w", s.line, s.spec.NumericSensitive[i], err)
-			}
+		for i, v := range s.nums {
 			reals[i] = append(reals[i], v)
 		}
 	}
@@ -187,10 +172,10 @@ func (s *CSVStream) Next() (*Dataset, error) {
 		return nil, io.EOF
 	}
 	ds := &Dataset{
-		FeatureNames: s.spec.Features,
+		FeatureNames: spec.Features,
 		Features:     features,
 	}
-	for i, name := range s.spec.CategoricalSensitive {
+	for i, name := range spec.CategoricalSensitive {
 		ds.Sensitive = append(ds.Sensitive, &SensitiveAttr{
 			Name:   name,
 			Kind:   Categorical,
@@ -198,7 +183,7 @@ func (s *CSVStream) Next() (*Dataset, error) {
 			Codes:  codes[i],
 		})
 	}
-	for i, name := range s.spec.NumericSensitive {
+	for i, name := range spec.NumericSensitive {
 		ds.Sensitive = append(ds.Sensitive, &SensitiveAttr{
 			Name:  name,
 			Kind:  Numeric,
@@ -212,4 +197,4 @@ func (s *CSVStream) Next() (*Dataset, error) {
 }
 
 // Rows returns how many data rows have been decoded so far.
-func (s *CSVStream) Rows() int { return s.line - 1 }
+func (s *CSVStream) Rows() int { return s.c.line - 1 }
