@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -40,13 +41,18 @@ func TestBodyLimits(t *testing.T) {
 		t.Errorf("413 body not a JSON error: %s", data)
 	}
 
-	// Garbage bytes get 400, not a 500 or a hang.
-	for name, body := range map[string]string{
-		"not json":      "{not json at all",
-		"trailing data": `{"features":[1,2,3]} {"x":1}`,
-		"unknown field": `{"features":[1,2,3],"bogus":true}`,
+	// Garbage bytes get 400, not a 500 or a hang. A stray ] or } after
+	// the value is trailing data too, on both endpoints.
+	for name, c := range map[string]struct{ path, body string }{
+		"not json":                {"/v1/assign", "{not json at all"},
+		"trailing data":           {"/v1/assign", `{"features":[1,2,3]} {"x":1}`},
+		"unknown field":           {"/v1/assign", `{"features":[1,2,3],"bogus":true}`},
+		"trailing bracket":        {"/v1/assign", `{"features":[1,2,3]}]`},
+		"trailing brace":          {"/v1/assign", `{"features":[1,2,3]}}`},
+		"reload trailing bracket": {"/v1/models/reload", `{"model":"prod"}]`},
+		"reload trailing brace":   {"/v1/models/reload", `{"model":"prod"}}`},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/assign", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +80,47 @@ func TestBodyLimits(t *testing.T) {
 	}
 	if st := e2.Assigner().Stats(); st.Requests != 0 {
 		t.Errorf("rejected bodies reached the assigner: %+v", st)
+	}
+	if e2.Generation != 1 {
+		t.Errorf("a rejected reload body swapped the model: generation %d", e2.Generation)
+	}
+}
+
+// TestNonFiniteDistance400: finite features whose squared distance
+// overflows get a 400 with a JSON error body, not a 200 with an empty
+// one, and nothing is counted or observed for drift.
+func TestNonFiniteDistance400(t *testing.T) {
+	dir := t.TempDir()
+	path, m := saveFixtureModel(t, dir, 16)
+	ts, reg := hardTestServer(t, path, serve.Options{Workers: 1}, handlerOptions{})
+	attr := m.Sensitive[m.CategoricalAttrs()[0]].Name
+	for _, body := range []string{
+		`{"features":[1e200,1e200,1e200],"sensitive":{"` + attr + `":"a"}}`,
+		`{"rows":[{"features":[0,1,2],"sensitive":{"` + attr + `":"a"}},{"features":[-1e300,0,0]}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/assign", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || e["error"] == "" {
+			t.Errorf("%s = %d %q, want 400 with a JSON error", body, resp.StatusCode, data)
+		}
+	}
+	e, err := reg.Get("prod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Assigner().Stats(); st.Requests != 0 || st.Rows != 0 {
+		t.Errorf("non-finite requests were counted: %+v", st)
+	}
+	if d := e.Assigner().Drift(); d[0].ObservedRows != 0 {
+		t.Errorf("non-finite requests were observed for drift: %+v", d[0])
 	}
 }
 

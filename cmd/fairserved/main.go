@@ -17,14 +17,19 @@
 // header) when the queue is full or the estimated wait exceeds
 // -queue-budget. With -request-timeout set, requests that cannot
 // finish inside the budget fail with HTTP 503 and free their slot.
-// Bodies larger than -max-body are rejected with HTTP 413.
+// Bodies larger than -max-body are rejected with HTTP 413. An
+// /v1/assign row whose squared distance to its nearest centroid
+// overflows (finite but huge features) fails the request with 400.
 //
 // Endpoints (all JSON unless noted):
 //
 //	POST /v1/assign        single {"features":[...]} or batch
 //	                       {"rows":[{"features":[...],"sensitive":{...}},...]};
 //	                       optional "model" (default: first loaded) and
-//	                       "raw" (apply the artifact's feature scaling)
+//	                       "raw" (apply the artifact's feature scaling);
+//	                       answers compact JSON
+//	                       {"model":...,"generation":...,"assignments":
+//	                       [{"cluster":...,"distance":...},...]}
 //	GET  /v1/models        loaded models with provenance, serving stats
 //	                       and fairness drift reports
 //	POST /v1/models/reload {"model":"name","path":"optional new path"} —
@@ -46,6 +51,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -223,19 +229,6 @@ type assignRequest struct {
 	Rows []assignRow `json:"rows,omitempty"`
 }
 
-type assignment struct {
-	Cluster int `json:"cluster"`
-	// Distance is the squared Euclidean distance to the winning
-	// centroid in the trained feature space.
-	Distance float64 `json:"distance"`
-}
-
-type assignResponse struct {
-	Model       string       `json:"model"`
-	Generation  int          `json:"generation"`
-	Assignments []assignment `json:"assignments"`
-}
-
 type modelInfo struct {
 	Name       string           `json:"name"`
 	Path       string           `json:"path,omitempty"`
@@ -368,9 +361,15 @@ func newHandler(reg *serve.Registry, ts *telemetryState, opts handlerOptions) ht
 }
 
 func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWriter, r *http.Request) {
-	var req assignRequest
-	if err := decodeJSON(w, r, &req, opts.maxBody()); err != nil {
+	bp, err := readBody(w, r, opts.maxBody())
+	if err != nil {
 		httpError(w, bodyErrStatus(err), err.Error())
+		return
+	}
+	req, err := decodeAssign(*bp)
+	putBuf(bp)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	single := req.Features != nil
@@ -395,8 +394,7 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 	for i, row := range rows {
 		x := row.Features
 		if req.Raw && m.Scaling != nil && len(x) == m.Dim() {
-			x = append([]float64(nil), x...)
-			m.Scaling.Apply(x)
+			m.Scaling.Apply(x) // in place: the decoded slab belongs to this request
 		}
 		features[i] = x
 		if row.Sensitive != nil {
@@ -431,15 +429,14 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 		}
 		return
 	}
-	resp := assignResponse{
-		Model:       e.Name,
-		Generation:  e.Generation,
-		Assignments: make([]assignment, len(clusters)),
-	}
-	for i, c := range clusters {
-		resp.Assignments[i] = assignment{Cluster: c, Distance: dists[i]}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	bp = bufPool.Get().(*[]byte)
+	*bp = appendAssignResponse((*bp)[:0], e.Name, e.Generation, clusters, dists)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(*bp) //fairvet:ignore errflow -- status line already sent; a write error means the client hung up
+	putBuf(bp)
 }
 
 func modelInfos(reg *serve.Registry) []modelInfo {
@@ -486,17 +483,22 @@ func modelInfos(reg *serve.Registry) []modelInfo {
 }
 
 // decodeJSON strictly decodes one JSON body of at most maxBody bytes:
-// unknown fields, trailing data, and oversized payloads are all
-// rejected rather than silently accepted or read unboundedly. The
+// unknown fields, trailing non-whitespace, and oversized payloads are
+// all rejected rather than silently accepted or read unboundedly. The
 // *http.MaxBytesError from an oversized body is preserved in the wrap
 // so bodyErrStatus can map it to 413.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any, maxBody int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	bp, err := readBody(w, r, maxBody)
+	if err != nil {
+		return err
+	}
+	defer putBuf(bp)
+	dec := json.NewDecoder(bytes.NewReader(*bp))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft((*bp)[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("bad request body: trailing data")
 	}
 	return nil

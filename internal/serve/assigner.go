@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -368,6 +369,8 @@ func (a *Assigner) Assign(x []float64, sensitive map[string]string) (cluster int
 // AssignCtx is Assign under a request context: it passes the admission
 // gate (when configured) and honors the context's deadline while
 // queued. Shed requests return a ShedError; expired ones wrap ctx.Err().
+// A query whose winning squared distance is not finite fails and is
+// neither counted nor observed for drift.
 func (a *Assigner) AssignCtx(ctx context.Context, x []float64, sensitive map[string]string) (cluster int, dist float64, err error) {
 	if len(x) != a.m.Dim() {
 		return 0, 0, fmt.Errorf("serve: query has %d features, model %q expects %d", len(x), a.m.Name, a.m.Dim())
@@ -386,6 +389,9 @@ func (a *Assigner) AssignCtx(ctx context.Context, x []float64, sensitive map[str
 	sc := a.scratch.Get().(*stats.CentroidScratch)
 	cluster, dist = a.ix.Nearest(x, sc)
 	a.scratch.Put(sc)
+	if !isFinite(dist) {
+		return 0, 0, a.nonFiniteErr(0)
+	}
 	a.stats.record(1, time.Since(start))
 	if sensitive != nil {
 		a.stats.observe(cluster, sensitive)
@@ -408,7 +414,9 @@ func (a *Assigner) AssignBatch(rows [][]float64, sensitive []map[string]string) 
 // expired request returns an error wrapping context.DeadlineExceeded
 // (no partial results) and frees the caller immediately, even if a
 // stalled worker is still pinned on one of its micro-batches (the
-// orphaned task writes into slots nothing reads anymore).
+// orphaned task writes into slots nothing reads anymore). A row whose
+// winning squared distance is not finite fails the whole request, with
+// nothing counted or observed for drift.
 func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensitive []map[string]string) (_ []int, _ []float64, retErr error) {
 	dim := a.m.Dim()
 	for i, x := range rows {
@@ -427,8 +435,15 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 	admitted := start
 	var queueWait time.Duration
 	denied := false
+	// A non-finite result is a malformed request found only after
+	// scoring; like the malformed requests above it is not traced.
+	nonFinite := false
 	if a.tracer != nil {
-		defer func() { a.traceDone(retErr, denied, len(rows), start, admitted, queueWait) }()
+		defer func() {
+			if !nonFinite {
+				a.traceDone(retErr, denied, len(rows), start, admitted, queueWait)
+			}
+		}()
 	}
 	if a.gate != nil {
 		qw, err := a.gate.acquire(ctx)
@@ -532,6 +547,12 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 		}
 	}
 
+	for i, d := range dists {
+		if !isFinite(d) {
+			nonFinite = true
+			return nil, nil, a.nonFiniteErr(i)
+		}
+	}
 	a.stats.record(len(rows), time.Since(start))
 	for i, sv := range sensitive {
 		if sv != nil {
@@ -540,6 +561,15 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 	}
 	return out, dists, nil
 }
+
+// nonFiniteErr reports a row whose winning squared distance overflowed
+// (or became NaN): finite but huge features. Such a request is
+// rejected whole, and none of its rows is counted or observed.
+func (a *Assigner) nonFiniteErr(row int) error {
+	return fmt.Errorf("serve: row %d: squared distance to the nearest centroid of model %q is not finite (features too large)", row, a.m.Name)
+}
+
+func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // AssignRaw is Assign for a vector in raw input space: the artifact's
 // Scaling (if any) is applied to a copy first.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -353,5 +354,36 @@ func TestDrift(t *testing.T) {
 	}
 	if reps[0].Observed.AE == reps[0].Training.AE {
 		t.Error("skewed traffic did not move the observed fairness report")
+	}
+}
+
+// TestNonFiniteDistance: finite but huge features overflow the winning
+// squared distance. Both entry points must fail the request, naming
+// the row, and record nothing: no request, no row, no drift.
+func TestNonFiniteDistance(t *testing.T) {
+	ds := testfix.Synth(13, 200, 3, 1, 0)
+	m := trainModel(t, ds, 3, 5)
+	attr := m.Sensitive[m.CategoricalAttrs()[0]].Name
+	sv := map[string]string{attr: "a"}
+	huge := []float64{1e200, 1e200, 1e200}
+	for _, opts := range []Options{{Workers: 1}, {Workers: 2, BatchSize: 1}} {
+		a, err := NewAssigner(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.Assign(huge, sv); err == nil || !strings.Contains(err.Error(), "row 0") {
+			t.Errorf("Assign(%v) err = %v, want a non-finite error naming row 0", huge, err)
+		}
+		rows := [][]float64{ds.Features[0], ds.Features[1], huge}
+		if _, _, err := a.AssignBatch(rows, []map[string]string{sv, sv, sv}); err == nil || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("AssignBatch err = %v, want a non-finite error naming row 2", err)
+		}
+		if st := a.Stats(); st.Requests != 0 || st.Rows != 0 {
+			t.Errorf("rejected requests were counted: %+v", st)
+		}
+		if reps := a.Drift(); reps[0].ObservedRows != 0 {
+			t.Errorf("rejected rows were observed for drift: %+v", reps[0])
+		}
+		a.Close()
 	}
 }
