@@ -27,6 +27,12 @@ import (
 // body cannot pin its memory after it is served.
 const maxPooledBuf = 1 << 20
 
+// maxPresize bounds how much readBody allocates on the strength of a
+// Content-Length header alone. A larger body grows the buffer as its
+// bytes arrive, so a client that declares a big body and stalls holds
+// no more than this.
+const maxPresize = 64 << 10
+
 // bufPool recycles request-body and response buffers.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -44,7 +50,7 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) (*[]byte, e
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	if n := r.ContentLength; n >= int64(cap(b)) && n <= maxBody {
-		b = make([]byte, 0, n+1) // +1: the read that reports EOF needs room
+		b = make([]byte, 0, min(n+1, maxPresize)) // +1: the read that reports EOF needs room
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	for {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -115,7 +116,8 @@ func batchBody(tb testing.TB, ds *dataset.Dataset, n int, labelled bool) []byte 
 // one intended difference is trailing data: json.Decoder.More reports
 // false before ']' or '}', so the oracle lets a stray ']' or '}' after
 // the value through, while decodeAssign rejects any non-whitespace
-// there. The same bytes then go through the real handler, which must
+// there; the value without that byte must still decode to what the
+// oracle decoded. The same bytes then go through the real handler, which must
 // answer 200, 400, 404 or 413 only, and every 200 must be a parseable
 // response with one assignment per row.
 func FuzzAssignBody(f *testing.F) {
@@ -133,6 +135,14 @@ func FuzzAssignBody(f *testing.F) {
 		case oerr == nil:
 			if r := bytes.TrimLeft(rest, " \t\r\n"); len(r) == 0 || (r[0] != ']' && r[0] != '}') {
 				t.Fatalf("decodeAssign(%q) rejected a body encoding/json accepts: %v", body, err)
+			}
+			// Only the stray byte is excused: the value before it must
+			// decode, and to what the oracle decoded.
+			value := body[:len(body)-len(rest)]
+			if got, err := decodeAssign(value); err != nil {
+				t.Fatalf("decodeAssign(%q) rejected the value encoding/json accepts: %v", value, err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decodeAssign(%q)\n got %#v\nwant %#v", value, got, want)
 			}
 		}
 
@@ -183,6 +193,28 @@ func TestAssignResponseBytes(t *testing.T) {
 				t.Errorf("model %q, %d rows:\n got %s\nwant %s", name, n, got, want)
 			}
 		}
+	}
+}
+
+// TestReadBodyPresize: a request that declares a body near -max-body
+// but sends only a few bytes allocates in proportion to what arrived,
+// not to its Content-Length, and is still answered 400.
+func TestReadBodyPresize(t *testing.T) {
+	h, _ := adultHandler(t, handlerOptions{})
+	body := []byte(`{"features":[1`)
+	req := httptest.NewRequest(http.MethodPost, "/v1/assign", bytes.NewReader(body))
+	req.ContentLength = defaultMaxBody
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400: %s", rec.Code, rec.Body.Bytes())
+	}
+	const limit = 4 * maxPresize
+	if n := after.TotalAlloc - before.TotalAlloc; n > limit {
+		t.Errorf("a %d-byte body declared as %d bytes allocated %d bytes, want <= %d", len(body), req.ContentLength, n, limit)
 	}
 }
 
