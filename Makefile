@@ -123,19 +123,22 @@ bench-smoke:
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x
 	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad/rate=500' -benchtime 1x
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1x
-	$(GO) test ./internal/dataset -run 'TestCSVStreamAllocs' -bench 'BenchmarkCSVStream' -benchtime 1x
+	$(GO) test ./internal/dataset -run 'TestCSVStreamAllocs' -bench 'BenchmarkCSVStream/workers=' -benchtime 1x
 	$(GO) test ./cmd/fairserved -run 'TestAssignHandlerAllocs' -bench 'BenchmarkHTTPAssign' -benchtime 1x
 
 # fuzz-smoke runs each fuzz target on a short fixed budget.
 # FuzzCSVDecode is the differential test of the byte-level CSV
-# tokenizer against encoding/csv, and FuzzAssignBody that of the
+# tokenizer and the parallel CSVStream against encoding/csv,
+# FuzzSplitCSV checks SplitCSV's shard union against one sequential
+# read, and FuzzAssignBody is the differential test of the
 # /v1/assign request decoder against encoding/json (plus the real
-# handler's status contract); a crasher either finds is written under
+# handler's status contract); a crasher any of them finds is written under
 # the package's testdata/fuzz and must be committed as a regression
 # input. FuzzTokenize otherwise only runs its seeds in go test.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzSplitCSV$$' -fuzztime 10s
 	$(GO) test ./cmd/fairserved -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 

@@ -20,9 +20,10 @@
 // with a fixed -seed every field is reproducible except elapsed_ns.
 //
 // With -minmax an extra leading pass computes per-column minima and
-// ranges so features can be scaled to [0,1] on the fly — three
-// sequential passes over the file, never more than one chunk in
-// memory.
+// ranges so features can be scaled to [0,1] on the fly — three passes
+// over the file, one after the other. Each pass holds one chunk plus
+// the stream's read-ahead window in memory, and decodes that window
+// on GOMAXPROCS goroutines without changing a single output byte.
 //
 // With -shards S > 1 the file is split on row boundaries into S byte
 // ranges (dataset.SplitCSV) that are summarized by S independent

@@ -68,17 +68,36 @@ func openCSV(r io.Reader, spec CSVSpec) (*csvReader, error) {
 	return c, nil
 }
 
+// recordError reports a record that failed to decode. line is the
+// record's number, the header's being 1; column names the cell that
+// failed to parse, or is empty when the tokenizer rejected the record.
+type recordError struct {
+	line   int
+	column string
+	err    error
+}
+
+func (e *recordError) Error() string {
+	if e.column == "" {
+		return fmt.Sprintf("dataset: reading CSV line %d: %v", e.line, e.err)
+	}
+	return fmt.Sprintf("dataset: line %d column %q: %v", e.line, e.column, e.err)
+}
+
+func (e *recordError) Unwrap() error { return e.err }
+
 // read decodes the next record: its feature and numeric-sensitive cells
 // into feats and nums, and its categorical cells, trimmed, into the
 // returned slices, which stay valid until the next call. It returns
-// io.EOF once the input is exhausted.
+// io.EOF once the input is exhausted, and a *recordError for a record
+// it cannot decode.
 func (c *csvReader) read(feats, nums []float64) ([][]byte, error) {
 	rec, err := c.tok.next()
 	if err == io.EOF {
 		return nil, io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV line %d: %w", c.line+1, err)
+		return nil, &recordError{line: c.line + 1, err: err}
 	}
 	c.line++
 	for i, j := range c.fIdx {
@@ -86,7 +105,7 @@ func (c *csvReader) read(feats, nums []float64) ([][]byte, error) {
 		// strconv rounds exactly as it does for any other string.
 		v, err := strconv.ParseFloat(string(trimCell(rec[j])), 64)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d column %q: %w", c.line, c.spec.Features[i], err)
+			return nil, &recordError{line: c.line, column: c.spec.Features[i], err: err}
 		}
 		feats[i] = v
 	}
@@ -96,7 +115,7 @@ func (c *csvReader) read(feats, nums []float64) ([][]byte, error) {
 	for i, j := range c.nIdx {
 		v, err := strconv.ParseFloat(string(trimCell(rec[j])), 64)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d column %q: %w", c.line, c.spec.NumericSensitive[i], err)
+			return nil, &recordError{line: c.line, column: c.spec.NumericSensitive[i], err: err}
 		}
 		nums[i] = v
 	}

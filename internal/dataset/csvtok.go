@@ -98,21 +98,55 @@ func (t *tokenizer) fill() {
 	if t.end == len(t.buf) {
 		t.buf = append(t.buf, make([]byte, len(t.buf))...)
 	}
-	// Like bufio.Reader, give up on a source that keeps returning
-	// nothing.
+	n, err := readSome(t.src, t.buf[t.end:])
+	t.end += n
+	t.err = err
+}
+
+// readSome reads into p until a read returns bytes or an error. Like
+// bufio.Reader, it gives up on a source that keeps returning nothing.
+func readSome(r io.Reader, p []byte) (int, error) {
 	for i := 0; i < 100; i++ {
-		n, err := t.src.Read(t.buf[t.end:])
-		t.end += n
-		if err != nil {
-			t.err = err
-			return
-		}
-		if n > 0 {
-			return
+		n, err := r.Read(p)
+		if n > 0 || err != nil {
+			return n, err
 		}
 	}
-	t.err = io.ErrNoProgress
+	return 0, io.ErrNoProgress
 }
+
+// setPiece points t at a piece of input held whole in b, which ends
+// with err: io.EOF, or the source's error where the input stopped.
+// Lines are counted from the piece's start, and the field count t
+// expects is kept.
+func (t *tokenizer) setPiece(b []byte, err error) {
+	*t = tokenizer{buf: b, end: len(b), err: err, nfields: t.nfields, spans: t.spans[:0], fields: t.fields[:0]}
+}
+
+// recordEnd returns the offset just past the first '\n' in b that lies
+// outside quotes, given whether b starts inside them, or -1 and whether
+// b ends inside them. Quote parity counted from a record start finds
+// exactly the record ends of valid CSV: a quoted field holds its
+// opening and closing quotes and "" escapes, so any newline inside
+// one follows an odd number of quotes, and a record's final newline
+// an even number.
+func recordEnd(b []byte, inQuote bool) (int, bool) {
+	for off := 0; ; {
+		i := bytes.IndexByte(b[off:], '\n')
+		if i < 0 {
+			return -1, inQuote != oddQuotes(b[off:])
+		}
+		if inQuote = inQuote != oddQuotes(b[off:off+i]); !inQuote {
+			return off + i + 1, false
+		}
+		off += i + 1
+	}
+}
+
+// oddQuotes reports whether b holds an odd number of '"'.
+func oddQuotes(b []byte) bool { return bytes.Count(b, quote)&1 == 1 }
+
+var quote = []byte{'"'}
 
 // readLine returns the next line with its '\n', or without one at the
 // end of input, normalized as encoding/csv normalizes it: a trailing

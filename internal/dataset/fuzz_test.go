@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,8 +49,12 @@ func decodeSpec() CSVSpec {
 
 // FuzzCSVDecode is the differential test of the byte-level tokenizer:
 // for any bytes, the tokenizer must return encoding/csv's records and
-// errors, and ReadCSV and CSVStream (at several chunk sizes) must
-// return exactly what their encoding/csv-based oracles return.
+// errors, and ReadCSV and CSVStream must return exactly what their
+// encoding/csv-based oracles return. CSVStream runs at several chunk
+// sizes, on 1 to 3 workers, with pieces from 1 byte up, so its window
+// cuts are searched for from every kind of position: inside quoted
+// fields and "" escapes, between '\r' and '\n', in blank lines and in
+// a final record with no newline.
 func FuzzCSVDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkTokenizer(t, data, bytes.NewReader(data), 1)
@@ -56,7 +62,11 @@ func FuzzCSVDecode(f *testing.F) {
 		checkTokenizer(t, data, bytes.NewReader(data), tokenBufSize)
 		checkReadCSV(t, data, decodeSpec())
 		for _, chunk := range []int{1, 2, 7, 4096} {
-			checkStream(t, data, decodeSpec(), chunk)
+			for workers := 1; workers <= 3; workers++ {
+				for _, piece := range []int{1, 2, 5, 16, pieceSize} {
+					checkStream(t, data, decodeSpec(), chunk, workers, piece)
+				}
+			}
 		}
 	})
 }
@@ -108,12 +118,20 @@ func checkReadCSV(t *testing.T, data []byte, spec CSVSpec) {
 	}
 }
 
-// checkStream drains a CSVStream and its oracle side by side, comparing
-// every chunk, error and Rows() count up to the first error or EOF.
-func checkStream(t *testing.T, data []byte, spec CSVSpec, chunk int) {
+// checkStream drains a CSVStream on the given number of workers and
+// piece size and its oracle side by side, comparing every chunk, error
+// and Rows() count up to the first error or EOF.
+func checkStream(t *testing.T, data []byte, spec CSVSpec, chunk, workers, piece int) {
 	t.Helper()
-	got, gotErr := NewCSVStream(bytes.NewReader(data), spec, chunk)
-	want, wantErr := newOracleStream(bytes.NewReader(data), spec, chunk)
+	checkStreamFrom(t, data, func() io.Reader { return bytes.NewReader(data) }, spec, chunk, workers, piece)
+}
+
+// checkStreamFrom is checkStream over the readers src returns, each
+// yielding data and then ending as src decides.
+func checkStreamFrom(t *testing.T, data []byte, src func() io.Reader, spec CSVSpec, chunk, workers, piece int) {
+	t.Helper()
+	got, gotErr := newCSVStream(src(), spec, chunk, workers, piece)
+	want, wantErr := newOracleStream(src(), spec, chunk)
 	if errString(gotErr) != errString(wantErr) {
 		t.Fatalf("NewCSVStream(%q, chunk %d): error %q, oracle %q", data, chunk, errString(gotErr), errString(wantErr))
 	}
@@ -124,16 +142,95 @@ func checkStream(t *testing.T, data []byte, spec CSVSpec, chunk int) {
 		g, gErr := got.Next()
 		w, wErr := want.Next()
 		if errString(gErr) != errString(wErr) {
-			t.Fatalf("chunk %d of %q (size %d): error %q, oracle %q", i, data, chunk, errString(gErr), errString(wErr))
+			t.Fatalf("chunk %d of %q (size %d, %d workers, piece %d): error %q, oracle %q", i, data, chunk, workers, piece, errString(gErr), errString(wErr))
 		}
 		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("chunk %d of %q (size %d) = %+v, oracle %+v", i, data, chunk, g, w)
+			t.Fatalf("chunk %d of %q (size %d, %d workers, piece %d) = %+v, oracle %+v", i, data, chunk, workers, piece, g, w)
 		}
 		if got.Rows() != want.Rows() {
-			t.Fatalf("after chunk %d of %q (size %d): Rows() = %d, oracle %d", i, data, chunk, got.Rows(), want.Rows())
+			t.Fatalf("after chunk %d of %q (size %d, %d workers, piece %d): Rows() = %d, oracle %d", i, data, chunk, workers, piece, got.Rows(), want.Rows())
 		}
 		if wErr != nil {
 			return
 		}
+	}
+}
+
+// FuzzSplitCSV checks SplitCSV against one sequential read: for any
+// bytes without a quoted newline after the header (the restriction
+// SplitCSV documents), the shard streams read in shard order must
+// return the sequential stream's rows, in order and value for value,
+// and fail exactly when it fails — for every shard count.
+func FuzzSplitCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if quotedNewline(data) {
+			return
+		}
+		spec := decodeSpec()
+		want, wantErr := drainRows(NewCSVStream(bytes.NewReader(data), spec, 1))
+		path := filepath.Join(t.TempDir(), "in.csv")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 3, 7} {
+			s, err := SplitCSV(path, shards)
+			if err != nil {
+				if wantErr == nil {
+					t.Fatalf("SplitCSV(%q, %d): %v; a sequential read succeeds", data, shards, err)
+				}
+				continue
+			}
+			var got []string
+			var gotErr error
+			for i := 0; i < s.Shards() && gotErr == nil; i++ {
+				stream, closer, err := s.Open(i, spec, 1)
+				var rows []string
+				rows, gotErr = drainRows(stream, err)
+				got = append(got, rows...)
+				if closer != nil {
+					closer.Close()
+				}
+			}
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%d shards of %q: error %q, sequential %q", shards, data, errString(gotErr), errString(wantErr))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d shards of %q: rows %q, sequential %q", shards, data, got, want)
+			}
+		}
+	})
+}
+
+// quotedNewline reports whether a '\n' after data's header line lies
+// inside quotes, the header ending at its first newline outside them.
+func quotedNewline(data []byte) bool {
+	end, _ := recordEnd(data, false)
+	if end < 0 {
+		return false
+	}
+	for _, line := range bytes.SplitAfter(data[end:], []byte{'\n'}) {
+		if lengthNL(line) == 1 && oddQuotes(line) {
+			return true
+		}
+	}
+	return false
+}
+
+// drainRows reads s to its end or first error, rendering its rows
+// with renderRows.
+func drainRows(s *CSVStream, err error) ([]string, error) {
+	if err != nil {
+		return nil, err
+	}
+	var rows []string
+	for {
+		ds, err := s.Next()
+		if err == io.EOF {
+			return rows, nil
+		}
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, renderRows(ds)...)
 	}
 }

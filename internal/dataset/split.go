@@ -141,16 +141,11 @@ func readHeaderLine(f io.ReaderAt, size int64) ([]byte, error) {
 		if n == 0 && err != nil && err != io.EOF {
 			return nil, fmt.Errorf("dataset: split: %w", err)
 		}
-		for i := 0; i < n; i++ {
-			switch buf[i] {
-			case '"':
-				inQuote = !inQuote
-			case '\n':
-				if !inQuote {
-					return append(header, buf[:i+1]...), nil
-				}
-			}
+		end, q := recordEnd(buf[:n], inQuote)
+		if end >= 0 {
+			return append(header, buf[:end]...), nil
 		}
+		inQuote = q
 		header = append(header, buf[:n]...)
 		off += int64(n)
 		if err == io.EOF {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,9 @@ func collectShardRows(t *testing.T, s *CSVShards, spec CSVSpec, chunk int) []str
 	return rows
 }
 
+// renderRows renders each row of ds as text: features and numeric
+// sensitive values in their shortest exact form, categorical values
+// quoted, so rows compare by value whatever codes a stream assigned.
 func renderRows(ds *Dataset) []string {
 	rows := make([]string, ds.N())
 	for i := 0; i < ds.N(); i++ {
@@ -50,7 +54,11 @@ func renderRows(ds *Dataset) []string {
 			if ai > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(attr.Values[attr.Codes[i]])
+			if attr.Kind == Categorical {
+				sb.WriteString(strconv.Quote(attr.Values[attr.Codes[i]]))
+			} else {
+				fmt.Fprintf(&sb, "%g", attr.Reals[i])
+			}
 		}
 		rows[i] = sb.String()
 	}

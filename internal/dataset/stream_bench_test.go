@@ -3,6 +3,7 @@ package dataset_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/data/adult"
@@ -69,10 +70,16 @@ func TestCSVStreamAllocs(t *testing.T) {
 }
 
 // BenchmarkCSVStream decodes 4096-row chunks of the synthetic Adult
-// table (8 features, 5 categorical sensitive columns): one op is one
-// Next. It reports ns/row alongside allocs/op.
+// table (8 features, 5 categorical sensitive columns) on one worker and
+// on GOMAXPROCS workers: one op is one Next. It reports ns/row
+// alongside allocs/op.
 func BenchmarkCSVStream(b *testing.B) {
-	s, err := dataset.NewCSVStream(adultCSVSource(b), adultSpec(), dataset.DefaultChunkSize)
+	b.Run("workers=1", func(b *testing.B) { benchCSVStream(b, 1) })
+	b.Run("workers=GOMAXPROCS", func(b *testing.B) { benchCSVStream(b, runtime.GOMAXPROCS(0)) })
+}
+
+func benchCSVStream(b *testing.B, workers int) {
+	s, err := dataset.NewCSVStreamWorkers(adultCSVSource(b), adultSpec(), dataset.DefaultChunkSize, workers)
 	if err != nil {
 		b.Fatal(err)
 	}

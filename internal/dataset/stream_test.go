@@ -1,9 +1,13 @@
 package dataset
 
 import (
+	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 const streamCSV = `x,y,g,age,junk
@@ -261,4 +265,103 @@ func TestDomainIndexFrom(t *testing.T) {
 	if _, err := NewDomainIndexFrom([]string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate snapshot values accepted")
 	}
+}
+
+// cutCSV is valid CSV holding everything a window cut must not split:
+// quoted newlines, "" escapes next to them, CRLF records, blank lines,
+// quoted commas and a final record with no trailing newline.
+const cutCSV = "x,y,g,w,skip\r\n" +
+	"1,2,a,3,z\r\n" +
+	"4,5,\"b\nc\",6,\"q\"\"\n\"\"r\"\n" +
+	"\n" +
+	"7, 8 ,\"\"\"d\"\"\",9,\"\r\n\"\n" +
+	"\r\n" +
+	"10,11,\"e,f\",12,z\n" +
+	"13,14,a,15,\"\"\n" +
+	"16,17,\"b\nc\",18,z"
+
+// TestCSVStreamCutsEverywhere moves the window's cut targets across
+// every byte of cutCSV, and of copies with a tokenizer error and a
+// cell error late in the file, on 1 to 3 workers: every chunk, error
+// and Rows count must match the sequential oracle.
+func TestCSVStreamCutsEverywhere(t *testing.T) {
+	if ds, err := ReadCSV(strings.NewReader(cutCSV), decodeSpec()); err != nil || ds.N() != 6 {
+		t.Fatalf("cutCSV does not read as 6 valid rows: %v", err)
+	}
+	inputs := []string{
+		cutCSV,
+		strings.Replace(cutCSV, "10,11", "10,1\"1", 1),
+		strings.Replace(cutCSV, "13,14", "13,x", 1),
+		strings.Replace(cutCSV, "\"e,f\"", "\"e\"f", 1),
+		cutCSV + "\n19,20,\"open",
+	}
+	for _, in := range inputs {
+		for piece := 1; piece <= len(in); piece++ {
+			for workers := 1; workers <= 3; workers++ {
+				for _, chunk := range []int{1, 3, DefaultChunkSize} {
+					checkStream(t, []byte(in), decodeSpec(), chunk, workers, piece)
+				}
+			}
+		}
+	}
+}
+
+// TestCSVStreamSourceError: a source that fails partway fails the
+// stream where a sequential read fails, whichever piece the failure
+// lands in.
+func TestCSVStreamSourceError(t *testing.T) {
+	boom := errors.New("disk on fire")
+	for at := 0; at <= len(cutCSV); at++ {
+		data := cutCSV[:at]
+		src := func() io.Reader { return io.MultiReader(strings.NewReader(data), iotest.ErrReader(boom)) }
+		for workers := 1; workers <= 3; workers++ {
+			for _, piece := range []int{1, 4, pieceSize} {
+				checkStreamFrom(t, []byte(data), src, decodeSpec(), 2, workers, piece)
+			}
+		}
+	}
+}
+
+// TestCSVStreamNoGoroutineLeak: Next joins every goroutine it starts,
+// so neither a drained stream nor one abandoned midway leaves any
+// behind.
+func TestCSVStreamNoGoroutineLeak(t *testing.T) {
+	src := "x,y,g,w,skip\n" + strings.Repeat("1,2,a,3,z\n4,5,\"b\nc\",6,z\n", 500)
+	base := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		// A worker that has signalled done may still be exiting.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, %d before", when, n, base)
+		}
+	}
+
+	s, err := newCSVStream(strings.NewReader(src), decodeSpec(), 64, 3, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := s.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Rows() != 1000 {
+		t.Fatalf("Rows() = %d, want 1000", s.Rows())
+	}
+	settled("after draining")
+
+	s, err = newCSVStream(strings.NewReader(src), decodeSpec(), 64, 3, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(); err != nil {
+		t.Fatal(err)
+	}
+	settled("after abandoning")
 }

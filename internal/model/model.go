@@ -463,8 +463,10 @@ func Decode(r io.Reader) (*Model, error) {
 	return &m, nil
 }
 
-// Save writes the artifact to path atomically (temp file + rename), so
-// a serving process reloading the path never observes a torn write.
+// Save writes the artifact to path atomically and durably (temp file,
+// fsync, rename, fsync of the directory), so a serving process
+// reloading the path never observes a torn write, and neither does a
+// cold start after a crash.
 // The written envelope stamps Provenance.CreatedAt if unset and
 // defaults Name to the file base name; m itself is never mutated (it
 // may be concurrently served).
@@ -487,10 +489,33 @@ func Save(path string, m *Model) error {
 		tmp.Close() //fairvet:ignore errflow -- close on the encode error path; the encode error wins
 		return err
 	}
+	// Sync before the rename, and the directory after it, so a crash
+	// leaves either the old artifact or the new one at path, never an
+	// empty or torn file.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close() //fairvet:ignore errflow -- close on the sync error path; the sync error wins
+		return fmt.Errorf("model: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("model: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("model: %w", err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir flushes dir's entries, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("model: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close() //fairvet:ignore errflow -- close on the sync error path; the sync error wins
+		return fmt.Errorf("model: %w", err)
+	}
+	if err := d.Close(); err != nil {
 		return fmt.Errorf("model: %w", err)
 	}
 	return nil
