@@ -314,6 +314,51 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsAcrossReload pins what /metrics reports across a hot
+// swap: the stage histograms belong to the model name's tracer, which
+// the reloaded Assigner keeps feeding, so they count every request;
+// the per-model counters, the latency histogram and the drift series
+// are mirrored from the live Assigner, so they restart at the swap.
+func TestMetricsAcrossReload(t *testing.T) {
+	const before, after = 4, 3
+	dir := t.TempDir()
+	path, m := saveFixtureModel(t, dir, 5)
+	ts, _ := newTestServer(t, path)
+	pathB, _ := saveFixtureModel(t, dir, 6)
+	attr := m.Sensitive[m.CategoricalAttrs()[0]].Name
+	assign := func(n int) {
+		for i := 0; i < n; i++ {
+			resp, data := postJSON(t, ts.URL+"/v1/assign", map[string]any{
+				"features":  []float64{float64(i), 0, 1},
+				"sensitive": map[string]string{attr: "a"},
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("assign: %d %s", resp.StatusCode, data)
+			}
+		}
+	}
+
+	assign(before)
+	if resp, data := postJSON(t, ts.URL+"/v1/models/reload", map[string]any{"model": "prod", "path": pathB}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: %d %s", resp.StatusCode, data)
+	}
+	assign(after)
+
+	_, data := getBody(t, ts.URL+"/metrics")
+	text := string(data)
+	for _, want := range []string{
+		fmt.Sprintf(`fairserved_request_stage_seconds_count{model="prod",stage="total"} %d`, before+after),
+		fmt.Sprintf(`fairserved_requests_total{model="prod"} %d`, after),
+		fmt.Sprintf(`fairserved_request_latency_seconds_count{model="prod"} %d`, after),
+		fmt.Sprintf(`fairserved_drift_observed_rows{attribute="%s",model="prod"} %d`, attr, after),
+		`fairserved_model_generation{model="prod"} 2`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
 // TestServeCtxEndToEnd boots the real server on an ephemeral port,
 // exercises it over TCP, then cancels the context and expects a
 // graceful shutdown — the CI smoke path.

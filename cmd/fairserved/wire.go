@@ -19,9 +19,11 @@ import (
 // which the tests keep as the oracle (FuzzAssignBody,
 // TestAssignResponseBytes): decodeAssign accepts exactly the bodies
 // json.Decoder with DisallowUnknownFields accepts into an
-// assignRequest, with reflect.DeepEqual results, except that any
-// non-whitespace after the value is rejected; appendAssignResponse
-// writes exactly json.Marshal's bytes plus json.Encoder's newline.
+// assignRequest, with reflect.DeepEqual results, except for two
+// rejections: any non-whitespace after the value, and a struct field
+// given twice in one object (the request or a row; keys inside
+// "sensitive" may repeat, last wins). appendAssignResponse writes
+// exactly json.Marshal's bytes plus json.Encoder's newline.
 
 // maxPooledBuf bounds the buffers returned to bufPool, so one large
 // body cannot pin its memory after it is served.
@@ -72,24 +74,43 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) (*[]byte, e
 	return bp, nil
 }
 
-// Struct field names, matched case-insensitively with bytes.EqualFold
-// as encoding/json matches them.
-var (
-	keyModel     = []byte("model")
-	keyRaw       = []byte("raw")
-	keyFeatures  = []byte("features")
-	keySensitive = []byte("sensitive")
-	keyRows      = []byte("rows")
+// fieldNames are the struct fields of assignRequest and assignRow,
+// indexed by the field constants, most frequent first.
+var fieldNames = [...][]byte{[]byte("features"), []byte("sensitive"), []byte("rows"), []byte("model"), []byte("raw")}
+
+const (
+	fieldFeatures = iota
+	fieldSensitive
+	fieldRows
+	fieldModel
+	fieldRaw
 )
 
+// fieldSet records the struct fields one object has given.
+type fieldSet uint8
+
+// add matches key to a struct field case-insensitively, with
+// bytes.EqualFold as encoding/json matches them, and records it. It
+// returns -1 for an unknown key, and fails on a field the object has
+// already given.
+func (s *fieldSet) add(key []byte) (int, error) {
+	for f, name := range fieldNames {
+		if bytes.EqualFold(key, name) {
+			if *s&(1<<f) != 0 {
+				return f, fmt.Errorf("repeated field %q", key)
+			}
+			*s |= 1 << f
+			return f, nil
+		}
+	}
+	return -1, nil
+}
+
 // region is one features slice's place in the decoder's slab: n values
-// at slab[off:off+n] out of the cap ever written there. encoding/json
-// decodes a repeated key into the slice it already holds, so a later
-// array's null elements keep what the backing array held at their
-// index; cap tracks that backing array.
+// at slab[off:off+n].
 type region struct {
-	off, n, cap int
-	set         bool // false: the slice is nil
+	off, n int
+	set    bool // false: the slice is nil
 }
 
 // object is the decode state of one JSON object that carries features
@@ -107,11 +128,8 @@ type wireDecoder struct {
 	// slab holds every features array in parse order. Regions never
 	// overlap, so each decoded row's features are a disjoint sub-slice
 	// the caller may scale in place.
-	slab    []float64
-	top     object
-	rows    []object // every rows element ever decoded: the backing array
-	nrows   int
-	rowsSet bool
+	slab []float64
+	rows []object // nil unless the body holds a rows array
 
 	interned map[string]string // sensitive keys and values
 	scratch  []byte            // unescaped string bytes
@@ -129,20 +147,26 @@ func decodeAssign(body []byte) (assignRequest, error) {
 
 func (d *wireDecoder) decode() (assignRequest, error) {
 	var req assignRequest
+	var top object
+	var seen fieldSet
 	var err error
 	switch d.peek() {
 	case 'n':
 		err = d.literal("null") // null leaves the request zero
 	case '{':
 		err = d.members(func(key []byte) error {
-			switch {
-			case bytes.EqualFold(key, keyFeatures):
-				return d.floats(&d.top.features)
-			case bytes.EqualFold(key, keySensitive):
-				return d.strmap(&d.top.sensitive)
-			case bytes.EqualFold(key, keyRows):
+			f, err := seen.add(key)
+			if err != nil {
+				return err
+			}
+			switch f {
+			case fieldFeatures:
+				return d.floats(&top.features)
+			case fieldSensitive:
+				return d.strmap(&top.sensitive)
+			case fieldRows:
 				return d.rowsArray()
-			case bytes.EqualFold(key, keyModel):
+			case fieldModel:
 				switch d.peek() {
 				case 'n':
 					return d.literal("null")
@@ -152,7 +176,7 @@ func (d *wireDecoder) decode() (assignRequest, error) {
 					return err
 				}
 				return d.typeErr("model", "a string")
-			case bytes.EqualFold(key, keyRaw):
+			case fieldRaw:
 				switch d.peek() {
 				case 'n':
 					return d.literal("null")
@@ -160,7 +184,6 @@ func (d *wireDecoder) decode() (assignRequest, error) {
 					req.Raw = true
 					return d.literal("true")
 				case 'f':
-					req.Raw = false
 					return d.literal("false")
 				}
 				return d.typeErr("raw", "a boolean")
@@ -186,50 +209,52 @@ func (d *wireDecoder) decode() (assignRequest, error) {
 		}
 		return d.slab[f.off : f.off+f.n : f.off+f.n]
 	}
-	req.Features, req.Sensitive = take(d.top.features), d.top.sensitive
-	if d.rowsSet {
-		req.Rows = make([]assignRow, d.nrows)
-		for i, o := range d.rows[:d.nrows] {
+	req.Features, req.Sensitive = take(top.features), top.sensitive
+	if d.rows != nil {
+		req.Rows = make([]assignRow, len(d.rows))
+		for i, o := range d.rows {
 			req.Rows[i] = assignRow{Features: take(o.features), Sensitive: o.sensitive}
 		}
 	}
 	return req, nil
 }
 
-// rowsArray decodes the rows value into d.rows, element i into the row
-// state encoding/json's backing array holds at i.
+// rowsArray decodes the rows value into d.rows; a null element is a
+// zero row.
 func (d *wireDecoder) rowsArray() error {
 	switch d.peek() {
 	case 'n':
-		d.rowsSet, d.nrows, d.rows = false, 0, d.rows[:0]
 		return d.literal("null")
 	case '[':
 		d.pos++
 	default:
 		return d.typeErr("rows", "an array of objects")
 	}
-	d.rowsSet, d.nrows = true, 0
+	d.rows = make([]object, 0) // [] is a non-nil empty slice; no allocation
 	if d.peek() == ']' {
 		d.pos++
-		d.rows = d.rows[:0] // [] is a fresh empty slice
 		return nil
 	}
-	for n := 0; ; {
-		if n == len(d.rows) {
-			d.rows = append(d.rows, object{})
-		}
-		o := &d.rows[n]
+	for {
+		n := len(d.rows)
+		d.rows = append(d.rows, object{})
 		switch d.peek() {
 		case 'n':
-			if err := d.literal("null"); err != nil { // null leaves the row as it was
+			if err := d.literal("null"); err != nil {
 				return err
 			}
 		case '{':
+			o := &d.rows[n]
+			var seen fieldSet
 			err := d.members(func(key []byte) error {
-				switch {
-				case bytes.EqualFold(key, keyFeatures):
+				f, err := seen.add(key)
+				if err != nil {
+					return fmt.Errorf("%w in row %d", err, n)
+				}
+				switch f {
+				case fieldFeatures:
 					return d.floats(&o.features)
-				case bytes.EqualFold(key, keySensitive):
+				case fieldSensitive:
 					return d.strmap(&o.sensitive)
 				}
 				return fmt.Errorf("unknown field %q in row %d", key, n)
@@ -240,13 +265,11 @@ func (d *wireDecoder) rowsArray() error {
 		default:
 			return d.typeErr("rows", "an array of objects")
 		}
-		n++
 		switch d.peek() {
 		case ',':
 			d.pos++
 		case ']':
 			d.pos++
-			d.nrows = n
 			return nil
 		default:
 			return d.syntaxErr()
@@ -254,31 +277,25 @@ func (d *wireDecoder) rowsArray() error {
 	}
 }
 
-// floats decodes a features value into f the way encoding/json decodes
-// into the []float64 f already describes.
+// floats decodes a features value into f; a null element decodes as 0.
 func (d *wireDecoder) floats(f *region) error {
 	switch d.peek() {
 	case 'n':
-		*f = region{}
 		return d.literal("null")
 	case '[':
 		d.pos++
 	default:
 		return d.typeErr("features", "an array of numbers")
 	}
-	if !f.set {
-		*f = region{off: len(d.slab), set: true}
-	}
+	*f = region{off: len(d.slab), set: true}
 	if d.peek() == ']' {
 		d.pos++
-		*f = region{off: len(d.slab), set: true} // [] is a fresh empty slice
 		return nil
 	}
-	for n := 0; ; {
+	for {
 		var v float64
-		null := d.peek() == 'n'
 		var err error
-		if null {
+		if d.peek() == 'n' {
 			err = d.literal("null")
 		} else {
 			v, err = d.number()
@@ -286,28 +303,13 @@ func (d *wireDecoder) floats(f *region) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case n < f.cap:
-			if !null {
-				d.slab[f.off+n] = v
-			}
-		default:
-			if f.off+f.cap != len(d.slab) {
-				// Another array was decoded after this one: move it to
-				// the end of the slab so it can grow there.
-				d.slab = append(d.slab, d.slab[f.off:f.off+f.cap]...)
-				f.off = len(d.slab) - f.cap
-			}
-			d.slab = append(d.slab, v)
-			f.cap++
-		}
-		n++
+		d.slab = append(d.slab, v)
+		f.n++
 		switch d.peek() {
 		case ',':
 			d.pos++
 		case ']':
 			d.pos++
-			f.n = n
 			return nil
 		default:
 			return d.syntaxErr()
@@ -315,20 +317,17 @@ func (d *wireDecoder) floats(f *region) error {
 	}
 }
 
-// strmap decodes a sensitive value into *m, adding to the map already
-// there as encoding/json does; a null member value decodes as "".
+// strmap decodes a sensitive value into *m; a repeated key keeps its
+// last value, and a null member value decodes as "".
 func (d *wireDecoder) strmap(m *map[string]string) error {
 	switch d.peek() {
 	case 'n':
-		*m = nil
 		return d.literal("null")
 	case '{':
 	default:
 		return d.typeErr("sensitive", "an object of strings")
 	}
-	if *m == nil {
-		*m = make(map[string]string)
-	}
+	*m = make(map[string]string)
 	return d.members(func(key []byte) error {
 		k := d.intern(key)
 		switch d.peek() {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -111,34 +112,111 @@ func batchBody(tb testing.TB, ds *dataset.Dataset, n int, labelled bool) []byte 
 	return body
 }
 
+// repeatsField reports whether the JSON value in body, which must be
+// valid, gives a struct field twice in the request object or in one of
+// its rows. It walks json.Decoder tokens independently of decodeAssign
+// and matches keys to field names case-insensitively, as encoding/json
+// does.
+func repeatsField(body []byte) bool {
+	const (
+		other = iota
+		request
+		rows // the request's rows array
+		row
+	)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	repeated := false
+	// walk consumes one value of the given kind.
+	var walk func(kind int) error
+	walk = func(kind int) error {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch tok {
+		case json.Delim('['):
+			elem := other
+			if kind == rows {
+				elem = row
+			}
+			for dec.More() {
+				if err := walk(elem); err != nil {
+					return err
+				}
+			}
+		case json.Delim('{'):
+			seen := map[string]bool{}
+			for dec.More() {
+				tok, err := dec.Token()
+				if err != nil {
+					return err
+				}
+				name := ""
+				for _, f := range []string{"model", "raw", "features", "sensitive", "rows"} {
+					if (kind == request || kind == row) && strings.EqualFold(tok.(string), f) {
+						name = f
+					}
+				}
+				if name != "" {
+					repeated = repeated || seen[name]
+					seen[name] = true
+				}
+				next := other
+				if kind == request && name == "rows" {
+					next = rows
+				}
+				if err := walk(next); err != nil {
+					return err
+				}
+			}
+		default:
+			return nil
+		}
+		_, err = dec.Token() // the closing delimiter
+		return err
+	}
+	return walk(request) == nil && repeated
+}
+
 // FuzzAssignBody holds decodeAssign to encoding/json: for any body the
-// two agree on accept/reject and decode reflect.DeepEqual requests. The
-// one intended difference is trailing data: json.Decoder.More reports
-// false before ']' or '}', so the oracle lets a stray ']' or '}' after
-// the value through, while decodeAssign rejects any non-whitespace
-// there; the value without that byte must still decode to what the
-// oracle decoded. The same bytes then go through the real handler, which must
-// answer 200, 400, 404 or 413 only, and every 200 must be a parseable
-// response with one assignment per row.
+// two agree on accept/reject and decode reflect.DeepEqual requests.
+// There are two intended differences, each checked rather than
+// trusted. A struct field given twice in one object, which
+// encoding/json decodes on top of the first, is rejected; repeatsField
+// confirms the repeat. And json.Decoder.More reports false before ']'
+// or '}', so the oracle lets a stray ']' or '}' after the value
+// through, while decodeAssign rejects any non-whitespace there; the
+// value without that byte must still decode to what the oracle
+// decoded. The same bytes then go through the real handler, which must
+// answer 200, 400, 404 or 413 only (400 for a repeated field), and
+// every 200 must be a parseable response with one assignment per row.
 func FuzzAssignBody(f *testing.F) {
 	h, _ := adultHandler(f, handlerOptions{MaxBody: 1 << 20})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := decodeAssign(body)
 		want, rest, oerr := oracleDecode(body)
+		value := body[:len(body)-len(rest)]
+		repeated := false
 		switch {
-		case err == nil && oerr == nil:
+		case oerr != nil:
+			if err == nil {
+				t.Fatalf("decodeAssign(%q) accepted a body encoding/json rejects: %v", body, oerr)
+			}
+		case repeatsField(value):
+			repeated = true
+			if err == nil {
+				t.Fatalf("decodeAssign(%q) accepted a repeated field", body)
+			}
+		case err == nil:
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("decodeAssign(%q)\n got %#v\nwant %#v", body, got, want)
 			}
-		case err == nil:
-			t.Fatalf("decodeAssign(%q) accepted a body encoding/json rejects: %v", body, oerr)
-		case oerr == nil:
+		default:
 			if r := bytes.TrimLeft(rest, " \t\r\n"); len(r) == 0 || (r[0] != ']' && r[0] != '}') {
 				t.Fatalf("decodeAssign(%q) rejected a body encoding/json accepts: %v", body, err)
 			}
 			// Only the stray byte is excused: the value before it must
 			// decode, and to what the oracle decoded.
-			value := body[:len(body)-len(rest)]
 			if got, err := decodeAssign(value); err != nil {
 				t.Fatalf("decodeAssign(%q) rejected the value encoding/json accepts: %v", value, err)
 			} else if !reflect.DeepEqual(got, want) {
@@ -162,6 +240,9 @@ func FuzzAssignBody(f *testing.F) {
 				t.Fatalf("200 body has %d assignments for %d rows", len(resp.Assignments), rows)
 			}
 		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			if repeated && rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d for a repeated field, want 400", rec.Code)
+			}
 		default:
 			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body.Bytes())
 		}

@@ -68,12 +68,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/kmeans"
+	"repro/internal/stats"
 )
 
 // DefaultMaxIter is the iteration cap used in the paper's experiments
@@ -229,8 +229,9 @@ func (r *Result) K() int { return len(r.Centroids) }
 // Predict assigns a new feature vector to the nearest cluster centroid
 // (the fairness term has no per-point form for unseen data, so
 // prediction is distance-only — the standard deployment rule for
-// K-Means-family models). It panics if x's dimensionality differs from
-// the training features.
+// K-Means-family models), scored by stats.NearestCentroidScan exactly
+// as model.Model.Assign scores a served row. It panics if x's
+// dimensionality differs from the training features.
 func (r *Result) Predict(x []float64) int {
 	if len(r.Centroids) == 0 {
 		panic("fairkm: Predict on an empty result")
@@ -238,17 +239,7 @@ func (r *Result) Predict(x []float64) int {
 	if len(x) != len(r.Centroids[0]) {
 		panic(fmt.Sprintf("fairkm: Predict with %d features, trained on %d", len(x), len(r.Centroids[0])))
 	}
-	best, bestD := 0, math.Inf(1)
-	for c, cen := range r.Centroids {
-		d := 0.0
-		for j := range x {
-			diff := x[j] - cen[j]
-			d += diff * diff
-		}
-		if d < bestD {
-			best, bestD = c, d
-		}
-	}
+	best, _ := stats.NearestCentroidScan(x, r.Centroids)
 	return best
 }
 

@@ -46,68 +46,41 @@ func (m InitMethod) String() string {
 // stream is consumed in a fixed order per method, so (features, k,
 // method, seed) fully determines the result.
 func InitAssignment(features [][]float64, k int, method InitMethod, rng *stats.RNG) []int {
-	n := len(features)
-	assign := make([]int, n)
-	switch method {
-	case KMeansPlusPlus:
-		centroids := PlusPlusCentroids(features, k, rng)
-		nearestInto(assign, features, centroids)
-	case RandomPoints:
-		pts := rng.SampleWithoutReplacement(n, k)
-		centroids := make([][]float64, k)
-		for c, p := range pts {
-			centroids[c] = features[p]
-		}
-		nearestInto(assign, features, centroids)
-	default: // RandomPartition — Algorithm 1 step 1
-		RandomPartitionAssign(rng, assign, k)
-	}
-	return assign
+	return InitAssignmentWeighted(features, nil, k, method, rng)
 }
 
 // InitAssignmentWeighted is InitAssignment over weighted rows: the
 // k-means++ D² sampling scales each candidate's distance by its mass
 // (a row standing for w points is w times as likely to seed a
 // centroid), while RandomPoints and RandomPartition stay row-level.
-// weights == nil delegates to InitAssignment; unit weights consume the
-// RNG stream identically to InitAssignment, so the two are
-// bit-identical in that case — the property the weighted solvers'
-// unit-parity contract rests on.
+// weights == nil is InitAssignment; unit weights consume the RNG
+// stream identically to it, so the two are bit-identical in that case
+// — the property the weighted solvers' unit-parity contract rests on.
 func InitAssignmentWeighted(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) []int {
-	if weights == nil {
-		return InitAssignment(features, k, method, rng)
-	}
 	n := len(features)
 	assign := make([]int, n)
+	var centroids [][]float64
 	switch method {
 	case KMeansPlusPlus:
-		centroids := PlusPlusCentroidsWeighted(features, weights, k, rng)
-		nearestInto(assign, features, centroids)
+		if weights == nil {
+			centroids = PlusPlusCentroids(features, k, rng)
+		} else {
+			centroids = PlusPlusCentroidsWeighted(features, weights, k, rng)
+		}
 	case RandomPoints:
 		pts := rng.SampleWithoutReplacement(n, k)
-		centroids := make([][]float64, k)
+		centroids = make([][]float64, k)
 		for c, p := range pts {
 			centroids[c] = features[p]
 		}
-		nearestInto(assign, features, centroids)
 	default: // RandomPartition — Algorithm 1 step 1
 		RandomPartitionAssign(rng, assign, k)
+		return assign
+	}
+	for i, x := range features {
+		assign[i], _ = stats.NearestCentroidScan(x, centroids)
 	}
 	return assign
-}
-
-// nearestInto assigns every row to its nearest centroid (squared
-// Euclidean distance, lowest cluster index on ties).
-func nearestInto(assign []int, features, centroids [][]float64) {
-	for i, x := range features {
-		best, bestD := 0, stats.SqDist(x, centroids[0])
-		for c := 1; c < len(centroids); c++ {
-			if d := stats.SqDist(x, centroids[c]); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
-	}
 }
 
 // RandomPartitionAssign fills assign uniformly at random, then repairs

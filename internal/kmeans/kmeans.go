@@ -19,7 +19,6 @@ package kmeans
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -139,14 +138,17 @@ func (l *lloyd) Delta(i, from, to int) float64 {
 // policy compares between iterations.
 func (l *lloyd) Value() float64 { return SSE(l.features, l.assign, l.frozen) }
 
-// nearest applies the shared nearestCentroid rule against the frozen
-// centroids, through the Hamerly pruner when one is attached (the
-// pruned result is bit-identical; see prune.go).
+// nearest applies the nearest-centroid rule (all K centroids are
+// candidates, zero-vector centroids of empty clusters included; ties
+// keep the lowest index) against the frozen centroids, through the
+// Hamerly pruner when one is attached (the pruned result is
+// bit-identical; see prune.go).
 func (l *lloyd) nearest(i int) int {
 	if l.prune != nil {
 		return l.prune.bestMove(i, l.assign[i], l.frozen)
 	}
-	return nearestCentroid(l.features[i], l.frozen)
+	c, _ := stats.NearestCentroidScan(l.features[i], l.frozen)
+	return c
 }
 
 // NewSnapshot: the frozen-centroid view IS the snapshot; Freeze
@@ -258,12 +260,7 @@ func initialAssign(features [][]float64, weights []float64, cfg *Config) []int {
 func assignAll(features [][]float64, centroids [][]float64, assign []int) int {
 	changed := 0
 	for i, x := range features {
-		best, bestD := 0, math.Inf(1)
-		for c, cen := range centroids {
-			if d := stats.SqDist(x, cen); d < bestD {
-				best, bestD = c, d
-			}
-		}
+		best, _ := stats.NearestCentroidScan(x, centroids)
 		if assign[i] != best {
 			assign[i] = best
 			changed++

@@ -174,9 +174,9 @@ func (p *pruner) refresh(frozen [][]float64, assign []int) {
 }
 
 // bestMove returns the index of the frozen centroid nearest to row i
-// — exactly nearestCentroid(features[i], frozen), but skipping the
-// k-way scan whenever the bounds prove the current assignment a still
-// wins strictly.
+// — exactly stats.NearestCentroidScan(features[i], frozen), but
+// skipping the k-way scan whenever the bounds prove the current
+// assignment a still wins strictly.
 //
 //fairvet:hotpath
 func (p *pruner) bestMove(i, a int, frozen [][]float64) int {

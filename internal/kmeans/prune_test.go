@@ -168,9 +168,9 @@ func TestPruneBoundInvariants(t *testing.T) {
 }
 
 // TestPrunedMatchesScanPerRow cross-checks bestMove directly against
-// nearestCentroid for every row of every iteration (not just the final
-// partition): the pruner must return the identical index, tie cases
-// included.
+// stats.NearestCentroidScan for every row of every iteration (not just
+// the final partition): the pruner must return the identical index,
+// tie cases included.
 func TestPrunedMatchesScanPerRow(t *testing.T) {
 	features := blobFeatures(9, 300, 2, 3)
 	cfg := Config{K: 7, Seed: 9}
@@ -186,7 +186,7 @@ func TestPrunedMatchesScanPerRow(t *testing.T) {
 		// obj.frozen now holds the centroids this sweep scored against;
 		// replay the decision for every row from the post-sweep state.
 		for i := range features {
-			want := nearestCentroid(features[i], obj.frozen)
+			want, _ := stats.NearestCentroidScan(features[i], obj.frozen)
 			if obj.assign[i] != want {
 				t.Fatalf("iter %d row %d: pruned sweep assigned %d, naive rule says %d", iter, i, obj.assign[i], want)
 			}

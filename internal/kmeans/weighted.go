@@ -119,7 +119,8 @@ func (l *lloydWeighted) nearest(i int) int {
 	if l.prune != nil {
 		return l.prune.bestMove(i, l.assign[i], l.frozen)
 	}
-	return nearestCentroid(l.features[i], l.frozen)
+	c, _ := stats.NearestCentroidScan(l.features[i], l.frozen)
+	return c
 }
 func (l *lloydWeighted) Delta(i, from, to int) float64 {
 	x := l.features[i]
@@ -147,20 +148,6 @@ func (s *lloydWeightedSnap) Freeze() {
 
 func (s *lloydWeightedSnap) BestMove(i, from int) int {
 	return (*lloydWeighted)(s).nearest(i)
-}
-
-// nearestCentroid mirrors the historical assignAll rule shared by the
-// weighted and unweighted objectives: all K centroids are candidates
-// (including zero-vector centroids of empty clusters), ties keep the
-// lowest cluster index.
-func nearestCentroid(x []float64, centroids [][]float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cen := range centroids {
-		if d := stats.SqDist(x, cen); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
 }
 
 // weightedCentroids computes per-cluster weighted means; empty clusters

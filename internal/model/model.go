@@ -398,13 +398,7 @@ func (m *Model) Assign(x []float64) int {
 
 // AssignDist is Assign returning the squared distance too.
 func (m *Model) AssignDist(x []float64) (int, float64) {
-	best, bestD := 0, math.Inf(1)
-	for c, cen := range m.Centroids {
-		if d := stats.SqDist(x, cen); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best, bestD
+	return stats.NearestCentroidScan(x, m.Centroids)
 }
 
 // CategoricalAttrs returns the indexes into Sensitive with categorical

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/coreset"
@@ -415,12 +414,7 @@ func Evaluate(src Source, centroids [][]float64, lambda float64) (*Evaluation, e
 		}
 		for i := 0; i < chunk.N(); i++ {
 			x := chunk.Features[i]
-			best, bestD := 0, math.Inf(1)
-			for c, cen := range centroids {
-				if d := stats.SqDist(x, cen); d < bestD {
-					best, bestD = c, d
-				}
-			}
+			best, _ := stats.NearestCentroidScan(x, centroids)
 			sizes[best]++
 			stats.AddTo(sums[best], x)
 			ssqs[best] += stats.Dot(x, x)

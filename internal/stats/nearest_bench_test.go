@@ -6,17 +6,15 @@ import (
 )
 
 // BenchmarkNearest sweeps k for the nearest-centroid kernels on dim-8
-// (Adult-shaped) rows: the naive SqDist scan, the fused norm-pruned
-// single-row kernel, the cache-blocked batch kernel, and the
-// sorted-neighbor indexed walk (the serving kernel). The
-// pruned-vs-naive gap is the direct measure of the pruning + fusion
-// win and must grow with k (see EXPERIMENTS.md).
+// (Adult-shaped) rows: the naive SqDist scan and the sorted-neighbor
+// indexed walk (the serving kernel). The indexed-vs-naive gap is the
+// direct measure of the pruning + fusion win and must grow with k (see
+// EXPERIMENTS.md).
 func BenchmarkNearest(b *testing.B) {
 	const dim = 8
 	rows := genRows(42, 512, dim)
 	for _, k := range []int{5, 15, 50, 150} {
 		centroids := genRows(7, k, dim)
-		norms := CentroidNorms(centroids)
 		b.Run(fmt.Sprintf("kernel=naive/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(len(rows)))
 			for i := 0; i < b.N; i++ {
@@ -24,22 +22,6 @@ func BenchmarkNearest(b *testing.B) {
 					c, _ := NearestCentroidScan(x, centroids)
 					benchSink = float64(c)
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("kernel=fused/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(len(rows)))
-			for i := 0; i < b.N; i++ {
-				for _, x := range rows {
-					c, _ := NearestCentroid(x, centroids, norms)
-					benchSink = float64(c)
-				}
-			}
-		})
-		out := make([]int, len(rows))
-		b.Run(fmt.Sprintf("kernel=batch/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(len(rows)))
-			for i := 0; i < b.N; i++ {
-				NearestCentroids(rows, centroids, norms, out, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("kernel=indexed/k=%d", k), func(b *testing.B) {

@@ -20,8 +20,8 @@ func genRows(seed, n, dim int) [][]float64 {
 	return rows
 }
 
-// unprunedFused is the fused scan with the norm-gap prune disabled —
-// the reference NearestCentroid must match bit-for-bit on EVERY input.
+// unprunedFused is the fused scan with no pruning — the reference
+// CentroidIndex.Nearest must match bit-for-bit on EVERY input.
 func unprunedFused(x []float64, centroids [][]float64, norms []float64) (int, float64) {
 	xn := Dot(x, x)
 	best := 0
@@ -37,24 +37,23 @@ func unprunedFused(x []float64, centroids [][]float64, norms []float64) (int, fl
 	return best, bestD
 }
 
-// TestNearestCentroidMatchesNaiveScan pins fused-vs-naive assignment
-// parity across a k × dim × seed grid: the fused kernel must pick the
-// same centroid as the SqDist reference scan, and its distance must
-// agree to rounding noise.
+// TestNearestCentroidMatchesNaiveScan pins indexed-vs-naive assignment
+// parity across a k × dim × seed grid: the serving kernel
+// (CentroidIndex.Nearest, fused scoring) must pick the same centroid
+// as the SqDist reference scan, and its distance must agree to
+// rounding noise.
 func TestNearestCentroidMatchesNaiveScan(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 15, 50, 150} {
 		for _, dim := range []int{1, 2, 3, 4, 7, 8, 16, 64} {
 			for seed := 0; seed < 3; seed++ {
 				t.Run(fmt.Sprintf("k%d_d%d_s%d", k, dim, seed), func(t *testing.T) {
 					centroids := genRows(seed, k, dim)
-					norms := CentroidNorms(centroids)
+					ix := NewCentroidIndex(centroids)
+					sc := ix.NewScratch()
 					rows := genRows(seed+100, 200, dim)
-					out := make([]int, len(rows))
-					dists := make([]float64, len(rows))
-					NearestCentroids(rows, centroids, norms, out, dists)
 					for i, x := range rows {
 						wantC, wantD := NearestCentroidScan(x, centroids)
-						gotC, gotD := NearestCentroid(x, centroids, norms)
+						gotC, gotD := ix.Nearest(x, sc)
 						scale := 1 + math.Abs(wantD)
 						if gotC != wantC {
 							// The discretized synthetic grid produces rows
@@ -65,43 +64,14 @@ func TestNearestCentroidMatchesNaiveScan(t *testing.T) {
 							// itself calls it a tie to within rounding noise.
 							alt := SqDist(x, centroids[gotC])
 							if math.Abs(alt-wantD) > 1e-12*scale {
-								t.Fatalf("row %d: fused picked %d (naive d %v), naive scan %d (d %v) — not a tie", i, gotC, alt, wantC, wantD)
+								t.Fatalf("row %d: indexed picked %d (naive d %v), naive scan %d (d %v) — not a tie", i, gotC, alt, wantC, wantD)
 							}
 						}
 						if math.Abs(gotD-wantD) > 1e-9*scale {
-							t.Fatalf("row %d: fused dist %v vs naive %v", i, gotD, wantD)
-						}
-						if out[i] != gotC || dists[i] != gotD {
-							t.Fatalf("row %d: batch kernel (%d,%v) differs from single (%d,%v)", i, out[i], dists[i], gotC, gotD)
+							t.Fatalf("row %d: indexed dist %v vs naive %v", i, gotD, wantD)
 						}
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestNearestCentroidPruneTransparent pins the exactness contract of
-// the norm-gap prune: on every input — including duplicate centroids,
-// zero rows and rows sitting exactly on a centroid — the pruned kernel
-// is bit-identical to the unpruned fused scan.
-func TestNearestCentroidPruneTransparent(t *testing.T) {
-	cases := [][][]float64{
-		genRows(1, 40, 8),
-		genRows(2, 150, 16),
-		{{0, 0, 0}, {1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {-3, 4, 0}}, // duplicates
-	}
-	for ci, centroids := range cases {
-		norms := CentroidNorms(centroids)
-		dim := len(centroids[0])
-		rows := genRows(ci+7, 300, dim)
-		rows = append(rows, make([]float64, dim)) // the origin
-		rows = append(rows, Clone(centroids[len(centroids)/2]))
-		for i, x := range rows {
-			wc, wd := unprunedFused(x, centroids, norms)
-			gc, gd := NearestCentroid(x, centroids, norms)
-			if gc != wc || gd != wd {
-				t.Fatalf("case %d row %d: pruned (%d,%v) vs unpruned (%d,%v)", ci, i, gc, gd, wc, wd)
 			}
 		}
 	}
@@ -113,23 +83,22 @@ func TestNearestCentroidPruneTransparent(t *testing.T) {
 // near-duplicate centroids a few ulps apart, the origin, and queries
 // sitting exactly on a (duplicated) centroid, where bestD = 0 makes
 // the break threshold lean entirely on its additive rounding floor.
-// Centroid sets straddle pruneMinK so both the indexed walk and the
-// small-k plain-scan regime are exercised, and scratch is reused
-// across queries (the epoch bookkeeping under test).
+// Centroid sets run from k = 4 to k = 150, so the walk meets both
+// short and long neighbor lists, and scratch is reused across queries
+// (the epoch bookkeeping under test).
 func TestCentroidIndexTransparent(t *testing.T) {
 	nearDup := Clone([]float64{0.1, 0.2, 0.3})
 	nearDup[2] = math.Nextafter(nearDup[2], 1) // 1 ulp off centroid 0
 	dupFar := [][]float64{{0.1, 0.2, 0.3}, nearDup, {5, 5, 5}, {0.1, 0.2, 0.3}}
-	// The same ulp-near duplicates embedded in an indexed (k ≥
-	// pruneMinK) set, so the additive floor is load-bearing on the walk
-	// path too.
+	// The same ulp-near duplicates embedded in a larger set, so the
+	// additive floor is load-bearing on a walk that can restart too.
 	bigDup := append(genRows(3, 20, 3), dupFar...)
 	cases := [][][]float64{
 		genRows(1, 40, 8),
 		genRows(2, 150, 16),
-		{{0, 0, 0}, {1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {-3, 4, 0}}, // duplicates, small-k
-		dupFar, // ulp-near duplicates, small-k
-		bigDup, // ulp-near duplicates, indexed walk
+		{{0, 0, 0}, {1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {-3, 4, 0}}, // duplicates
+		dupFar, // ulp-near duplicates, k = 4
+		bigDup, // ulp-near duplicates, k = 24
 	}
 	for ci, centroids := range cases {
 		ix := NewCentroidIndex(centroids)
@@ -203,64 +172,65 @@ func TestCentroidCC2(t *testing.T) {
 }
 
 // TestNearestCentroidTies: duplicate centroids and exactly equidistant
-// rows must resolve to the lowest centroid index, matching the naive
-// scan.
+// rows must resolve to the lowest centroid index under both the
+// indexed kernel and the naive scan.
 func TestNearestCentroidTies(t *testing.T) {
+	// both runs x through CentroidIndex.Nearest and NearestCentroidScan.
+	both := func(x []float64, centroids [][]float64) (ic int, id float64, sc int, sd float64) {
+		ix := NewCentroidIndex(centroids)
+		ic, id = ix.Nearest(x, ix.NewScratch())
+		sc, sd = NearestCentroidScan(x, centroids)
+		return ic, id, sc, sd
+	}
+
 	// Duplicate centroids: indexes 1 and 3 are bit-identical; both
 	// formulas tie exactly, and the first must win.
 	centroids := [][]float64{{5, 5}, {1, 2}, {9, 9}, {1, 2}}
-	norms := CentroidNorms(centroids)
-	x := []float64{1.25, 2.5}
-	gc, _ := NearestCentroid(x, centroids, norms)
-	wc, _ := NearestCentroidScan(x, centroids)
-	if gc != 1 || wc != 1 {
-		t.Fatalf("duplicate centroids: fused %d, naive %d, want 1", gc, wc)
+	if ic, _, sc, _ := both([]float64{1.25, 2.5}, centroids); ic != 1 || sc != 1 {
+		t.Fatalf("duplicate centroids: indexed %d, naive %d, want 1", ic, sc)
 	}
 
 	// Exactly equidistant row (all coordinates exactly representable):
 	// the origin is distance 1 from both unit centroids; index 0 wins.
 	eq := [][]float64{{1, 0}, {0, 1}, {3, 4}}
-	eqNorms := CentroidNorms(eq)
-	gc, _ = NearestCentroid([]float64{0, 0}, eq, eqNorms)
-	wc, _ = NearestCentroidScan([]float64{0, 0}, eq)
-	if gc != 0 || wc != 0 {
-		t.Fatalf("equidistant row: fused %d, naive %d, want 0", gc, wc)
+	if ic, _, sc, _ := both([]float64{0, 0}, eq); ic != 0 || sc != 0 {
+		t.Fatalf("equidistant row: indexed %d, naive %d, want 0", ic, sc)
 	}
 
 	// A row ON a duplicated centroid: distance 0 twice, lowest index
-	// wins and the clamped distance is exactly zero.
-	gc, gd := NearestCentroid([]float64{1, 2}, centroids, norms)
-	if gc != 1 || gd != 0 {
-		t.Fatalf("on-centroid tie: got (%d,%v), want (1,0)", gc, gd)
+	// wins and the (clamped) distance is exactly zero.
+	if ic, id, sc, sd := both([]float64{1, 2}, centroids); ic != 1 || id != 0 || sc != 1 || sd != 0 {
+		t.Fatalf("on-centroid tie: indexed (%d,%v), naive (%d,%v), want (1,0)", ic, id, sc, sd)
 	}
 }
 
-// TestNearestCentroidsBlockBoundaries exercises row counts around the
-// cache-block size, including the empty batch, for both the small
-// (row-major) and large (centroid-major blocked) centroid regimes.
-func TestNearestCentroidsBlockBoundaries(t *testing.T) {
-	for _, shape := range []struct{ k, dim int }{
-		{7, 5},    // k·dim ≤ nearestBlockMinFloats: row-major path
-		{150, 64}, // k·dim > nearestBlockMinFloats: blocked path
+// TestNearestCentroidScan pins the scan's edge rules, which every
+// caller of the deployment rule inherits: it starts from +Inf and
+// replaces the incumbent only on a strict improvement.
+func TestNearestCentroidScan(t *testing.T) {
+	// A NaN distance never wins, wherever it sits.
+	nan := math.NaN()
+	for _, tc := range []struct {
+		centroids [][]float64
+		want      int
+	}{
+		{[][]float64{{nan, 0}, {3, 4}, {6, 8}}, 1},
+		{[][]float64{{6, 8}, {nan, 0}, {3, 4}}, 2},
 	} {
-		centroids := genRows(3, shape.k, shape.dim)
-		norms := CentroidNorms(centroids)
-		for _, n := range []int{0, 1, nearestBlock - 1, nearestBlock, nearestBlock + 1, 3*nearestBlock + 5} {
-			rows := genRows(4, n, shape.dim)
-			out := make([]int, n)
-			NearestCentroids(rows, centroids, norms, out, nil) // nil dists allowed
-			dists := make([]float64, n)
-			NearestCentroids(rows, centroids, norms, out, dists)
-			for i, x := range rows {
-				wc, wd := NearestCentroid(x, centroids, norms)
-				if out[i] != wc {
-					t.Fatalf("k=%d n=%d row %d: batch %d vs single %d", shape.k, n, i, out[i], wc)
-				}
-				if dists[i] != wd {
-					t.Fatalf("k=%d n=%d row %d: batch dist %v vs single %v", shape.k, n, i, dists[i], wd)
-				}
-			}
+		if c, d := NearestCentroidScan([]float64{0, 0}, tc.centroids); c != tc.want || d != 25 {
+			t.Errorf("NaN centroid in %v: got (%d,%v), want (%d,25)", tc.centroids, c, d, tc.want)
 		}
+	}
+
+	// Every distance overflows to +Inf: index 0 keeps the row.
+	huge := []float64{1e200, -1e200}
+	if c, d := NearestCentroidScan(huge, [][]float64{{1, 1}, {-1e200, 1e200}, {0, 0}}); c != 0 || !math.IsInf(d, 1) {
+		t.Errorf("all-overflow row: got (%d,%v), want (0,+Inf)", c, d)
+	}
+
+	// Exact ties go to the lowest index, even after a worse start.
+	if c, d := NearestCentroidScan([]float64{0, 0}, [][]float64{{3, 4}, {0, 1}, {1, 0}, {0, -1}}); c != 1 || d != 1 {
+		t.Errorf("exact tie: got (%d,%v), want (1,1)", c, d)
 	}
 }
 
