@@ -50,15 +50,11 @@ race:
 	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair'
 	$(GO) test -race ./internal/kmeans ./internal/zgya
 	$(GO) test -race ./internal/stats
-	$(GO) test -race ./internal/kmeans -run 'TestPruned|TestPrune'
 	$(GO) test -race ./internal/coreset ./internal/pipeline ./internal/dataset
 	$(GO) test -race ./internal/core -run 'TestWeighted|TestEvaluateObjectiveWeighted|TestRunWeighted'
-	$(GO) test -race ./internal/kmeans -run 'TestRunWeighted'
 	$(GO) test -race ./internal/model ./internal/serve
 	$(GO) test -race ./internal/load
-	$(GO) test -race ./internal/serve -run 'TestAdmission|TestDeadline|TestGatedDeterminism|TestReloadFaultInjection'
 	$(GO) test -race ./internal/telemetry
-	$(GO) test -race ./internal/serve -run 'TestAssignBatchTraced|TestSnapshotDoesNotBlockRecording'
 	$(GO) test -race ./internal/cli ./cmd/benchguard
 
 # bench records the sweep/kernel perf trajectory for this checkout as a
@@ -76,10 +72,6 @@ race:
 # BENCH_shard.json records sharded summarize-then-solve scaling
 # (BenchmarkShard, S ∈ {1,2,4,8} on Adult-6500 + synth-1e5; obj-vs-s1
 # must stay ≈1 — sharding buys wall-clock, not objective).
-# BENCH_load.json records the open-loop rows/s-at-SLO trajectory
-# (BenchmarkLoad, offered rates {500,2000,8000} req/s against an
-# in-process admission-controlled registry; rows/s, accepted p99,
-# shed fraction, SLO verdict per operating point).
 # BENCH_kernels.json is the frozen PR 7 baseline for the pruned
 # nearest-centroid kernels (BenchmarkLloyd kernel={pruned,full} and
 # the BenchmarkServe workers×batch grid + kernel k-sweep); it is NOT
@@ -94,7 +86,6 @@ bench:
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream' -benchtime 1x -count 3 -json > BENCH_stream.json
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard' -benchtime 1x -count 3 -json > BENCH_shard.json
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe' -benchtime 1s -count 3 -json > BENCH_serve.json
-	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad' -benchtime 1x -json > BENCH_load.json
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1s
 
 # bench-check guards the recorded perf trajectory: after `make bench`,

@@ -31,14 +31,18 @@
 //	                       {"model":...,"generation":...,"assignments":
 //	                       [{"cluster":...,"distance":...},...]}
 //	GET  /v1/models        loaded models with provenance, serving stats
-//	                       and fairness drift reports
+//	                       (counted across hot reloads of the name) and
+//	                       the live model's fairness drift reports
 //	POST /v1/models/reload {"model":"name","path":"optional new path"} —
 //	                       atomic hot-swap; in-flight requests finish on
 //	                       the old model
 //	GET  /healthz          liveness
-//	GET  /metrics          Prometheus text exposition (registry-backed:
-//	                       counters, gauges and full-fidelity latency
-//	                       histograms, including per-stage request spans)
+//	GET  /metrics          Prometheus text exposition of the metric
+//	                       registry internal/serve counts into: per-model
+//	                       counters and full-fidelity latency histograms
+//	                       (including per-stage request spans), which
+//	                       span hot reloads, plus the live model's
+//	                       generation, admission and drift gauges
 //	GET  /debug/traces     the slowest recent requests as span traces
 //	                       (admission/queue/score/total breakdown)
 //
@@ -140,17 +144,16 @@ func serveCtx(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-shutdown-timeout must be > 0, got %v", *shutTimeout)
 	}
 
-	ts := newTelemetryState()
+	metrics := telemetry.NewRegistry()
 	reg := serve.NewRegistry(serve.Options{
 		BatchSize:     *batch,
 		Workers:       *workers,
+		Metrics:       metrics,
 		MaxConcurrent: *maxConc,
 		MaxQueue:      *maxQueue,
 		QueueBudget:   *queueBudget,
-		TracerFor:     ts.tracerFor,
 	})
 	defer reg.Close()
-	ts.watch(reg)
 	for _, spec := range models {
 		name, path := "", spec
 		if i := strings.IndexByte(spec, '='); i >= 0 {
@@ -181,7 +184,7 @@ func serveCtx(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: newHandler(reg, ts, handlerOptions{
+	srv := &http.Server{Handler: newHandler(reg, metrics, handlerOptions{
 		RequestTimeout: *reqTimeout,
 		MaxBody:        *maxBody,
 	})}
@@ -286,8 +289,8 @@ func (o handlerOptions) maxBody() int64 {
 }
 
 // newHandler builds the fairserved HTTP API over a serving registry
-// and the process telemetry state.
-func newHandler(reg *serve.Registry, ts *telemetryState, opts handlerOptions) http.Handler {
+// and the metric registry its models count into.
+func newHandler(reg *serve.Registry, metrics *telemetry.Registry, opts handlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -344,14 +347,14 @@ func newHandler(reg *serve.Registry, ts *telemetryState, opts handlerOptions) ht
 			return
 		}
 		w.Header().Set("Content-Type", telemetry.ContentType)
-		_ = ts.reg.WritePrometheus(w) //fairvet:ignore errflow -- write failure means the scraper hung up; no channel left to report on
+		_ = metrics.WritePrometheus(w) //fairvet:ignore errflow -- write failure means the scraper hung up; no channel left to report on
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			httpError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		traces := ts.slowest()
+		traces := slowest(reg)
 		if traces == nil {
 			traces = []telemetry.Trace{}
 		}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/load"
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 	"repro/internal/testfix"
 )
 
@@ -54,19 +55,17 @@ func newTestServer(t *testing.T, path string) (*httptest.Server, *serve.Registry
 }
 
 // newTelemetryTestServer is newTestServer with explicit serve/handler
-// options, also exposing the telemetry state for trace assertions.
-func newTelemetryTestServer(t *testing.T, path string, so serve.Options, ho handlerOptions) (*httptest.Server, *serve.Registry, *telemetryState) {
+// options, also exposing the metric registry.
+func newTelemetryTestServer(t *testing.T, path string, so serve.Options, ho handlerOptions) (*httptest.Server, *serve.Registry, *telemetry.Registry) {
 	t.Helper()
-	tel := newTelemetryState()
-	so.TracerFor = tel.tracerFor
+	so.Metrics = telemetry.NewRegistry()
 	reg := serve.NewRegistry(so)
 	if _, err := reg.Load("prod", path); err != nil {
 		t.Fatal(err)
 	}
-	tel.watch(reg)
-	srv := httptest.NewServer(newHandler(reg, tel, ho))
+	srv := httptest.NewServer(newHandler(reg, so.Metrics, ho))
 	t.Cleanup(func() { srv.Close(); reg.Close() })
-	return srv, reg, tel
+	return srv, reg, so.Metrics
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -314,11 +313,12 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsAcrossReload pins what /metrics reports across a hot
-// swap: the stage histograms belong to the model name's tracer, which
-// the reloaded Assigner keeps feeding, so they count every request;
-// the per-model counters, the latency histogram and the drift series
-// are mirrored from the live Assigner, so they restart at the swap.
+// TestMetricsAcrossReload pins what /metrics and /v1/models report
+// across a hot swap. The counters, the latency histogram and the stage
+// histograms are instruments of the model name, which the reloaded
+// Assigner keeps counting into, so they count every request. The
+// generation gauge and the drift series describe the live generation:
+// generation 2, and only the rows observed since the swap.
 func TestMetricsAcrossReload(t *testing.T) {
 	const before, after = 4, 3
 	dir := t.TempDir()
@@ -348,14 +348,25 @@ func TestMetricsAcrossReload(t *testing.T) {
 	text := string(data)
 	for _, want := range []string{
 		fmt.Sprintf(`fairserved_request_stage_seconds_count{model="prod",stage="total"} %d`, before+after),
-		fmt.Sprintf(`fairserved_requests_total{model="prod"} %d`, after),
-		fmt.Sprintf(`fairserved_request_latency_seconds_count{model="prod"} %d`, after),
+		fmt.Sprintf(`fairserved_requests_total{model="prod"} %d`, before+after),
+		fmt.Sprintf(`fairserved_request_latency_seconds_count{model="prod"} %d`, before+after),
 		fmt.Sprintf(`fairserved_drift_observed_rows{attribute="%s",model="prod"} %d`, attr, after),
 		`fairserved_model_generation{model="prod"} 2`,
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+
+	_, data = getBody(t, ts.URL+"/v1/models")
+	var list struct {
+		Models []modelInfo `json:"models"`
+	}
+	if err := json.Unmarshal(data, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Models) != 1 || list.Models[0].Requests != before+after || list.Models[0].Generation != 2 {
+		t.Errorf("/v1/models after reload = %s, want %d requests at generation 2", data, before+after)
 	}
 }
 

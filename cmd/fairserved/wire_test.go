@@ -18,6 +18,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 	"repro/internal/testfix"
 )
 
@@ -81,14 +82,13 @@ func adultFixture(tb testing.TB) (path string, ds *dataset.Dataset) {
 func adultHandler(tb testing.TB, ho handlerOptions) (http.Handler, *dataset.Dataset) {
 	tb.Helper()
 	path, ds := adultFixture(tb)
-	ts := newTelemetryState()
-	reg := serve.NewRegistry(serve.Options{Workers: 2, TracerFor: ts.tracerFor})
+	metrics := telemetry.NewRegistry()
+	reg := serve.NewRegistry(serve.Options{Workers: 2, Metrics: metrics})
 	tb.Cleanup(reg.Close)
 	if _, err := reg.Load("prod", path); err != nil {
 		tb.Fatal(err)
 	}
-	ts.watch(reg)
-	return newHandler(reg, ts, ho), ds
+	return newHandler(reg, metrics, ho), ds
 }
 
 // batchBody encodes the first n rows of ds as a raw batch request,

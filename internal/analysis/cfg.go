@@ -324,23 +324,35 @@ func (b *cfgBuilder) switchStmt(s *ast.SwitchStmt, label string) {
 	for _, c := range s.Body.List {
 		clauses = append(clauses, c.(*ast.CaseClause))
 	}
+	// Case expressions are evaluated in source order until one matches:
+	// each clause's test block enters its body or falls through to the
+	// next test, and the last test falls through to the default clause,
+	// or past the switch when there is none.
 	blocks := make([]*Block, len(clauses))
-	hasDefault := false
-	for i, c := range clauses {
+	for i := range clauses {
 		blocks[i] = b.newBlock()
-		b.edge(head, blocks[i])
-		if c.List == nil {
-			hasDefault = true
-		}
 	}
-	if !hasDefault {
-		b.edge(head, done)
-	}
+	miss := head
+	var deflt *Block
 	for i, c := range clauses {
-		b.cur = blocks[i]
+		if c.List == nil {
+			deflt = blocks[i]
+			continue
+		}
+		b.cur = b.newBlock()
+		b.edge(miss, b.cur)
 		for _, e := range c.List {
 			b.add(e)
 		}
+		b.edge(b.cur, blocks[i])
+		miss = b.cur
+	}
+	if deflt == nil {
+		deflt = done
+	}
+	b.edge(miss, deflt)
+	for i, c := range clauses {
+		b.cur = blocks[i]
 		fallsThrough := false
 		for _, st := range c.Body {
 			if br, ok := st.(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {

@@ -125,3 +125,18 @@ func deferredUseOK() {
 	err := mk()
 	defer handle(err)
 }
+
+func g() (int, error) { return 1, nil }
+
+// A tagless switch tests its cases in source order, so the err test
+// runs on every path that reaches the later cases.
+func taglessSwitchOK() int {
+	f, err := g()
+	switch {
+	case err != nil:
+		return -1
+	case f == 1:
+		return 1
+	}
+	return 0
+}

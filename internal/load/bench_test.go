@@ -9,7 +9,7 @@ import (
 	"repro/internal/serve"
 )
 
-// BenchmarkLoad records the rows/s-at-SLO trajectory: each sub-bench
+// BenchmarkLoad measures rows/s at an SLO: each sub-bench
 // offers a fixed open-loop rate at an in-process registry and reports
 // accepted goodput, accepted-request p99, and the shed fraction. Run
 // with -benchtime 1x — one iteration IS the experiment; iterating

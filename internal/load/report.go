@@ -30,7 +30,7 @@ type SLOResult struct {
 	// Met reports p99 <= Target.
 	Met bool `json:"met"`
 	// AcceptedRowsPerSec is the goodput at this operating point — the
-	// "rows/s at p99 ≤ X ms" number the BENCH_load trajectory records.
+	// "rows/s at p99 ≤ X ms" number.
 	AcceptedRowsPerSec float64 `json:"accepted_rows_per_sec"`
 }
 

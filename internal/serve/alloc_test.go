@@ -57,11 +57,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	// Tracing on: the span bookkeeping (stage histogram records, flight
 	// recorder) must add nothing beyond the trace-done defer itself.
-	at, err := NewAssigner(m, Options{Workers: 2, BatchSize: 64,
-		TracerFor: func(model string) *telemetry.RequestTracer {
-			return telemetry.NewRequestTracer(telemetry.NewRegistry(),
-				"alloc_request_stage_seconds", "Alloc stages.", model, 0)
-		}})
+	at, err := NewAssigner(m, Options{Workers: 2, BatchSize: 64, Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

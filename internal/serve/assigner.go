@@ -5,14 +5,17 @@
 // The package has three pieces:
 //
 //   - Assigner: answers single and batch queries for one immutable
-//     model through a micro-batching worker pool, and accumulates
-//     per-model serving statistics (request/row counters, latency
-//     quantiles, fairness drift, shed/deadline counts).
+//     model through a micro-batching worker pool. It counts requests,
+//     rows, sheds, deadlines and latency into owned instruments of
+//     Options.Metrics, and tracks its own traffic's fairness drift.
 //   - Registry: a named set of Assigners with atomic hot-swap — a
 //     reload under traffic lets in-flight requests finish on the model
-//     they started with while new requests see the new one.
-//   - Stats/DriftReport: snapshots for the /metrics and /v1/models
-//     endpoints of cmd/fairserved.
+//     they started with while new requests see the new one. It owns
+//     every fairserved_* metric family: counters and histograms count
+//     across generations of a name, while the generation, admission
+//     and drift series describe the live one.
+//   - Stats/DriftReport: snapshots for the /v1/models endpoint of
+//     cmd/fairserved.
 //
 // # Determinism
 //
@@ -69,14 +72,14 @@ type Options struct {
 	// Workers is the scoring pool size; <= 0 means GOMAXPROCS.
 	Workers int
 
-	// TracerFor, when non-nil, is called once per Assigner construction
-	// with the model's name and returns the span tracer batch requests
-	// report into (nil disables tracing for that model). It is a
-	// factory rather than a tracer because a Registry shares one
-	// Options across every model it installs — including re-installs on
-	// hot reload, which should keep feeding the model's existing
-	// tracer.
-	TracerFor func(model string) *telemetry.RequestTracer
+	// Metrics is the registry the serving instruments count into, all
+	// labelled model=<name>: the request, row, shed and deadline
+	// counters and the latency histogram. A non-nil Metrics also turns
+	// on span tracing into the same registry (per-stage histograms plus
+	// a flight recorder). nil gives the Assigner a private registry and
+	// no tracer. A Registry shares one Metrics across every model it
+	// installs, so a re-installed name keeps counting into its series.
+	Metrics *telemetry.Registry
 
 	// MaxConcurrent caps how many requests may score on this model at
 	// once; <= 0 disables admission control entirely (no queue bound,
@@ -191,13 +194,27 @@ type Assigner struct {
 	tracer *telemetry.RequestTracer
 }
 
-// NewAssigner validates the model and starts the scoring pool.
+// NewAssigner validates the model and starts the scoring pool. Its
+// instruments and tracer are labelled with the model's own name.
 func NewAssigner(m *model.Model, opts Options) (*Assigner, error) {
+	return newAssigner(m, opts, "")
+}
+
+// newAssigner is NewAssigner with the instruments and tracer labelled
+// name ("" means the model's own name).
+func newAssigner(m *model.Model, opts Options, name string) (*Assigner, error) {
 	if m == nil {
 		return nil, fmt.Errorf("serve: nil model")
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	if name == "" {
+		name = m.Name
+	}
+	reg := opts.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
 	opts = opts.withDefaults()
 	a := &Assigner{
@@ -206,10 +223,10 @@ func NewAssigner(m *model.Model, opts Options) (*Assigner, error) {
 		ix:    stats.NewCentroidIndex(m.Centroids),
 		jobs:  make(chan *batchJob),
 		gate:  newGate(opts),
-		stats: newTracker(m),
+		stats: newTracker(m, reg, name),
 	}
-	if opts.TracerFor != nil {
-		a.tracer = opts.TracerFor(m.Name)
+	if opts.Metrics != nil {
+		a.tracer = telemetry.NewRequestTracer(reg, stageFamily.name, stageFamily.help, name, 0)
 	}
 	a.scratch.New = func() any { return a.ix.NewScratch() }
 	for w := 0; w < opts.Workers; w++ {
@@ -318,7 +335,7 @@ func (a *Assigner) Close() {
 // errors.Is(err, context.DeadlineExceeded) still works.
 func (a *Assigner) admitErr(err error) error {
 	if IsShed(err) {
-		a.stats.shed.Add(1)
+		a.stats.shed.Inc()
 		return err
 	}
 	return a.ctxErr(err, "while queued")
@@ -351,7 +368,7 @@ func (a *Assigner) traceDone(err error, denied bool, rows int, start, admitted t
 
 // ctxErr wraps a context expiry into the request error, counting it.
 func (a *Assigner) ctxErr(err error, when string) error {
-	a.stats.deadline.Add(1)
+	a.stats.deadline.Inc()
 	if errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("serve: model %q: deadline exceeded %s: %w", a.m.Name, when, err)
 	}
@@ -582,21 +599,46 @@ func (a *Assigner) AssignRaw(x []float64, sensitive map[string]string) (int, flo
 	return a.Assign(x, sensitive)
 }
 
-// Stats snapshots the serving counters, including the admission gauges
-// when a gate is configured.
+// Stats snapshots the serving counters, which span every Assigner that
+// counted into the same instruments, and this Assigner's admission
+// gauges.
 func (a *Assigner) Stats() Stats {
 	s := a.stats.snapshot()
-	if a.gate != nil {
-		s.Inflight, s.Queued = a.gate.depth()
-	}
+	s.Inflight, s.Queued = a.depth()
 	return s
 }
 
-// Latency snapshots the full accepted-request latency distribution —
-// the histogram behind the Stats quantiles, for Prometheus bucket
-// exposition.
-func (a *Assigner) Latency() *telemetry.Histogram { return a.stats.latency() }
+// depth reads the admission gauges; both are zero without a gate.
+func (a *Assigner) depth() (inflight, queued int) {
+	if a.gate == nil {
+		return 0, 0
+	}
+	return a.gate.depth()
+}
+
+// Tracer returns the span tracer batch requests report into (nil when
+// untraced).
+func (a *Assigner) Tracer() *telemetry.RequestTracer { return a.tracer }
 
 // Drift reports observed-vs-training fairness per categorical
-// attribute.
+// attribute, over this Assigner's traffic only.
 func (a *Assigner) Drift() []DriftReport { return a.stats.drift() }
+
+// bindLive points the model name's live-generation series at a: the
+// admission gauges and, per attribute, the drift gauge and observed-row
+// count, each reading only its own attribute.
+func (a *Assigner) bindLive(reg *telemetry.Registry, ml telemetry.Label) {
+	reg.GaugeFunc(inflightFamily.name, inflightFamily.help,
+		func() float64 { n, _ := a.depth(); return float64(n) }, ml)
+	reg.GaugeFunc(queueFamily.name, queueFamily.help,
+		func() float64 { _, n := a.depth(); return float64(n) }, ml)
+	t := a.stats
+	for _, da := range t.driftAttrs() {
+		da := da
+		al := telemetry.Label{Key: "attribute", Value: da.name}
+		reg.GaugeFunc(driftTVFamily.name, driftTVFamily.help,
+			func() float64 { return t.report(da).MaxTV }, ml, al)
+		reg.CounterFunc(driftRowsFamily.name, driftRowsFamily.help,
+			func() uint64 { return t.observed(da) }, ml, al)
+	}
+}

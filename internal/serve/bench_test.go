@@ -132,11 +132,7 @@ func BenchmarkServeTelemetry(b *testing.B) {
 		opts Options
 	}{
 		{"telemetry=off", Options{Workers: 2, BatchSize: 64}},
-		{"telemetry=on", Options{Workers: 2, BatchSize: 64,
-			TracerFor: func(model string) *telemetry.RequestTracer {
-				return telemetry.NewRequestTracer(telemetry.NewRegistry(),
-					"bench_request_stage_seconds", "Bench stages.", model, 0)
-			}}},
+		{"telemetry=on", Options{Workers: 2, BatchSize: 64, Metrics: telemetry.NewRegistry()}},
 	}
 	for _, v := range variants {
 		b.Run(v.name+"/workers=2/batch=64", func(b *testing.B) {

@@ -53,14 +53,24 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry; opts configure every Assigner
-// it constructs.
+// it constructs. With opts.Metrics nil the registry creates a private
+// metric registry, so its models' counters still span hot swaps.
 func NewRegistry(opts Options) *Registry {
+	if opts.Metrics == nil {
+		opts.Metrics = telemetry.NewRegistry()
+	}
 	return &Registry{entries: map[string]*Entry{}, opts: opts}
 }
 
 // Install registers (or hot-swaps) a model under name. The first
 // installed model becomes the default. path records where Reload should
 // re-read the artifact from; it may be empty for in-memory models.
+//
+// Every metric is labelled with the SERVING name (the registry key),
+// not the artifact's internal name, because the serving name is stable
+// across hot reloads. A re-installed name keeps its counters, latency
+// histogram and span tracer; its generation gauge, admission gauges and
+// drift series switch to the new model as it is published.
 func (r *Registry) Install(name, path string, m *model.Model) (*Entry, error) {
 	if name == "" {
 		name = m.Name
@@ -68,31 +78,30 @@ func (r *Registry) Install(name, path string, m *model.Model) (*Entry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: model has no name")
 	}
-	opts := r.opts
-	if opts.TracerFor != nil {
-		// Bind the tracer factory to the SERVING name (the registry
-		// key), not the artifact's internal name: that is the identity
-		// every other metric labels with, and it is stable across hot
-		// reloads that swap in artifacts with different internal names.
-		factory, served := opts.TracerFor, name
-		opts.TracerFor = func(string) *telemetry.RequestTracer { return factory(served) }
-	}
-	a, err := NewAssigner(m, opts)
+	a, err := newAssigner(m, r.opts, name)
 	if err != nil {
 		return nil, err
 	}
 	//fairvet:ignore nodeterminism -- LoadedAt is operational provenance shown in /v1/models, never an input to scoring
 	e := &Entry{Name: name, Path: path, LoadedAt: time.Now(), Generation: 1, assigner: a}
+	ml := telemetry.Label{Key: "model", Value: name}
 
 	r.mu.Lock()
 	old := r.entries[name]
 	if old != nil {
 		e.Generation = old.Generation + 1
+		// Keep the name's flight recorder; the stage histograms are
+		// the same instruments either way.
+		a.tracer = old.assigner.tracer
 	}
 	r.entries[name] = e
 	if r.defName == "" {
 		r.defName = name
 	}
+	// Bound in the same critical section that publishes e, so the
+	// live-generation series never point at a displaced Assigner.
+	r.opts.Metrics.Gauge(generationFamily.name, generationFamily.help, ml).Set(float64(e.Generation))
+	a.bindLive(r.opts.Metrics, ml)
 	r.mu.Unlock()
 
 	if old != nil {

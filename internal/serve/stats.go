@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -11,7 +10,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Stats is a point-in-time snapshot of one Assigner's serving counters.
+// Stats is a point-in-time snapshot of one model name's serving
+// counters.
 type Stats struct {
 	// Requests counts completed Assign/AssignBatch calls; Rows counts
 	// labelled feature vectors (a batch of 100 is 1 request, 100 rows).
@@ -29,7 +29,7 @@ type Stats struct {
 	Inflight int
 	Queued   int
 	// P50, P99 and P999 are request latency quantiles over ALL accepted
-	// requests since the assigner started (zero until the first
+	// requests counted into the instruments (zero until the first
 	// request), read from a full-fidelity log-linear histogram — no
 	// sampling window, no coordinated-omission bias in the tail.
 	P50  time.Duration
@@ -37,22 +37,34 @@ type Stats struct {
 	P999 time.Duration
 }
 
-// tracker accumulates counters, the latency histogram and the drift
-// state for one Assigner.
+// metricFamily is a Prometheus family name with its help text.
+type metricFamily struct{ name, help string }
+
+// The serving metric families, all labelled model=<served name>.
+// Registry.Install documents which of them span a hot swap.
+var (
+	requestsFamily   = metricFamily{"fairserved_requests_total", "Assignment requests served per model."}
+	rowsFamily       = metricFamily{"fairserved_rows_total", "Feature vectors labelled per model."}
+	shedFamily       = metricFamily{"fairserved_shed_total", "Requests rejected by admission control per model."}
+	deadlineFamily   = metricFamily{"fairserved_deadline_total", "Requests failed by their deadline per model."}
+	latencyFamily    = metricFamily{"fairserved_request_latency_seconds", "Accepted-request latency since model install."}
+	stageFamily      = metricFamily{"fairserved_request_stage_seconds", "Per-stage request latency (admission wait, queue residency, micro-batch scoring, total), OK requests only."}
+	generationFamily = metricFamily{"fairserved_model_generation", "Hot-swap generation per model name."}
+	inflightFamily   = metricFamily{"fairserved_inflight", "Admitted requests currently scoring per model."}
+	queueFamily      = metricFamily{"fairserved_queue_depth", "Requests waiting for an admission slot per model."}
+	driftTVFamily    = metricFamily{"fairserved_drift_max_tv", "Max total-variation distance between observed and training cluster mixes."}
+	driftRowsFamily  = metricFamily{"fairserved_drift_observed_rows", "Rows with sensitive values observed per attribute."}
+)
+
+// tracker holds one Assigner's counter and latency instruments and
+// accumulates its drift state.
 type tracker struct {
 	model *model.Model
 
-	requests atomic.Uint64
-	rows     atomic.Uint64
-	shed     atomic.Uint64
-	deadline atomic.Uint64
-
-	// lat replaces the old 1024-sample quantile ring: recording is
-	// wait-free (no mutex shared with scrapes) and quantiles come from
-	// the full distribution instead of a recent-window sort. See
-	// telemetry.AtomicHistogram for why this keeps /metrics scrapes off
-	// the assign hot path (pinned by TestSnapshotDoesNotBlockRecording).
-	lat *telemetry.AtomicHistogram
+	// Recording is wait-free and shares no lock with a scrape (pinned
+	// by TestSnapshotDoesNotBlockRecording).
+	requests, rows, shed, deadline telemetry.Counter
+	lat                            telemetry.HistogramMetric
 
 	driftMu sync.Mutex
 	attrs   []*driftAttr // guarded by driftMu
@@ -75,8 +87,18 @@ type driftAttr struct {
 	training metrics.FairnessReport
 }
 
-func newTracker(m *model.Model) *tracker {
-	t := &tracker{lat: telemetry.NewAtomicHistogram()}
+// newTracker resolves the named model's instruments in reg and
+// prepares drift tracking for every categorical attribute of m.
+func newTracker(m *model.Model, reg *telemetry.Registry, name string) *tracker {
+	ml := telemetry.Label{Key: "model", Value: name}
+	t := &tracker{
+		model:    m,
+		requests: reg.Counter(requestsFamily.name, requestsFamily.help, ml),
+		rows:     reg.Counter(rowsFamily.name, rowsFamily.help, ml),
+		shed:     reg.Counter(shedFamily.name, shedFamily.help, ml),
+		deadline: reg.Counter(deadlineFamily.name, deadlineFamily.help, ml),
+		lat:      reg.Histogram(latencyFamily.name, latencyFamily.help, ml),
+	}
 	for _, ai := range m.CategoricalAttrs() {
 		dom, err := m.DomainIndex(ai)
 		if err != nil {
@@ -101,7 +123,6 @@ func newTracker(m *model.Model) *tracker {
 		}
 		t.attrs = append(t.attrs, da)
 	}
-	t.model = m
 	return t
 }
 
@@ -110,7 +131,7 @@ func newTracker(m *model.Model) *tracker {
 //
 //fairvet:hotpath
 func (t *tracker) record(rows int, d time.Duration) {
-	t.requests.Add(1)
+	t.requests.Inc()
 	t.rows.Add(uint64(rows))
 	t.lat.Record(d)
 }
@@ -137,16 +158,15 @@ func (t *tracker) observe(cluster int, sensitive map[string]string) {
 }
 
 // snapshot reads the counters and derives the latency quantiles from a
-// histogram snapshot. Unlike the old ring (copy + sort of 1024 samples
-// under the same mutex record() took), this shares no lock with the
-// assign hot path: a scrape costs the reader a bucket-array scan and
-// costs writers nothing.
+// histogram snapshot. It shares no lock with the assign hot path: a
+// scrape costs the reader a bucket-array scan and costs writers
+// nothing.
 func (t *tracker) snapshot() Stats {
 	s := Stats{
-		Requests: t.requests.Load(),
-		Rows:     t.rows.Load(),
-		Shed:     t.shed.Load(),
-		Deadline: t.deadline.Load(),
+		Requests: t.requests.Value(),
+		Rows:     t.rows.Value(),
+		Shed:     t.shed.Value(),
+		Deadline: t.deadline.Value(),
 	}
 	h := t.lat.Snapshot()
 	if h.Count() == 0 {
@@ -157,11 +177,6 @@ func (t *tracker) snapshot() Stats {
 	s.P999 = h.Quantile(0.999)
 	return s
 }
-
-// latency snapshots the full accepted-request latency distribution —
-// the histogram behind the Stats quantiles, for exposition as
-// Prometheus le buckets.
-func (t *tracker) latency() *telemetry.Histogram { return t.lat.Snapshot() }
 
 // DriftReport compares the sensitive-value mix observed in serving
 // traffic against the model's training distributions, per categorical
@@ -185,65 +200,85 @@ type DriftReport struct {
 	MaxTV float64
 }
 
-// drift materializes the current drift reports. Attributes with no
-// observations yet report only the training side.
+// drift materializes the current drift reports, one per attribute.
 func (t *tracker) drift() []DriftReport {
+	var reps []DriftReport
+	for _, da := range t.driftAttrs() {
+		reps = append(reps, t.report(da))
+	}
+	return reps
+}
+
+// driftAttrs returns the tracked attributes. The list is fixed at
+// construction; only each attribute's counts change.
+func (t *tracker) driftAttrs() []*driftAttr {
+	t.driftMu.Lock()
+	defer t.driftMu.Unlock()
+	return t.attrs
+}
+
+// observed returns how many rows carried da's attribute.
+func (t *tracker) observed(da *driftAttr) uint64 {
+	t.driftMu.Lock()
+	defer t.driftMu.Unlock()
+	return da.seen
+}
+
+// report materializes one attribute's drift report. An attribute with
+// no observations yet reports only the training side.
+func (t *tracker) report(da *driftAttr) DriftReport {
 	t.driftMu.Lock()
 	defer t.driftMu.Unlock()
 	m := t.model
-	var reps []DriftReport
-	for _, da := range t.attrs {
-		s := m.Sensitive[da.ai]
-		rep := DriftReport{
-			Attribute:    s.Name,
-			ObservedRows: da.seen,
-			Training:     da.training,
-		}
-		if da.seen > 0 {
-			nvals := da.dom.Len()
-			// Training frX and distributions padded with zeros for values
-			// first seen while serving (their training frequency is 0 by
-			// definition).
-			frX := make([]float64, nvals)
-			copy(frX, s.TrainFractions)
-			trainDists := make([][]float64, m.K)
-			for c := range trainDists {
-				td := make([]float64, nvals)
-				copy(td, m.Clusters[c].Distributions[da.ai])
-				trainDists[c] = td
-			}
-			obsSizes := make([]float64, m.K)
-			obsDists := make([][]float64, m.K)
-			for c := range obsDists {
-				od := make([]float64, nvals)
-				total := 0.0
-				for v, cnt := range da.counts[c] {
-					od[v] = cnt
-					total += cnt
-				}
-				obsSizes[c] = total
-				if total > 0 {
-					for v := range od {
-						od[v] /= total
-					}
-					tv := 0.0
-					for v := range od {
-						d := od[v] - trainDists[c][v]
-						if d < 0 {
-							d = -d
-						}
-						tv += d
-					}
-					tv /= 2
-					if tv > rep.MaxTV {
-						rep.MaxTV = tv
-					}
-				}
-				obsDists[c] = od
-			}
-			rep.Observed = metrics.FairnessFromDistributions(s.Name, frX, obsSizes, obsDists)
-		}
-		reps = append(reps, rep)
+	s := m.Sensitive[da.ai]
+	rep := DriftReport{
+		Attribute:    s.Name,
+		ObservedRows: da.seen,
+		Training:     da.training,
 	}
-	return reps
+	if da.seen == 0 {
+		return rep
+	}
+	nvals := da.dom.Len()
+	// Training frX and distributions padded with zeros for values first
+	// seen while serving (their training frequency is 0 by definition).
+	frX := make([]float64, nvals)
+	copy(frX, s.TrainFractions)
+	trainDists := make([][]float64, m.K)
+	for c := range trainDists {
+		td := make([]float64, nvals)
+		copy(td, m.Clusters[c].Distributions[da.ai])
+		trainDists[c] = td
+	}
+	obsSizes := make([]float64, m.K)
+	obsDists := make([][]float64, m.K)
+	for c := range obsDists {
+		od := make([]float64, nvals)
+		total := 0.0
+		for v, cnt := range da.counts[c] {
+			od[v] = cnt
+			total += cnt
+		}
+		obsSizes[c] = total
+		if total > 0 {
+			for v := range od {
+				od[v] /= total
+			}
+			tv := 0.0
+			for v := range od {
+				d := od[v] - trainDists[c][v]
+				if d < 0 {
+					d = -d
+				}
+				tv += d
+			}
+			tv /= 2
+			if tv > rep.MaxTV {
+				rep.MaxTV = tv
+			}
+		}
+		obsDists[c] = od
+	}
+	rep.Observed = metrics.FairnessFromDistributions(s.Name, frX, obsSizes, obsDists)
+	return rep
 }

@@ -5,11 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/telemetry"
 )
 
 func newLatTracker() *tracker {
-	return &tracker{lat: telemetry.NewAtomicHistogram()}
+	return newTracker(&model.Model{}, telemetry.NewRegistry(), "m")
 }
 
 // TestSnapshotQuantiles drives the tracker's histogram-backed
@@ -57,7 +58,7 @@ func TestSnapshotQuantiles(t *testing.T) {
 // regression test: the old tracker copied and sorted its latency ring
 // under the same mutex record() took, so every /metrics scrape stalled
 // the assign hot path. The histogram tracker shares NO lock between
-// the two sides. This test hammers snapshot() and latency() from
+// the two sides. This test hammers snapshot() and the histogram from
 // scraper goroutines while recorders run flat out — under -race it
 // proves the lock-free design sound, and the exact final counts prove
 // no record is lost to a scrape, however often one is in flight.
@@ -85,7 +86,7 @@ func TestSnapshotDoesNotBlockRecording(t *testing.T) {
 					// histogram, so a later histogram read can trail the
 					// earlier counter read only by the recorders caught
 					// mid-record.
-					if h := tr.latency(); h.Count()+recorders < snap.Requests {
+					if h := tr.lat.Snapshot(); h.Count()+recorders < snap.Requests {
 						t.Errorf("latency histogram lost records: %d well behind counter %d", h.Count(), snap.Requests)
 						return
 					}
@@ -107,8 +108,8 @@ func TestSnapshotDoesNotBlockRecording(t *testing.T) {
 	close(stop)
 	scrapers.Wait()
 	s := tr.snapshot()
-	if want := uint64(recorders * perR); s.Requests != want || tr.latency().Count() != want {
+	if want := uint64(recorders * perR); s.Requests != want || tr.lat.Snapshot().Count() != want {
 		t.Fatalf("lost records under concurrent scraping: requests=%d histogram=%d, want %d",
-			s.Requests, tr.latency().Count(), want)
+			s.Requests, tr.lat.Snapshot().Count(), want)
 	}
 }

@@ -15,18 +15,13 @@ func tracedAssigner(t *testing.T, opts Options) (*Assigner, *telemetry.RequestTr
 	t.Helper()
 	ds := testfix.Adult(1, 256)
 	m := trainModel(t, ds, 5, 1)
-	reg := telemetry.NewRegistry()
-	var tracer *telemetry.RequestTracer
-	opts.TracerFor = func(model string) *telemetry.RequestTracer {
-		tracer = telemetry.NewRequestTracer(reg, "stage_seconds", "Stages.", model, 0)
-		return tracer
-	}
+	opts.Metrics = telemetry.NewRegistry()
 	a, err := NewAssigner(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(a.Close)
-	return a, tracer
+	return a, a.Tracer()
 }
 
 // TestAssignBatchTraced: an OK batch produces one trace with a

@@ -20,15 +20,8 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // Output is deterministic: families are rendered in name order and
 // instruments in label order, so two scrapes over frozen inputs are
 // byte-identical (pinned by TestWritePrometheusDeterministic).
-// OnScrape hooks run first, outside the registry lock.
+// Pull-style collector funcs run under the registry lock.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.scrapeMu.Lock()
-	hooks := append([]func(){}, r.onScrape...)
-	r.scrapeMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
@@ -60,30 +53,18 @@ func writeInstrument(b *strings.Builder, fam *family, in *instrument) {
 	switch fam.kind {
 	case KindCounter:
 		v := in.count.Load()
-		if in.pull && in.countFn != nil {
+		if in.pull {
 			v = in.countFn()
 		}
 		fmt.Fprintf(b, "%s%s %s\n", fam.name, in.labels, strconv.FormatUint(v, 10))
 	case KindGauge:
-		g := Gauge{in: in}
-		v := g.Value()
-		if in.pull && in.gaugeFn != nil {
+		v := Gauge{in: in}.Value()
+		if in.pull {
 			v = in.gaugeFn()
 		}
 		fmt.Fprintf(b, "%s%s %s\n", fam.name, in.labels, formatFloat(v))
 	case KindHistogram:
-		var h *Histogram
-		if in.pull {
-			if in.histFn != nil {
-				h = in.histFn()
-			}
-			if h == nil {
-				h = &Histogram{}
-			}
-		} else {
-			h = in.hist.Snapshot()
-		}
-		writeHistogram(b, fam.name, in.labels, h)
+		writeHistogram(b, fam.name, in.labels, in.hist.Snapshot())
 	}
 }
 

@@ -156,25 +156,3 @@ func TestWritePrometheusHistogramCumulative(t *testing.T) {
 		t.Fatalf("_sum %s missing:\n%s", wantSum, out)
 	}
 }
-
-// TestWritePrometheusPullHistogram: HistogramFunc snapshots render the
-// same as owned histograms, and a nil snapshot renders as empty.
-func TestWritePrometheusPullHistogram(t *testing.T) {
-	ah := NewAtomicHistogram()
-	ah.Record(time.Millisecond)
-	r := NewRegistry()
-	r.HistogramFunc("pull_seconds", "Pull.", ah.Snapshot)
-	r.HistogramFunc("empty_seconds", "Empty.", func() *Histogram { return nil })
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "pull_seconds_count 1\n") {
-		t.Fatalf("pull histogram not rendered:\n%s", out)
-	}
-	if !strings.Contains(out, "empty_seconds_count 0\n") ||
-		!strings.Contains(out, `empty_seconds_bucket{le="+Inf"} 0`) {
-		t.Fatalf("nil snapshot not rendered as empty:\n%s", out)
-	}
-}

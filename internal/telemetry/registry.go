@@ -54,9 +54,6 @@ type Label struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-
-	scrapeMu sync.Mutex
-	onScrape []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -73,7 +70,8 @@ type family struct {
 // instrument is one (family, labels) time series. Exactly one of the
 // value fields is live, selected by the family kind and by whether the
 // instrument was registered owned (the registry stores the value) or
-// pull-style (a collector func is invoked at exposition time).
+// pull-style (a collector func is invoked at exposition time). The
+// collector funcs are guarded by the Registry's mu.
 type instrument struct {
 	labels string // rendered `{k="v",...}` suffix, "" when unlabelled
 	pull   bool
@@ -84,7 +82,6 @@ type instrument struct {
 
 	countFn func() uint64
 	gaugeFn func() float64
-	histFn  func() *Histogram
 }
 
 // Counter is a monotonically increasing metric handle.
@@ -119,56 +116,41 @@ func (h HistogramMetric) Snapshot() *Histogram { return h.in.hist.Snapshot() }
 
 // Counter registers (or resolves) an owned counter.
 func (r *Registry) Counter(name, help string, labels ...Label) Counter {
-	return Counter{in: r.getOrCreate(name, help, KindCounter, false, labels)}
+	return Counter{in: r.getOrCreate(name, help, KindCounter, labels, nil)}
 }
 
 // Gauge registers (or resolves) an owned gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) Gauge {
-	return Gauge{in: r.getOrCreate(name, help, KindGauge, false, labels)}
+	return Gauge{in: r.getOrCreate(name, help, KindGauge, labels, nil)}
 }
 
 // Histogram registers (or resolves) an owned histogram.
 func (r *Registry) Histogram(name, help string, labels ...Label) HistogramMetric {
-	in := r.getOrCreate(name, help, KindHistogram, false, labels)
-	return HistogramMetric{in: in}
+	return HistogramMetric{in: r.getOrCreate(name, help, KindHistogram, labels, nil)}
 }
 
 // CounterFunc registers a pull-style counter: fn is called once per
-// exposition. Re-registering the same (name, labels) replaces fn —
-// scrape hooks may refresh their closures every scrape. fn must not
-// call back into the registry.
+// exposition. Re-registering the same (name, labels) replaces fn, so
+// a series can be rebound to a new source (a hot-swapped model). fn
+// must not call back into the registry.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	r.getOrCreate(name, help, KindCounter, true, labels).countFn = fn
+	r.getOrCreate(name, help, KindCounter, labels, func(in *instrument) { in.countFn = fn })
 }
 
 // GaugeFunc registers a pull-style gauge; see CounterFunc.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.getOrCreate(name, help, KindGauge, true, labels).gaugeFn = fn
+	r.getOrCreate(name, help, KindGauge, labels, func(in *instrument) { in.gaugeFn = fn })
 }
 
-// HistogramFunc registers a pull-style histogram; see CounterFunc. fn
-// returns a snapshot (e.g. AtomicHistogram.Snapshot) the writer may
-// read without synchronization.
-func (r *Registry) HistogramFunc(name, help string, fn func() *Histogram, labels ...Label) {
-	r.getOrCreate(name, help, KindHistogram, true, labels).histFn = fn
-}
-
-// OnScrape registers a hook that runs at the start of every
-// WritePrometheus call, before any family is rendered — the place to
-// snapshot external state (serving stats, drift reports) exactly once
-// per scrape and (re-)register pull-style instruments over it. Hooks
-// run serially in registration order.
-func (r *Registry) OnScrape(fn func()) {
-	r.scrapeMu.Lock()
-	defer r.scrapeMu.Unlock()
-	r.onScrape = append(r.onScrape, fn)
-}
-
-func (r *Registry) getOrCreate(name, help string, kind Kind, pull bool, labels []Label) *instrument {
+// getOrCreate resolves the (name, labels) instrument, creating it on
+// first use. bind is nil for an owned instrument; for a pull-style one
+// it stores the collector func, under r.mu like every exposition read.
+func (r *Registry) getOrCreate(name, help string, kind Kind, labels []Label, bind func(*instrument)) *instrument {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
 	suffix := renderLabels(labels)
+	pull := bind != nil
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fam := r.families[name]
@@ -181,12 +163,15 @@ func (r *Registry) getOrCreate(name, help string, kind Kind, pull bool, labels [
 	in := fam.instruments[suffix]
 	if in == nil {
 		in = &instrument{labels: suffix, pull: pull}
-		if kind == KindHistogram && !pull {
+		if kind == KindHistogram {
 			in.hist = NewAtomicHistogram()
 		}
 		fam.instruments[suffix] = in
 	} else if in.pull != pull {
 		panic(fmt.Sprintf("telemetry: metric %q%s registered both owned and pull-style", name, suffix))
+	}
+	if pull {
+		bind(in)
 	}
 	return in
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -84,27 +86,41 @@ func TestRegistryFuncReplacement(t *testing.T) {
 	}
 }
 
-func TestRegistryOnScrape(t *testing.T) {
+// TestRegistryRebindDuringScrape re-registers one pull instrument
+// while scrapes run, as a model install rebinds its live-generation
+// series under a concurrent /metrics scrape. The new fn must be stored
+// under the registry lock the writer reads it under (go test -race).
+func TestRegistryRebindDuringScrape(t *testing.T) {
 	r := NewRegistry()
-	scrapes := 0
-	r.OnScrape(func() {
-		scrapes++
-		n := uint64(scrapes)
-		// Fresh closure per scrape — the fairserved pattern.
-		r.CounterFunc("scrapes_total", "Scrapes.", func() uint64 { return n })
-	})
-	var b strings.Builder
-	for i := 1; i <= 3; i++ {
-		b.Reset()
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		want := "scrapes_total " + string(rune('0'+i)) + "\n"
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("scrape %d: missing %q in:\n%s", i, want, b.String())
-		}
+	l := Label{Key: "model", Value: "m"}
+	r.GaugeFunc("live", "Live.", func() float64 { return 0 }, l)
+	r.CounterFunc("live_total", "Live.", func() uint64 { return 0 }, l)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
-	if scrapes != 3 {
-		t.Fatalf("hook ran %d times, want 3", scrapes)
+	for i := 0; i < 200; i++ {
+		v := i
+		r.GaugeFunc("live", "Live.", func() float64 { return float64(v) }, l)
+		r.CounterFunc("live_total", "Live.", func() uint64 { return uint64(v) }, l)
+	}
+	wg.Wait()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`live{model="m"} 199`, `live_total{model="m"} 199`} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Fatalf("last binding not rendered: missing %q in\n%s", want, b.String())
+		}
 	}
 }
