@@ -1,11 +1,15 @@
 // Package goldencase enumerates the frozen solver configurations whose
-// trajectories are pinned by testdata/golden.json. The goldens were
-// recorded against the pre-engine solvers (the hand-rolled loops of
-// commit 9c464aa) on the internal/testfix fixtures; the golden test
-// re-runs every case against the current solvers and requires
+// trajectories are pinned by testdata/golden.json. The first 23 goldens
+// were recorded against the pre-engine solvers (the hand-rolled loops of
+// commit 9c464aa) on the internal/testfix fixtures; four FairKM corners
+// (a non-unit-weight solve, ClusterWeightExponent 1,
+// NoDomainNormalization, and mini-batching with numeric sensitive
+// attributes) were appended later, recorded on the per-attribute
+// aggregate kernel before it moved to the cluster-major slab. The golden
+// test re-runs every case against the current solvers and requires
 // bit-identical assignments and objectives. This is the contract that
-// the internal/engine port — and any future orchestration change — is
-// a pure refactor of the optimization trajectory.
+// the internal/engine port — and any future orchestration or kernel
+// change — is a pure refactor of the optimization trajectory.
 package goldencase
 
 import (
@@ -47,20 +51,7 @@ func All() ([]Record, error) {
 	var out []Record
 
 	fairKM := func(name, ds string, cfg core.Config) error {
-		res, err := core.Run(fx[ds], cfg)
-		if err != nil {
-			return err
-		}
-		out = append(out, Record{
-			Name:       "fairkm/" + ds + "/" + name,
-			Assign:     res.Assign,
-			Objective:  math.Float64bits(res.Objective),
-			Lambda:     math.Float64bits(res.Lambda),
-			Iterations: res.Iterations,
-			Converged:  res.Converged,
-			TotalMoves: res.TotalMoves,
-		})
-		return nil
+		return fairKMWeighted(fx, &out, name, ds, nil, cfg)
 	}
 	kMeans := func(name, ds string, cfg kmeans.Config) error {
 		res, err := kmeans.Run(fx[ds].Features, cfg)
@@ -152,6 +143,25 @@ func All() ([]Record, error) {
 		func() error {
 			return zgyaRun("partition", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2, Init: kmeans.RandomPartition})
 		},
+
+		// FairKM corners recorded after the first 23 (appended so the
+		// earlier records keep their positions): the weighted solve the
+		// summarize-then-solve pipeline runs, the two fairness-term
+		// ablation knobs, and mini-batching with numeric sensitive
+		// attributes.
+		func() error {
+			return fairKMWeighted(fx, &out, "weighted", "adult", fractionalWeights(fx["adult"].N()),
+				core.Config{K: 7, AutoLambda: true, Seed: 3})
+		},
+		func() error {
+			return fairKM("exponent1", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, ClusterWeightExponent: 1})
+		},
+		func() error {
+			return fairKM("no-domnorm", "adult", core.Config{K: 7, AutoLambda: true, Seed: 3, NoDomainNormalization: true})
+		},
+		func() error {
+			return fairKM("minibatch", "synthB", core.Config{K: 5, AutoLambda: true, Seed: 2, MiniBatch: 64})
+		},
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
@@ -159,4 +169,40 @@ func All() ([]Record, error) {
 		}
 	}
 	return out, nil
+}
+
+// fairKMWeighted runs FairKM on fixture ds — weighted when rowW is
+// non-nil — and appends its record to out.
+func fairKMWeighted(fx map[string]*dataset.Dataset, out *[]Record, name, ds string, rowW []float64, cfg core.Config) error {
+	var res *core.Result
+	var err error
+	if rowW == nil {
+		res, err = core.Run(fx[ds], cfg)
+	} else {
+		res, err = core.RunWeighted(fx[ds], rowW, cfg)
+	}
+	if err != nil {
+		return err
+	}
+	*out = append(*out, Record{
+		Name:       "fairkm/" + ds + "/" + name,
+		Assign:     res.Assign,
+		Objective:  math.Float64bits(res.Objective),
+		Lambda:     math.Float64bits(res.Lambda),
+		Iterations: res.Iterations,
+		Converged:  res.Converged,
+		TotalMoves: res.TotalMoves,
+	})
+	return nil
+}
+
+// fractionalWeights returns n deterministic row weights in [0.5, 4.5]
+// with thirds in them, so weighted masses are not exactly
+// representable and every rounding in the weighted kernel shows.
+func fractionalWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 0.5 + float64((i*37)%13)/3
+	}
+	return w
 }
