@@ -43,6 +43,15 @@
 // factor Section 6.1's scalability discussion worries about is gone
 // (41 values of native-country cost the same as 2 of gender).
 //
+// The aggregates and value masses live in one flat slab with one
+// contiguous record per cluster, each row's value codes are resolved
+// once per run into record offsets (the row-offset table), and each
+// cluster's prototype is cached and refreshed per move. Scoring a
+// candidate cluster thus reads one record, the row's offsets and one
+// cached centroid — no per-attribute slice walks, no allocation — with
+// every floating-point expression in the order that keeps trajectories
+// bit-identical to the golden recordings.
+//
 // # Parallel sweeps
 //
 // Config.Parallelism additionally spreads candidate scoring over

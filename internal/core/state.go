@@ -17,32 +17,49 @@ import (
 //
 // Per cluster c it tracks:
 //   - counts[c]: cardinality |c|
-//   - sums[c]: per-feature sums (so the prototype is sums[c]/counts[c])
+//   - sums[c]: per-feature sums, and the cached prototype
+//     mu[c] = sums[c]·(1/mass[c]), refreshed by every move that changes
+//     the cluster, which the K-Means deltas and centroids read
 //   - ssqs[c]: Σ_{x∈c} ‖x‖², giving SSE_c = ssqs[c] − ‖sums[c]‖²/|c|
-//   - catCounts[a][c][v]: members taking value v of categorical attr a
 //   - numSums[a][c]: sum of numeric sensitive attr a over members
 //   - devCache[c]: the cluster's current fairness deviation
 //     contribution (the (|c|/n)²·ND_C term of Eq. 7 plus Eq. 22 terms)
+//   - one record of the categorical slab (below)
 //
-// On top of the raw value counts, the scoring kernel maintains three
-// quadratic aggregates per (categorical attribute, cluster) pair:
+// # Categorical slab
 //
-//	catSq[a][c]    = Σ_v mult[v]·cc[v]²
-//	catCross[a][c] = Σ_v mult[v]·cc[v]·Fr_X(v)
-//	catConst[a]    = Σ_v mult[v]·Fr_X(v)²   (assignment-independent)
+// Every categorical statistic lives in one flat, cluster-major slab
+// cat: cluster c's record rec is cat[c·stride : (c+1)·stride], so
+// scoring a candidate cluster reads one contiguous run of memory. For
+// the j-th categorical attribute (j indexes catAttrs) the record holds
+// two quadratic aggregates and the value masses cc; a third aggregate
+// does not depend on the assignment and sits beside the record:
+//
+//	rec[2j]         = Σ_v mult[v]·cc[v]²
+//	rec[2j+1]       = Σ_v mult[v]·cc[v]·Fr_X(v)
+//	rec[ccOff[j]+v] = cc[v], the members' mass taking value v
+//	catConst[j]     = Σ_v mult[v]·Fr_X(v)²
 //
 // Expanding Eq. 7's Σ_v mult[v]·(cc[v]/m − Fr_X(v))² gives the closed
-// form (1/m²)·catSq − (2/m)·catCross + catConst, so both
+// form (1/m²)·rec[2j] − (2/m)·rec[2j+1] + catConst[j], so both
 // clusterDeviation and deviationWithDelta cost O(1) per attribute.
 // When a point with value code moves in or out, only cc[code] changes,
 // so the aggregates update in O(1) too:
 //
-//	catSq    += mult[code]·(±2·cc[code] + 1)
-//	catCross += ±mult[code]·Fr_X(code)
+//	rec[2j]   += mult[code]·(±2·cc[code] + 1)
+//	rec[2j+1] += ±mult[code]·Fr_X(code)
 //
-// The pre-aggregate per-value kernel is kept as the *Naive methods; the
-// unexported Config.naiveKernel knob routes scoring through it so parity
-// tests and benchmarks can compare the two end to end.
+// Row i's value code for attribute j is resolved once per run into the
+// row-offset table rowOff[i·nCat+j] = ccOff[j]+code, and multAt/frXAt
+// hold mult and Fr_X at the same record offsets, so the kernel reads a
+// row's per-attribute constants without touching ds.Sensitive or any
+// [attr][value] slice. rowOff, multAt, frXAt, catConst and catScale
+// are immutable for the run and shared by frozen snapshots.
+//
+// The pre-aggregate per-value kernel is kept as the *Naive methods; it
+// reads the value masses through catCounts[a][c], views into the slab.
+// The unexported Config.naiveKernel knob routes scoring through it so
+// parity tests and benchmarks can compare the two end to end.
 //
 // # Weighted points
 //
@@ -82,8 +99,8 @@ type state struct {
 	counts []int     // per-cluster row counts (structural guards only)
 	mass   []float64 // per-cluster weighted masses (all arithmetic)
 	sums   [][]float64
+	mu     []float64 // [c·dim+j] cached prototypes sums[c][j]·(1/mass[c])
 	ssqs   []float64
-	xsq    []float64 // xsq[i] = ‖Features[i]‖², computed once per run
 
 	catAttrs []int // indexes into ds.Sensitive with Kind == Categorical
 	numAttrs []int // indexes into ds.Sensitive with Kind == Numeric
@@ -97,17 +114,25 @@ type state struct {
 	// frMult[ai][v] multiplies value v's squared deviation: all ones by
 	// default, 1/(fr·(1−fr)) under Config.SkewCompensation.
 	frMult [][]float64
-	// catScale[ai] folds the Eq. 23 weight and the Eq. 4 domain
+
+	// The categorical slab and its per-run tables (see above); j
+	// indexes catAttrs.
+	nCat     int
+	stride   int       // floats per cluster record
+	ccOff    []int     // [j] record offset of attribute j's value masses
+	cat      []float64 // k records of stride floats
+	rowOff   []int32   // [i·nCat+j] record offset of row i's value of attr j
+	multAt   []float64 // [offset] mult of the value stored there
+	frXAt    []float64 // [offset] Fr_X of the value stored there
+	catConst []float64 // [j] Σ_v mult·frX²
+	// catScale[j] folds the Eq. 23 weight and the Eq. 4 domain
 	// normalization into one factor: w_S/|Values(S)| (or w_S without
 	// domain normalization).
 	catScale []float64
 
-	catCounts [][][]float64 // [attr][cluster][value] masses, attr indexed as ds.Sensitive
+	catCounts [][][]float64 // [attr][cluster] views of the value masses in cat, attr indexed as ds.Sensitive
 	numSums   [][]float64   // [attr][cluster]
-
-	catSq    [][]float64 // [attr][cluster] Σ_v mult·cc²
-	catCross [][]float64 // [attr][cluster] Σ_v mult·cc·frX
-	catConst []float64   // [attr] Σ_v mult·frX²
+	numReals  [][]float64   // [j] ds.Sensitive[numAttrs[j]].Reals
 
 	devCache []float64
 
@@ -157,20 +182,12 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 	for c := range st.sums {
 		st.sums[c] = make([]float64, st.dim)
 	}
+	st.mu = make([]float64, st.k*st.dim)
 	st.ssqs = make([]float64, st.k)
-	st.xsq = make([]float64, n)
-	for i, x := range ds.Features {
-		st.xsq[i] = stats.Dot(x, x)
-	}
 	st.frX = make([][]float64, len(ds.Sensitive))
 	st.meanX = make([]float64, len(ds.Sensitive))
 	st.frMult = make([][]float64, len(ds.Sensitive))
-	st.catScale = make([]float64, len(ds.Sensitive))
-	st.catCounts = make([][][]float64, len(ds.Sensitive))
 	st.numSums = make([][]float64, len(ds.Sensitive))
-	st.catSq = make([][]float64, len(ds.Sensitive))
-	st.catCross = make([][]float64, len(ds.Sensitive))
-	st.catConst = make([]float64, len(ds.Sensitive))
 	for ai, s := range ds.Sensitive {
 		switch s.Kind {
 		case dataset.Categorical:
@@ -181,22 +198,16 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 				st.frX[ai] = weightedFractions(s, rowW, st.totalMass)
 			}
 			st.frMult[ai] = skewMultipliers(st.frX[ai], cfg.SkewCompensation)
-			st.catScale[ai] = st.weights[ai]
+			scale := st.weights[ai]
 			if st.domNorm {
-				st.catScale[ai] /= float64(len(s.Values))
+				scale /= float64(len(s.Values))
 			}
-			cc := make([][]float64, st.k)
-			for c := range cc {
-				cc[c] = make([]float64, len(s.Values))
-			}
-			st.catCounts[ai] = cc
-			st.catSq[ai] = make([]float64, st.k)
-			st.catCross[ai] = make([]float64, st.k)
+			st.catScale = append(st.catScale, scale)
 			cnst := 0.0
 			for v, fr := range st.frX[ai] {
 				cnst += st.frMult[ai][v] * fr * fr
 			}
-			st.catConst[ai] = cnst
+			st.catConst = append(st.catConst, cnst)
 		case dataset.Numeric:
 			st.numAttrs = append(st.numAttrs, ai)
 			if rowW == nil {
@@ -205,16 +216,83 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 				st.meanX[ai] = weightedMean(s.Reals, rowW, st.totalMass)
 			}
 			st.numSums[ai] = make([]float64, st.k)
+			st.numReals = append(st.numReals, s.Reals)
 		}
 	}
+
+	st.nCat = len(st.catAttrs)
+	st.ccOff = make([]int, st.nCat)
+	st.stride = 2 * st.nCat
+	for j, ai := range st.catAttrs {
+		st.ccOff[j] = st.stride
+		st.stride += len(ds.Sensitive[ai].Values)
+	}
+	st.multAt = make([]float64, st.stride)
+	st.frXAt = make([]float64, st.stride)
+	st.rowOff = make([]int32, n*st.nCat)
+	for j, ai := range st.catAttrs {
+		copy(st.multAt[st.ccOff[j]:], st.frMult[ai])
+		copy(st.frXAt[st.ccOff[j]:], st.frX[ai])
+		for i, code := range ds.Sensitive[ai].Codes {
+			st.rowOff[i*st.nCat+j] = int32(st.ccOff[j] + code)
+		}
+	}
+	st.cat = make([]float64, st.k*st.stride)
+	st.catCounts = st.countViews(st.cat)
+
 	for i := 0; i < n; i++ {
-		st.accumulate(i, assign[i])
+		st.add(i, assign[i], +1)
 	}
 	st.devCache = make([]float64, st.k)
 	for c := 0; c < st.k; c++ {
+		st.refreshMean(c)
 		st.devCache[c] = st.clusterDeviation(c)
 	}
 	return st
+}
+
+// countViews returns the [attr][cluster] value-mass views into the
+// slab cat, the layout the *Naive kernels read.
+func (st *state) countViews(cat []float64) [][][]float64 {
+	views := make([][][]float64, len(st.ds.Sensitive))
+	for j, ai := range st.catAttrs {
+		width := len(st.ds.Sensitive[ai].Values)
+		views[ai] = make([][]float64, st.k)
+		for c := range views[ai] {
+			lo := c*st.stride + st.ccOff[j]
+			views[ai][c] = cat[lo : lo+width : lo+width]
+		}
+	}
+	return views
+}
+
+// record returns cluster c's record of the categorical slab.
+func (st *state) record(c int) []float64 {
+	return st.cat[c*st.stride : (c+1)*st.stride]
+}
+
+// rowOffsets returns row i's record offsets, one per categorical
+// attribute.
+func (st *state) rowOffsets(i int) []int32 {
+	return st.rowOff[i*st.nCat : (i+1)*st.nCat]
+}
+
+// mean returns cluster c's cached prototype.
+func (st *state) mean(c int) []float64 {
+	return st.mu[c*st.dim : (c+1)*st.dim]
+}
+
+// refreshMean recomputes cluster c's cached prototype from its sums;
+// an empty cluster keeps a stale one that nothing reads.
+func (st *state) refreshMean(c int) {
+	if st.counts[c] == 0 {
+		return
+	}
+	inv := 1.0 / st.mass[c]
+	mu := st.mean(c)
+	for j, s := range st.sums[c] {
+		mu[j] = s * inv
+	}
 }
 
 // wOf returns row i's weight (1 under unit weights).
@@ -225,59 +303,40 @@ func (st *state) wOf(i int) float64 {
 	return st.rowW[i]
 }
 
-// accumulate adds row i's mass-w contribution to cluster c's statistics
-// (assignment bookkeeping only; devCache is managed by callers). The
-// quadratic aggregates absorb (cc+w)² − cc² = w·(2·cc + w).
-func (st *state) accumulate(i, c int) {
+// add adds (sign=+1) or subtracts (sign=-1) row i's mass-w
+// contribution to cluster c's statistics (assignment bookkeeping only;
+// the cached prototype and devCache are managed by callers). The
+// quadratic aggregates absorb (cc+sw)² − cc² = sw·(2·cc + sw) with
+// sw = sign·w; negating w is exact, so subtracting through sw rounds
+// exactly as subtracting w·(2·cc − w) would.
+func (st *state) add(i, c, sign int) {
+	sw := float64(sign) * st.wOf(i)
+	st.counts[c] += sign
+	st.mass[c] += sw
 	x := st.ds.Features[i]
-	w := st.wOf(i)
-	st.counts[c]++
-	st.mass[c] += w
-	stats.AddScaledTo(st.sums[c], x, w)
-	st.ssqs[c] += w * st.xsq[i]
-	for _, ai := range st.catAttrs {
-		code := st.ds.Sensitive[ai].Codes[i]
-		cc := st.catCounts[ai][c]
-		old := cc[code]
-		cc[code] = old + w
-		mult := st.frMult[ai][code]
-		st.catSq[ai][c] += mult * (w * (2*old + w))
-		st.catCross[ai][c] += mult * w * st.frX[ai][code]
+	stats.AddScaledTo(st.sums[c], x, sw)
+	st.ssqs[c] += sw * stats.Dot(x, x)
+	rec := st.record(c)
+	for j, off := range st.rowOffsets(i) {
+		old := rec[off]
+		rec[off] = old + sw
+		mult := st.multAt[off]
+		rec[2*j] += mult * (sw * (2*old + sw))
+		rec[2*j+1] += mult * sw * st.frXAt[off]
 	}
-	for _, ai := range st.numAttrs {
-		st.numSums[ai][c] += w * st.ds.Sensitive[ai].Reals[i]
-	}
-}
-
-// remove subtracts row i's mass-w contribution from cluster c's
-// statistics: cc² − (cc−w)² = w·(2·cc − w).
-func (st *state) remove(i, c int) {
-	x := st.ds.Features[i]
-	w := st.wOf(i)
-	st.counts[c]--
-	st.mass[c] -= w
-	stats.AddScaledTo(st.sums[c], x, -w)
-	st.ssqs[c] -= w * st.xsq[i]
-	for _, ai := range st.catAttrs {
-		code := st.ds.Sensitive[ai].Codes[i]
-		cc := st.catCounts[ai][c]
-		old := cc[code]
-		cc[code] = old - w
-		mult := st.frMult[ai][code]
-		st.catSq[ai][c] -= mult * (w * (2*old - w))
-		st.catCross[ai][c] -= mult * w * st.frX[ai][code]
-	}
-	for _, ai := range st.numAttrs {
-		st.numSums[ai][c] -= w * st.ds.Sensitive[ai].Reals[i]
+	for j, ai := range st.numAttrs {
+		st.numSums[ai][c] += sw * st.numReals[j][i]
 	}
 }
 
 // move transfers row i from cluster from to cluster to, refreshing the
-// deviation cache of both clusters.
+// cached prototype and deviation of both clusters.
 func (st *state) move(i, from, to int) {
-	st.remove(i, from)
-	st.accumulate(i, to)
+	st.add(i, from, -1)
+	st.add(i, to, +1)
 	st.assign[i] = to
+	st.refreshMean(from)
+	st.refreshMean(to)
 	st.devCache[from] = st.clusterDeviation(from)
 	st.devCache[to] = st.clusterDeviation(to)
 }
@@ -310,7 +369,7 @@ func (st *state) sseTotal() float64 {
 //	           + Σ_num w_S · (mean_C(S) − mean_X(S))² ]
 //
 // Empty clusters contribute 0 (Eq. 3). The categorical inner sum is the
-// O(1) closed form (1/m²)·catSq − (2/m)·catCross + catConst.
+// O(1) closed form (1/m²)·rec[2j] − (2/m)·rec[2j+1] + catConst[j].
 func (st *state) clusterDeviation(c int) float64 {
 	if st.naive {
 		return st.clusterDeviationNaive(c)
@@ -319,13 +378,14 @@ func (st *state) clusterDeviation(c int) float64 {
 		return 0
 	}
 	inv := 1.0 / st.mass[c]
+	rec := st.record(c)
 	nd := 0.0
-	for _, ai := range st.catAttrs {
-		sum := inv*inv*st.catSq[ai][c] - 2*inv*st.catCross[ai][c] + st.catConst[ai]
+	for j := 0; j < st.nCat; j++ {
+		sum := inv*inv*rec[2*j] - 2*inv*rec[2*j+1] + st.catConst[j]
 		if sum < 0 {
 			sum = 0 // floating-point cancellation guard
 		}
-		nd += st.catScale[ai] * sum
+		nd += st.catScale[j] * sum
 	}
 	for _, ai := range st.numAttrs {
 		d := st.numSums[ai][c]*inv - st.meanX[ai]
@@ -386,11 +446,15 @@ func (st *state) fairnessTotal() float64 {
 
 // deviationWithDelta computes what cluster c's fairness contribution
 // would become if row i were added (sign=+1) or removed (sign=-1),
-// without mutating state. Only cc[code] shifts by sign·w, so the
+// without mutating state. Only cc[code] shifts by sw = sign·w, so the
 // aggregates adjust in O(1) per attribute:
 //
-//	catSq'    = catSq + mult[code]·(sign·w·(2·cc[code] + sign·w))
-//	catCross' = catCross + mult[code]·sign·w·Fr_X(code)
+//	rec[2j]'   = rec[2j] + mult[code]·(sw·(2·cc[code] + sw))
+//	rec[2j+1]' = rec[2j+1] + mult[code]·sw·Fr_X(code)
+//
+// It reads cluster c's slab record and row i's offsets only.
+//
+//fairvet:hotpath
 func (st *state) deviationWithDelta(c, i, sign int) float64 {
 	if st.naive {
 		return st.deviationWithDeltaNaive(c, i, sign)
@@ -401,20 +465,20 @@ func (st *state) deviationWithDelta(c, i, sign int) float64 {
 	sw := float64(sign) * st.wOf(i)
 	m := st.mass[c] + sw
 	inv := 1.0 / m
+	rec := st.record(c)
 	nd := 0.0
-	for _, ai := range st.catAttrs {
-		code := st.ds.Sensitive[ai].Codes[i]
-		mult := st.frMult[ai][code]
-		sq := st.catSq[ai][c] + mult*(sw*(2*st.catCounts[ai][c][code]+sw))
-		cross := st.catCross[ai][c] + mult*sw*st.frX[ai][code]
-		sum := inv*inv*sq - 2*inv*cross + st.catConst[ai]
+	for j, off := range st.rowOffsets(i) {
+		mult := st.multAt[off]
+		sq := rec[2*j] + mult*(sw*(2*rec[off]+sw))
+		cross := rec[2*j+1] + mult*sw*st.frXAt[off]
+		sum := inv*inv*sq - 2*inv*cross + st.catConst[j]
 		if sum < 0 {
 			sum = 0 // floating-point cancellation guard
 		}
-		nd += st.catScale[ai] * sum
+		nd += st.catScale[j] * sum
 	}
-	for _, ai := range st.numAttrs {
-		val := st.numSums[ai][c] + sw*st.ds.Sensitive[ai].Reals[i]
+	for j, ai := range st.numAttrs {
+		val := st.numSums[ai][c] + sw*st.numReals[j][i]
 		d := val*inv - st.meanX[ai]
 		nd += st.weights[ai] * d * d
 	}
@@ -462,29 +526,46 @@ func (st *state) deviationWithDeltaNaive(c, i, sign int) float64 {
 // row i (mass w) from its cluster c (Eq. 12 in closed sufficient-
 // statistic form: −m·w/(m−w)·‖x−μ‖², 0 when the cluster is a
 // singleton row).
+//
+//fairvet:hotpath
 func (st *state) kmeansOutDelta(i, c int) float64 {
 	if st.counts[c] <= 1 {
 		return 0
 	}
 	m := st.mass[c]
 	w := st.wOf(i)
-	x := st.ds.Features[i]
-	d2 := sqDistToMean(x, st.sums[c], m)
-	return -m * w / (m - w) * d2
+	return -m * w / (m - w) * st.distToMean(i, c)
 }
 
 // kmeansInDelta returns the change in the K-Means term from adding row
 // i (mass w) to cluster c (Eq. 14 in closed form: +m·w/(m+w)·‖x−μ‖²,
 // 0 for an empty cluster).
+//
+//fairvet:hotpath
 func (st *state) kmeansInDelta(i, c int) float64 {
 	if st.counts[c] == 0 {
 		return 0
 	}
 	m := st.mass[c]
 	w := st.wOf(i)
+	return m * w / (m + w) * st.distToMean(i, c)
+}
+
+// distToMean returns ‖x_i − μ_c‖² against the cached prototype, summed
+// in index order (stats.SqDist's four-lane sum would round
+// differently).
+//
+//fairvet:hotpath
+func (st *state) distToMean(i, c int) float64 {
 	x := st.ds.Features[i]
-	d2 := sqDistToMean(x, st.sums[c], m)
-	return m * w / (m + w) * d2
+	mu := st.mean(c)
+	mu = mu[:len(x)]
+	s := 0.0
+	for j, xj := range x {
+		d := xj - mu[j]
+		s += d * d
+	}
+	return s
 }
 
 // moveDelta returns the exact objective change δ(O) of moving row i
@@ -496,27 +577,14 @@ func (st *state) moveDelta(i, from, to int) float64 {
 	return dKM + st.lambda*dFair
 }
 
-// sqDistToMean returns ‖x − sum/m‖² without materializing the mean.
-func sqDistToMean(x, sum []float64, m float64) float64 {
-	inv := 1.0 / m
-	s := 0.0
-	for j := range x {
-		d := x[j] - sum[j]*inv
-		s += d * d
-	}
-	return s
-}
-
-// centroids materializes the cluster prototypes (weighted means).
+// centroids materializes the cluster prototypes (weighted means; zero
+// for an empty cluster).
 func (st *state) centroids() [][]float64 {
 	out := make([][]float64, st.k)
 	for c := 0; c < st.k; c++ {
 		out[c] = make([]float64, st.dim)
 		if st.counts[c] > 0 {
-			inv := 1.0 / st.mass[c]
-			for j := 0; j < st.dim; j++ {
-				out[c][j] = st.sums[c][j] * inv
-			}
+			copy(out[c], st.mean(c))
 		}
 	}
 	return out
@@ -547,26 +615,13 @@ func weightedMean(xs, rowW []float64, totalMass float64) float64 {
 // newFrozen allocates a snapshot buffer shaped like st, for reuse
 // across freezeInto calls.
 func (st *state) newFrozen() *state {
-	fz := &state{}
+	fz := &state{ds: st.ds, k: st.k, catAttrs: st.catAttrs, stride: st.stride, ccOff: st.ccOff}
 	fz.counts = make([]int, st.k)
 	fz.mass = make([]float64, st.k)
-	fz.sums = make([][]float64, st.k)
-	for c := range fz.sums {
-		fz.sums[c] = make([]float64, st.dim)
-	}
-	fz.catCounts = make([][][]float64, len(st.catCounts))
-	fz.catSq = make([][]float64, len(st.catSq))
-	fz.catCross = make([][]float64, len(st.catCross))
+	fz.mu = make([]float64, len(st.mu))
+	fz.cat = make([]float64, len(st.cat))
+	fz.catCounts = fz.countViews(fz.cat)
 	fz.numSums = make([][]float64, len(st.numSums))
-	for _, ai := range st.catAttrs {
-		cc := make([][]float64, st.k)
-		for c := range cc {
-			cc[c] = make([]float64, len(st.catCounts[ai][c]))
-		}
-		fz.catCounts[ai] = cc
-		fz.catSq[ai] = make([]float64, st.k)
-		fz.catCross[ai] = make([]float64, st.k)
-	}
 	for _, ai := range st.numAttrs {
 		fz.numSums[ai] = make([]float64, st.k)
 	}
@@ -577,7 +632,8 @@ func (st *state) newFrozen() *state {
 // freezeInto copies st's mutable statistics into the snapshot buffer fz
 // (allocated by newFrozen) and shares the immutable ones, yielding a
 // read-only view safe for concurrent scoring while st keeps mutating.
-// fz.assign and fz.ssqs stay nil: scoring never touches them.
+// fz.assign, fz.sums and fz.ssqs stay nil: scoring reads the cached
+// prototypes instead of the sums, and never touches the others.
 func (st *state) freezeInto(fz *state) {
 	fz.ds = st.ds
 	fz.k = st.k
@@ -595,22 +651,20 @@ func (st *state) freezeInto(fz *state) {
 	fz.frX = st.frX
 	fz.meanX = st.meanX
 	fz.frMult = st.frMult
-	fz.catScale = st.catScale
+	fz.nCat = st.nCat
+	fz.stride = st.stride
+	fz.ccOff = st.ccOff
+	fz.rowOff = st.rowOff
+	fz.multAt = st.multAt
+	fz.frXAt = st.frXAt
 	fz.catConst = st.catConst
-	fz.xsq = st.xsq
+	fz.catScale = st.catScale
+	fz.numReals = st.numReals
 
 	copy(fz.counts, st.counts)
 	copy(fz.mass, st.mass)
-	for c := range st.sums {
-		copy(fz.sums[c], st.sums[c])
-	}
-	for _, ai := range st.catAttrs {
-		for c := 0; c < st.k; c++ {
-			copy(fz.catCounts[ai][c], st.catCounts[ai][c])
-		}
-		copy(fz.catSq[ai], st.catSq[ai])
-		copy(fz.catCross[ai], st.catCross[ai])
-	}
+	copy(fz.mu, st.mu)
+	copy(fz.cat, st.cat)
 	for _, ai := range st.numAttrs {
 		copy(fz.numSums[ai], st.numSums[ai])
 	}
