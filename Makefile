@@ -105,7 +105,8 @@ bench-check:
 
 # bench-smoke just proves the benchmarks still compile and run (CI).
 bench-smoke:
-	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweep|BenchmarkBestMove' -benchtime 1x
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkRunAdult/sequential' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream/stream' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard/shards=2/adult6500' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/workers=1/batch=64' -benchtime 1x
@@ -121,9 +122,11 @@ bench-smoke:
 # FuzzCSVDecode is the differential test of the byte-level CSV
 # tokenizer and the parallel CSVStream against encoding/csv,
 # FuzzSplitCSV checks SplitCSV's shard union against one sequential
-# read, and FuzzAssignBody is the differential test of the
+# read, FuzzAssignBody is the differential test of the
 # /v1/assign request decoder against encoding/json (plus the real
-# handler's status contract); a crasher any of them finds is written under
+# handler's status contract), and FuzzModelDecode holds the model
+# artifact decoder to no panics, Validate on every accepted input and
+# an Encode∘Decode byte fixpoint; a crasher any of them finds is written under
 # the package's testdata/fuzz and must be committed as a regression
 # input. FuzzTokenize otherwise only runs its seeds in go test.
 fuzz-smoke:
@@ -131,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzSplitCSV$$' -fuzztime 10s
 	$(GO) test ./cmd/fairserved -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s
+	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 
 # bench-e2e-smoke runs the end-to-end benchmark module's own tests

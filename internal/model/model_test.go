@@ -15,7 +15,7 @@ import (
 )
 
 // train runs FairKM on ds and wraps the result as an artifact.
-func train(t *testing.T, ds *dataset.Dataset, k int) (*core.Result, *Model) {
+func train(t testing.TB, ds *dataset.Dataset, k int) (*core.Result, *Model) {
 	t.Helper()
 	res, err := core.Run(ds, core.Config{K: k, AutoLambda: true, Seed: 7})
 	if err != nil {
@@ -206,27 +206,35 @@ func TestNewWeightedDistributions(t *testing.T) {
 }
 
 func TestDecodeRejectsBadEnvelopes(t *testing.T) {
+	good := goodArtifact(t)
+	for _, c := range badEnvelopes(good) {
+		if c.doc == good {
+			t.Fatalf("%s: replacement did not apply", c.name)
+		}
+		if _, err := Decode(strings.NewReader(c.doc)); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
+	}
+}
+
+// goodArtifact returns the encoding of a small trained model.
+func goodArtifact(t testing.TB) string {
 	ds := testfix.Synth(4, 100, 2, 1, 0)
 	_, m := train(t, ds, 2)
 	var buf bytes.Buffer
 	if err := m.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
+	return buf.String()
+}
 
-	cases := map[string]string{
-		"wrong format":  strings.Replace(good, `"format": "fairclust-model"`, `"format": "csv"`, 1),
-		"wrong version": strings.Replace(good, `"version": 1`, `"version": 99`, 1),
-		"not json":      "cluster,x,y\n0,1,2\n",
-		"empty":         "",
-	}
-	for name, doc := range cases {
-		if doc == good {
-			t.Fatalf("%s: replacement did not apply", name)
-		}
-		if _, err := Decode(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
+// badEnvelopes derives artifacts Decode must reject from the valid one.
+func badEnvelopes(good string) []struct{ name, doc string } {
+	return []struct{ name, doc string }{
+		{"wrong format", strings.Replace(good, `"format": "fairclust-model"`, `"format": "csv"`, 1)},
+		{"wrong version", strings.Replace(good, `"version": 1`, `"version": 99`, 1)},
+		{"not json", "cluster,x,y\n0,1,2\n"},
+		{"empty", ""},
 	}
 }
 
