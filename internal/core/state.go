@@ -558,8 +558,7 @@ func (st *state) kmeansInDelta(i, c int) float64 {
 //fairvet:hotpath
 func (st *state) distToMean(i, c int) float64 {
 	x := st.ds.Features[i]
-	mu := st.mean(c)
-	mu = mu[:len(x)]
+	mu := st.mean(c)[:len(x)] // one bounds check instead of one per feature
 	s := 0.0
 	for j, xj := range x {
 		d := xj - mu[j]

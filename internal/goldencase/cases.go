@@ -50,8 +50,31 @@ func All() ([]Record, error) {
 	fx := Fixtures()
 	var out []Record
 
+	// fairKMWeighted runs a weighted solve when rowW is non-nil.
+	fairKMWeighted := func(name, ds string, rowW []float64, cfg core.Config) error {
+		var res *core.Result
+		var err error
+		if rowW == nil {
+			res, err = core.Run(fx[ds], cfg)
+		} else {
+			res, err = core.RunWeighted(fx[ds], rowW, cfg)
+		}
+		if err != nil {
+			return err
+		}
+		out = append(out, Record{
+			Name:       "fairkm/" + ds + "/" + name,
+			Assign:     res.Assign,
+			Objective:  math.Float64bits(res.Objective),
+			Lambda:     math.Float64bits(res.Lambda),
+			Iterations: res.Iterations,
+			Converged:  res.Converged,
+			TotalMoves: res.TotalMoves,
+		})
+		return nil
+	}
 	fairKM := func(name, ds string, cfg core.Config) error {
-		return fairKMWeighted(fx, &out, name, ds, nil, cfg)
+		return fairKMWeighted(name, ds, nil, cfg)
 	}
 	kMeans := func(name, ds string, cfg kmeans.Config) error {
 		res, err := kmeans.Run(fx[ds].Features, cfg)
@@ -150,7 +173,7 @@ func All() ([]Record, error) {
 		// ablation knobs, and mini-batching with numeric sensitive
 		// attributes.
 		func() error {
-			return fairKMWeighted(fx, &out, "weighted", "adult", fractionalWeights(fx["adult"].N()),
+			return fairKMWeighted("weighted", "adult", fractionalWeights(fx["adult"].N()),
 				core.Config{K: 7, AutoLambda: true, Seed: 3})
 		},
 		func() error {
@@ -169,31 +192,6 @@ func All() ([]Record, error) {
 		}
 	}
 	return out, nil
-}
-
-// fairKMWeighted runs FairKM on fixture ds — weighted when rowW is
-// non-nil — and appends its record to out.
-func fairKMWeighted(fx map[string]*dataset.Dataset, out *[]Record, name, ds string, rowW []float64, cfg core.Config) error {
-	var res *core.Result
-	var err error
-	if rowW == nil {
-		res, err = core.Run(fx[ds], cfg)
-	} else {
-		res, err = core.RunWeighted(fx[ds], rowW, cfg)
-	}
-	if err != nil {
-		return err
-	}
-	*out = append(*out, Record{
-		Name:       "fairkm/" + ds + "/" + name,
-		Assign:     res.Assign,
-		Objective:  math.Float64bits(res.Objective),
-		Lambda:     math.Float64bits(res.Lambda),
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		TotalMoves: res.TotalMoves,
-	})
-	return nil
 }
 
 // fractionalWeights returns n deterministic row weights in [0.5, 4.5]
