@@ -452,7 +452,8 @@ func (st *state) fairnessTotal() float64 {
 //	rec[2j]'   = rec[2j] + mult[code]·(sw·(2·cc[code] + sw))
 //	rec[2j+1]' = rec[2j+1] + mult[code]·sw·Fr_X(code)
 //
-// It reads cluster c's slab record and row i's offsets only.
+// It reads cluster c's slab record and the per-run tables at row i's
+// offsets, nothing else of the categorical statistics.
 //
 //fairvet:hotpath
 func (st *state) deviationWithDelta(c, i, sign int) float64 {
