@@ -5,11 +5,14 @@
 // (a non-unit-weight solve, ClusterWeightExponent 1,
 // NoDomainNormalization, and mini-batching with numeric sensitive
 // attributes) were appended later, recorded on the per-attribute
-// aggregate kernel before it moved to the cluster-major slab. The golden
-// test re-runs every case against the current solvers and requires
-// bit-identical assignments and objectives. This is the contract that
-// the internal/engine port — and any future orchestration or kernel
-// change — is a pure refactor of the optimization trajectory.
+// aggregate kernel before it moved to the cluster-major slab. Two
+// weighted K-Means runs (kmeans.RunWeighted on fractional weights)
+// came last, recorded while the weighted Lloyd objective still had an
+// unweighted twin. The golden test re-runs every case against the
+// current solvers and requires bit-identical assignments and
+// objectives. This is the contract that the internal/engine port — and
+// any future orchestration or kernel change — is a pure refactor of the
+// optimization trajectory.
 package goldencase
 
 import (
@@ -76,8 +79,15 @@ func All() ([]Record, error) {
 	fairKM := func(name, ds string, cfg core.Config) error {
 		return fairKMWeighted(name, ds, nil, cfg)
 	}
-	kMeans := func(name, ds string, cfg kmeans.Config) error {
-		res, err := kmeans.Run(fx[ds].Features, cfg)
+	// kMeansWeighted runs a weighted solve when rowW is non-nil.
+	kMeansWeighted := func(name, ds string, rowW []float64, cfg kmeans.Config) error {
+		var res *kmeans.Result
+		var err error
+		if rowW == nil {
+			res, err = kmeans.Run(fx[ds].Features, cfg)
+		} else {
+			res, err = kmeans.RunWeighted(fx[ds].Features, rowW, cfg)
+		}
 		if err != nil {
 			return err
 		}
@@ -89,6 +99,9 @@ func All() ([]Record, error) {
 			Converged:  res.Converged,
 		})
 		return nil
+	}
+	kMeans := func(name, ds string, cfg kmeans.Config) error {
+		return kMeansWeighted(name, ds, nil, cfg)
 	}
 	zgyaRun := func(name, ds, attr string, cfg zgya.Config) error {
 		if attr == "" {
@@ -184,6 +197,18 @@ func All() ([]Record, error) {
 		},
 		func() error {
 			return fairKM("minibatch", "synthB", core.Config{K: 5, AutoLambda: true, Seed: 2, MiniBatch: 64})
+		},
+
+		// Weighted K-Means, appended after the 27 records above: the
+		// non-unit-weight Lloyd trajectory, sequential and with a
+		// parallel sweep under the Tol stop.
+		func() error {
+			return kMeansWeighted("weighted", "adult", fractionalWeights(fx["adult"].N()),
+				kmeans.Config{K: 8, Seed: 2})
+		},
+		func() error {
+			return kMeansWeighted("weighted-par3", "synthA", fractionalWeights(fx["synthA"].N()),
+				kmeans.Config{K: 6, Seed: 5, Parallelism: 3, Tol: 1e-4})
 		},
 	}
 	for _, step := range steps {
