@@ -61,17 +61,12 @@ race:
 # raw `go test -bench -json` event stream, so future PRs can diff
 # ns/op. BENCH_sweep.json is the frozen pre-engine baseline (PR 1);
 # BENCH_engine.json is re-recorded by this target and must stay within
-# 5% of it on BenchmarkSweep/BenchmarkBestMove. BENCH_stream.json
-# records the summarize-then-solve pipeline against full-data FairKM
-# (wall-clock, summary size and objective ratio on Adult-6500 and a
-# synthetic n=10^5 stream). BENCH_serve.json records batch-assign
-# serving throughput across micro-batch sizes and worker counts
-# (BenchmarkServe, 4096 Adult-shaped rows per op at k=15), plus the
-# BenchmarkServeTelemetry off/on pair — the same workload without and
-# with span tracing — which bench-check compares against each other.
-# BENCH_shard.json records sharded summarize-then-solve scaling
-# (BenchmarkShard, S ∈ {1,2,4,8} on Adult-6500 + synth-1e5; obj-vs-s1
-# must stay ≈1 — sharding buys wall-clock, not objective).
+# 5% of it on BenchmarkSweep/BenchmarkBestMove. BENCH_serve.json
+# records batch-assign serving throughput across micro-batch sizes and
+# worker counts (BenchmarkServe, 4096 Adult-shaped rows per op at
+# k=15), plus the BenchmarkServeTelemetry off/on pair — the same
+# workload without and with span tracing — which bench-check compares
+# against each other.
 # BENCH_kernels.json is the frozen PR 7 baseline for the pruned
 # nearest-centroid kernels (BenchmarkLloyd kernel={pruned,full} and
 # the BenchmarkServe workers×batch grid + kernel k-sweep); it is NOT
@@ -83,8 +78,6 @@ race:
 # runs by 10%+.
 bench:
 	$(GO) test ./internal/core ./internal/kmeans -run '^$$' -bench 'BenchmarkSweep|BenchmarkBestMove|BenchmarkRunAdult|BenchmarkLloyd' -benchtime 1s -count 3 -json > BENCH_engine.json
-	$(GO) test . -run '^$$' -bench 'BenchmarkStream' -benchtime 1x -count 3 -json > BENCH_stream.json
-	$(GO) test . -run '^$$' -bench 'BenchmarkShard' -benchtime 1x -count 3 -json > BENCH_shard.json
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe' -benchtime 1s -count 3 -json > BENCH_serve.json
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1s
 
@@ -126,15 +119,19 @@ bench-smoke:
 # /v1/assign request decoder against encoding/json (plus the real
 # handler's status contract), and FuzzModelDecode holds the model
 # artifact decoder to no panics, Validate on every accepted input and
-# an Encode∘Decode byte fixpoint; a crasher any of them finds is written under
-# the package's testdata/fuzz and must be committed as a regression
-# input. FuzzTokenize otherwise only runs its seeds in go test.
+# an Encode∘Decode byte fixpoint, and FuzzBenchguardParse holds
+# benchguard's `go test -json` stream parser to package:Benchmark keys,
+# finite positive ns/op and invariance under splitting an output event;
+# a crasher any of them finds is written under the package's
+# testdata/fuzz and must be committed as a regression input.
+# FuzzTokenize otherwise only runs its seeds in go test.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzSplitCSV$$' -fuzztime 10s
 	$(GO) test ./cmd/fairserved -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 10s
+	$(GO) test ./cmd/benchguard -run '^$$' -fuzz '^FuzzBenchguardParse$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 
 # bench-e2e-smoke runs the end-to-end benchmark module's own tests

@@ -231,9 +231,8 @@ func BenchmarkJacobiEigen(b *testing.B) {
 // BenchmarkStream measures the summarize-then-solve pipeline against
 // full-data FairKM on Adult (n=6500, streamed in 500-row blocks) and a
 // synthetic n=10⁵ mixture. Sub-benchmarks separate the two paths so
-// `make bench` records their wall-clocks side by side in
-// BENCH_stream.json; the stream path reports the summary size and the
-// summary/full objective ratio as metrics.
+// their wall-clocks read side by side; the stream path reports the
+// summary size and the summary/full objective ratio as metrics.
 func BenchmarkStream(b *testing.B) {
 	adultDS, err := adult.Generate(adult.Config{Seed: 1, Rows: 6500, SkipParity: true})
 	if err != nil {
@@ -288,10 +287,10 @@ func BenchmarkStream(b *testing.B) {
 // BenchmarkShard measures sharded summarize-then-solve scaling on the
 // same corpora as BenchmarkStream: for each shard count S the chunked
 // source deals round-robin into S summarizers ingesting on one worker
-// each, and the merged union solves. `make bench` records the sweep in
-// BENCH_shard.json; sub-benchmark metrics carry the union size and the
-// merged-solve objective relative to the S=1 pipeline, which must stay
-// flat — sharding buys wall-clock, not objective.
+// each, and the merged union solves. Sub-benchmark metrics carry the
+// union size and the merged-solve objective relative to the S=1
+// pipeline, which must stay flat — sharding buys wall-clock, not
+// objective.
 func BenchmarkShard(b *testing.B) {
 	adultDS, err := adult.Generate(adult.Config{Seed: 1, Rows: 6500, SkipParity: true})
 	if err != nil {

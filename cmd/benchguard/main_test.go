@@ -181,18 +181,22 @@ func TestRunVerdicts(t *testing.T) {
 func TestBenchguardValidationAudit(t *testing.T) {
 	dir := t.TempDir()
 	base := writeStream(t, dir, "base.json", stream([3]string{"BenchmarkX", "100", ""}))
+	// A 0 ns/op floor once parsed as 0, so a 0-vs-0 pair compared as
+	// ratio NaN and read "ok"; such a recording holds no usable sample.
+	zero := writeStream(t, dir, "zero.json", stream([3]string{"BenchmarkX", "0", ""}))
 	cases := map[string][]string{
-		"no files":              {},
-		"missing current":       {"-baseline", base},
-		"unknown flag":          {"-baseline", base, "-current", base, "-zap"},
-		"bad match regexp":      {"-baseline", base, "-current", base, "-match", "("},
-		"negative tol":          {"-baseline", base, "-current", base, "-tol", "-0.1"},
-		"unreadable file":       {"-baseline", filepath.Join(dir, "nope.json"), "-current", base},
-		"match selects nothing": {"-baseline", base, "-current", base, "-match", "BenchmarkNope"},
-		"stray positional args": {"-baseline", base, "-current", base, "extra"},
-		"rename-from alone":     {"-baseline", base, "-current", base, "-rename-from", "x"},
-		"rename-to alone":       {"-baseline", base, "-current", base, "-rename-to", "y"},
-		"bad rename regexp":     {"-baseline", base, "-current", base, "-rename-from", "(", "-rename-to", "y"},
+		"no files":                 {},
+		"missing current":          {"-baseline", base},
+		"unknown flag":             {"-baseline", base, "-current", base, "-zap"},
+		"bad match regexp":         {"-baseline", base, "-current", base, "-match", "("},
+		"negative tol":             {"-baseline", base, "-current", base, "-tol", "-0.1"},
+		"unreadable file":          {"-baseline", filepath.Join(dir, "nope.json"), "-current", base},
+		"match selects nothing":    {"-baseline", base, "-current", base, "-match", "BenchmarkNope"},
+		"stray positional args":    {"-baseline", base, "-current", base, "extra"},
+		"rename-from alone":        {"-baseline", base, "-current", base, "-rename-from", "x"},
+		"rename-to alone":          {"-baseline", base, "-current", base, "-rename-to", "y"},
+		"bad rename regexp":        {"-baseline", base, "-current", base, "-rename-from", "(", "-rename-to", "y"},
+		"zero ns-per-op recording": {"-baseline", zero, "-current", zero},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {

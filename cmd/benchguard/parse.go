@@ -29,7 +29,9 @@ var nsOpRE = regexp.MustCompile(`(\d+(?:\.\d+)?) ns/op`)
 // "package:Benchmark/sub" so identically named benchmarks in
 // different packages can share one recording. Non-benchmark events
 // and unparseable lines (e.g. a truncated tail from an interrupted
-// run) are skipped; only an empty result is an error.
+// run) are skipped, and so are non-positive or overflowing samples: a
+// 0 ns/op floor would make every later ratio against it NaN or +Inf,
+// and NaN compares as "ok". Only an empty result is an error.
 func parseStream(r io.Reader) (map[string]float64, error) {
 	// Benchmark output arrives split across events: one event carries
 	// the padded name, a later one the "N\t ns/op" columns. Buffer
@@ -65,7 +67,7 @@ func parseStream(r io.Reader) (map[string]float64, error) {
 	for key, b := range bufs {
 		for _, m := range nsOpRE.FindAllStringSubmatch(b.String(), -1) {
 			v, err := strconv.ParseFloat(m[1], 64)
-			if err != nil {
+			if err != nil || v <= 0 {
 				continue
 			}
 			if best, ok := res[key]; !ok || v < best {

@@ -44,29 +44,26 @@ func (m InitMethod) String() string {
 // into k clusters: nearest-centroid assignment for the centroid-seeded
 // methods, a repaired random partition for RandomPartition. The RNG
 // stream is consumed in a fixed order per method, so (features, k,
-// method, seed) fully determines the result.
+// method, seed) fully determines the result. It is
+// InitAssignmentWeighted with nil weights.
 func InitAssignment(features [][]float64, k int, method InitMethod, rng *stats.RNG) []int {
 	return InitAssignmentWeighted(features, nil, k, method, rng)
 }
 
-// InitAssignmentWeighted is InitAssignment over weighted rows: the
-// k-means++ D² sampling scales each candidate's distance by its mass
-// (a row standing for w points is w times as likely to seed a
-// centroid), while RandomPoints and RandomPartition stay row-level.
-// weights == nil is InitAssignment; unit weights consume the RNG
-// stream identically to it, so the two are bit-identical in that case
-// — the property the weighted solvers' unit-parity contract rests on.
+// InitAssignmentWeighted is InitAssignment over weighted rows
+// (weights == nil means unit weights): the k-means++ D² sampling
+// scales each candidate's distance by its mass (a row standing for w
+// points is w times as likely to seed a centroid), while RandomPoints
+// and RandomPartition stay row-level. Unit weights consume the RNG
+// stream identically to nil weights, so the two are bit-identical —
+// the property the weighted solvers' unit-parity contract rests on.
 func InitAssignmentWeighted(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) []int {
 	n := len(features)
 	assign := make([]int, n)
 	var centroids [][]float64
 	switch method {
 	case KMeansPlusPlus:
-		if weights == nil {
-			centroids = PlusPlusCentroids(features, k, rng)
-		} else {
-			centroids = PlusPlusCentroidsWeighted(features, weights, k, rng)
-		}
+		centroids = PlusPlusCentroidsWeighted(features, weights, k, rng)
 	case RandomPoints:
 		pts := rng.SampleWithoutReplacement(n, k)
 		centroids = make([][]float64, k)
@@ -108,66 +105,51 @@ func RandomPartitionAssign(rng *stats.RNG, assign []int, k int) {
 	}
 }
 
-// PlusPlusCentroidsWeighted is PlusPlusCentroids with mass-scaled D²
-// sampling: candidate probabilities are w_i·d(x_i)². The first centroid
-// is drawn uniformly over rows — exactly as in the unweighted routine,
-// so unit weights replay its RNG stream bit-for-bit (w·d² with w = 1
-// is an IEEE no-op); for genuinely weighted rows the subsequent D²
-// draws carry all the mass sensitivity that matters.
-func PlusPlusCentroidsWeighted(features [][]float64, weights []float64, k int, rng *stats.RNG) [][]float64 {
-	n := len(features)
-	centroids := make([][]float64, 0, k)
-	first := rng.Intn(n)
-	centroids = append(centroids, stats.Clone(features[first]))
-	d2 := make([]float64, n)
-	for i := range d2 {
-		d2[i] = weights[i] * stats.SqDist(features[i], centroids[0])
-	}
-	for len(centroids) < k {
-		total := stats.Sum(d2)
-		var next int
-		if total <= 0 {
-			next = rng.Intn(n)
-		} else {
-			next = rng.Categorical(d2)
-		}
-		c := stats.Clone(features[next])
-		centroids = append(centroids, c)
-		for i := range d2 {
-			if d := weights[i] * stats.SqDist(features[i], c); d < d2[i] {
-				d2[i] = d
-			}
-		}
-	}
-	return centroids
+// PlusPlusCentroids returns k centroids chosen by the k-means++
+// D²-sampling procedure (Arthur & Vassilvitskii 2007). It is
+// PlusPlusCentroidsWeighted with nil weights.
+func PlusPlusCentroids(features [][]float64, k int, rng *stats.RNG) [][]float64 {
+	return PlusPlusCentroidsWeighted(features, nil, k, rng)
 }
 
-// PlusPlusCentroids returns k centroids chosen by the k-means++
-// D²-sampling procedure.
-func PlusPlusCentroids(features [][]float64, k int, rng *stats.RNG) [][]float64 {
+// PlusPlusCentroidsWeighted is the one k-means++ sampler, with
+// mass-scaled D² sampling: candidate probabilities are w_i·d(x_i)²
+// (weights == nil means unit weights and uses d(x_i)² unscaled). The
+// first centroid is drawn uniformly over rows whatever the weights, so
+// unit weights replay the unweighted RNG stream bit-for-bit (w·d² with
+// w = 1 is an IEEE no-op); for genuinely weighted rows the subsequent
+// D² draws carry all the mass sensitivity that matters.
+func PlusPlusCentroidsWeighted(features [][]float64, weights []float64, k int, rng *stats.RNG) [][]float64 {
 	n := len(features)
+	// d2 is row i's sampling mass against centroid c.
+	d2 := func(i int, c []float64) float64 {
+		if weights == nil {
+			return stats.SqDist(features[i], c)
+		}
+		return weights[i] * stats.SqDist(features[i], c)
+	}
 	centroids := make([][]float64, 0, k)
 	first := rng.Intn(n)
 	centroids = append(centroids, stats.Clone(features[first]))
-	d2 := make([]float64, n)
-	for i := range d2 {
-		d2[i] = stats.SqDist(features[i], centroids[0])
+	mass := make([]float64, n)
+	for i := range mass {
+		mass[i] = d2(i, centroids[0])
 	}
 	for len(centroids) < k {
-		total := stats.Sum(d2)
+		total := stats.Sum(mass)
 		var next int
 		if total <= 0 {
 			// All remaining points coincide with chosen centroids; fall
 			// back to uniform choice to keep the procedure total.
 			next = rng.Intn(n)
 		} else {
-			next = rng.Categorical(d2)
+			next = rng.Categorical(mass)
 		}
 		c := stats.Clone(features[next])
 		centroids = append(centroids, c)
-		for i := range d2 {
-			if d := stats.SqDist(features[i], c); d < d2[i] {
-				d2[i] = d
+		for i := range mass {
+			if d := d2(i, c); d < mass[i] {
+				mass[i] = d
 			}
 		}
 	}

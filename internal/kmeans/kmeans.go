@@ -14,11 +14,16 @@
 // MaxIter, wall-clock budget), parallel scoring and the per-iteration
 // observer hook all come from the engine and behave identically across
 // FairKM, K-Means and ZGYA; see DESIGN.md.
+//
+// There is one Lloyd objective and one driver: Run is RunWeighted with
+// nil weights, and nil weights mean unit weights throughout (centroid
+// means, SSE, move deltas and the k-means++ seeding).
 package kmeans
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -112,12 +117,15 @@ func (r *Result) K() int { return len(r.Centroids) }
 
 // lloyd is the K-Means objective for the descent engine: assignments
 // plus centroids frozen at the iteration start. Scoring is the classic
-// nearest-frozen-centroid rule; Move only updates the assignment —
-// centroids are re-derived from scratch on every Freeze, exactly like
-// the textbook recompute step (and bit-identical to the pre-engine
-// loop, which never kept incremental sums).
+// nearest-frozen-centroid rule, which is mass-independent (a weighted
+// row goes wherever its w duplicates would all go); Move only updates
+// the assignment — centroids are re-derived from scratch on every
+// Freeze, exactly like the textbook recompute step. weights == nil
+// means unit weights: Delta, Value and Freeze then skip the row mass
+// entirely, so the unweighted trajectory keeps its own expressions.
 type lloyd struct {
 	features [][]float64
+	weights  []float64 // nil → unit weights
 	k        int
 	assign   []int
 	frozen   [][]float64
@@ -131,12 +139,16 @@ func (l *lloyd) Move(i, from, to int)     { l.assign[i] = to }
 func (l *lloyd) BestMove(i, from int) int { return l.nearest(i) }
 func (l *lloyd) Delta(i, from, to int) float64 {
 	x := l.features[i]
-	return stats.SqDist(x, l.frozen[to]) - stats.SqDist(x, l.frozen[from])
+	d := stats.SqDist(x, l.frozen[to]) - stats.SqDist(x, l.frozen[from])
+	if l.weights != nil {
+		d *= l.weights[i]
+	}
+	return d
 }
 
-// Value is the SSE against the frozen centroids — the quantity the Tol
-// policy compares between iterations.
-func (l *lloyd) Value() float64 { return SSE(l.features, l.assign, l.frozen) }
+// Value is the (weighted) SSE against the frozen centroids — the
+// quantity the Tol policy compares between iterations.
+func (l *lloyd) Value() float64 { return WeightedSSE(l.features, l.weights, l.assign, l.frozen) }
 
 // nearest applies the nearest-centroid rule (all K centroids are
 // candidates, zero-vector centroids of empty clusters included; ties
@@ -158,7 +170,7 @@ func (l *lloyd) NewSnapshot() engine.Snapshot { return (*lloydSnap)(l) }
 type lloydSnap lloyd
 
 func (s *lloydSnap) Freeze() {
-	s.frozen = computeCentroids(s.features, s.assign, s.k)
+	s.frozen = weightedCentroids(s.features, s.weights, s.assign, s.k)
 	if s.prune != nil {
 		s.prune.refresh(s.frozen, s.assign)
 	}
@@ -167,11 +179,22 @@ func (s *lloydSnap) Freeze() {
 func (s *lloydSnap) BestMove(i, from int) int { return (*lloyd)(s).nearest(i) }
 
 // Run clusters the given feature rows. It returns an error for invalid
-// configurations (K out of range, ragged or empty input).
+// configurations (K out of range, ragged or empty input). Run is
+// RunWeighted with nil weights.
 func Run(features [][]float64, cfg Config) (*Result, error) {
+	return run(features, nil, cfg)
+}
+
+// run is the one Lloyd driver behind Run (weights nil) and RunWeighted.
+func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 	n := len(features)
 	if n == 0 {
 		return nil, errors.New("kmeans: empty dataset")
+	}
+	for i, w := range weights {
+		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("kmeans: weight[%d] = %v must be positive and finite", i, w)
+		}
 	}
 	dim := len(features[0])
 	for i, row := range features {
@@ -196,8 +219,9 @@ func Run(features [][]float64, cfg Config) (*Result, error) {
 
 	obj := &lloyd{
 		features: features,
+		weights:  weights,
 		k:        cfg.K,
-		assign:   initialAssign(features, nil, &cfg),
+		assign:   initialAssign(features, weights, &cfg),
 	}
 	if !cfg.FullScan {
 		obj.prune = newPruner(features)
@@ -215,9 +239,9 @@ func Run(features [][]float64, cfg Config) (*Result, error) {
 		Iterations: er.Iterations,
 		Converged:  er.Converged,
 	}
-	res.Centroids = computeCentroids(features, obj.assign, cfg.K)
+	res.Centroids = weightedCentroids(features, weights, obj.assign, cfg.K)
 	res.Sizes = Sizes(obj.assign, cfg.K)
-	res.Objective = SSE(features, obj.assign, res.Centroids)
+	res.Objective = WeightedSSE(features, weights, obj.assign, res.Centroids)
 	return res, nil
 }
 
@@ -243,9 +267,9 @@ func validateInitCentroids(cfg *Config, dim int) error {
 	return nil
 }
 
-// initialAssign produces the starting partition for Run (weights nil)
-// and RunWeighted: nearest-centroid against the InitCentroids override
-// when present, otherwise the engine's (weighted) initializer.
+// initialAssign produces the starting partition (weights nil = unit
+// weights): nearest-centroid against the InitCentroids override when
+// present, otherwise the engine's initializer.
 func initialAssign(features [][]float64, weights []float64, cfg *Config) []int {
 	if cfg.InitCentroids != nil {
 		assign := make([]int, len(features))
@@ -256,7 +280,7 @@ func initialAssign(features [][]float64, weights []float64, cfg *Config) []int {
 }
 
 // assignAll reassigns every point to its nearest centroid, returning how
-// many assignments changed (still used by the weighted variant).
+// many assignments changed.
 func assignAll(features [][]float64, centroids [][]float64, assign []int) int {
 	changed := 0
 	for i, x := range features {
@@ -269,41 +293,16 @@ func assignAll(features [][]float64, centroids [][]float64, assign []int) int {
 	return changed
 }
 
-// computeCentroids returns the per-cluster feature means. Empty clusters
-// get zero vectors.
-func computeCentroids(features [][]float64, assign []int, k int) [][]float64 {
-	dim := len(features[0])
-	sums := make([][]float64, k)
-	for c := range sums {
-		sums[c] = make([]float64, dim)
-	}
-	counts := make([]int, k)
-	for i, x := range features {
-		stats.AddTo(sums[assign[i]], x)
-		counts[assign[i]]++
-	}
-	for c := range sums {
-		if counts[c] > 0 {
-			stats.Scale(sums[c], 1/float64(counts[c]))
-		}
-	}
-	return sums
-}
-
-// Centroids exposes centroid computation for other packages (metrics,
-// FairKM tests).
+// Centroids returns the per-cluster feature means (empty clusters get
+// zero vectors); exported for other packages (metrics, FairKM tests).
 func Centroids(features [][]float64, assign []int, k int) [][]float64 {
-	return computeCentroids(features, assign, k)
+	return weightedCentroids(features, nil, assign, k)
 }
 
 // SSE returns the K-Means objective: the summed squared distance of each
 // point to its cluster centroid (Eq. 24).
 func SSE(features [][]float64, assign []int, centroids [][]float64) float64 {
-	s := 0.0
-	for i, x := range features {
-		s += stats.SqDist(x, centroids[assign[i]])
-	}
-	return s
+	return WeightedSSE(features, nil, assign, centroids)
 }
 
 // Sizes returns per-cluster cardinalities for an assignment.

@@ -37,8 +37,9 @@ import (
 // # Exactness contract
 //
 // Pruned Lloyd is bit-identical to the naive scan — assignments
-// (including ties), iteration counts and objective bits — for both
-// the weighted and unweighted paths and every Parallelism setting:
+// (including ties), iteration counts and objective bits — with or
+// without row weights (scoring never reads them) and for every
+// Parallelism setting:
 //
 //   - The prune tests are STRICT (u < bound), so they only ever fire
 //     when the current centroid wins by a margin; an exact tie with a

@@ -127,17 +127,8 @@ func FitStream(src Source, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		chunk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := sum.Add(chunk); err != nil {
-			return nil, err
-		}
+	if err := drainInto(sum, src); err != nil {
+		return nil, err
 	}
 	return sum.Solve()
 }
@@ -303,32 +294,37 @@ func (s *Summarizer) Solve() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if summary.N() < s.cfg.K {
-		return nil, fmt.Errorf("pipeline: summary has %d rows for K=%d; raise CoresetSize or stream more data", summary.N(), s.cfg.K)
+	return solveSummary(s.cfg, summary, weights, &Result{N: s.n, Groups: len(s.groupCodes), Shards: 1})
+}
+
+// solveSummary runs weighted FairKM on a (possibly merged) summary and
+// completes res — which carries the caller's N, Groups, Shards and
+// Reduced — with the solve, the summary and the λ used. It is the one
+// place the summary solve's core.Config is built, for Summarizer.Solve
+// and the sharded fits alike.
+func solveSummary(cfg Config, summary *dataset.Dataset, weights []float64, res *Result) (*Result, error) {
+	if summary.N() < cfg.K {
+		return nil, fmt.Errorf("pipeline: summary has %d rows for K=%d; raise CoresetSize or stream more data", summary.N(), cfg.K)
 	}
-	res, err := core.RunWeighted(summary, weights, core.Config{
-		K:           s.cfg.K,
-		Lambda:      s.cfg.Lambda,
-		AutoLambda:  s.cfg.AutoLambda,
-		Seed:        s.cfg.Seed,
-		MaxIter:     s.cfg.MaxIter,
-		Tol:         s.cfg.Tol,
-		Parallelism: s.cfg.Parallelism,
-		Weights:     s.cfg.Weights,
-		Observer:    s.cfg.Observer,
+	solve, err := core.RunWeighted(summary, weights, core.Config{
+		K:           cfg.K,
+		Lambda:      cfg.Lambda,
+		AutoLambda:  cfg.AutoLambda,
+		Seed:        cfg.Seed,
+		MaxIter:     cfg.MaxIter,
+		Tol:         cfg.Tol,
+		Parallelism: cfg.Parallelism,
+		Weights:     cfg.Weights,
+		Observer:    cfg.Observer,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Solve:          res,
-		Summary:        summary,
-		SummaryWeights: weights,
-		N:              s.n,
-		Groups:         len(s.groupCodes),
-		Lambda:         res.Lambda,
-		Shards:         1,
-	}, nil
+	res.Solve = solve
+	res.Summary = summary
+	res.SummaryWeights = weights
+	res.Lambda = solve.Lambda
+	return res, nil
 }
 
 // Evaluation carries full-data metrics of a fixed set of centroids,

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/coreset"
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -217,40 +216,14 @@ func drainInto(sum *Summarizer, src Source) error {
 	}
 }
 
-// solveSharded merges the shard summaries and runs the weighted solve,
-// mirroring Summarizer.Solve for the merged summary.
+// solveSharded merges the shard summaries and runs the weighted solve
+// on the merged summary.
 func solveSharded(sums []*Summarizer, cfg ShardedConfig) (*Result, error) {
 	summary, weights, n, groups, reduced, err := mergeSummaries(sums, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if summary.N() < cfg.K {
-		return nil, fmt.Errorf("pipeline: merged summary has %d rows for K=%d; raise CoresetSize or stream more data", summary.N(), cfg.K)
-	}
-	res, err := core.RunWeighted(summary, weights, core.Config{
-		K:           cfg.K,
-		Lambda:      cfg.Lambda,
-		AutoLambda:  cfg.AutoLambda,
-		Seed:        cfg.Seed,
-		MaxIter:     cfg.MaxIter,
-		Tol:         cfg.Tol,
-		Parallelism: cfg.Parallelism,
-		Weights:     cfg.Weights,
-		Observer:    cfg.Observer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Solve:          res,
-		Summary:        summary,
-		SummaryWeights: weights,
-		N:              n,
-		Groups:         groups,
-		Lambda:         res.Lambda,
-		Shards:         len(sums),
-		Reduced:        reduced,
-	}, nil
+	return solveSummary(cfg.Config, summary, weights, &Result{N: n, Groups: groups, Shards: len(sums), Reduced: reduced})
 }
 
 // mergeSummaries takes the weighted union of the per-shard summaries.
