@@ -121,35 +121,37 @@ func PlusPlusCentroids(features [][]float64, k int, rng *stats.RNG) [][]float64 
 // D² draws carry all the mass sensitivity that matters.
 func PlusPlusCentroidsWeighted(features [][]float64, weights []float64, k int, rng *stats.RNG) [][]float64 {
 	n := len(features)
-	// d2 is row i's sampling mass against centroid c.
-	d2 := func(i int, c []float64) float64 {
-		if weights == nil {
-			return stats.SqDist(features[i], c)
-		}
-		return weights[i] * stats.SqDist(features[i], c)
-	}
 	centroids := make([][]float64, 0, k)
 	first := rng.Intn(n)
 	centroids = append(centroids, stats.Clone(features[first]))
-	mass := make([]float64, n)
-	for i := range mass {
-		mass[i] = d2(i, centroids[0])
+	// d2 holds each row's sampling mass: SqDist to its nearest chosen
+	// centroid, times the row's weight when weights are set.
+	d2 := make([]float64, n)
+	for i, x := range features {
+		d2[i] = stats.SqDist(x, centroids[0])
+		if weights != nil {
+			d2[i] *= weights[i]
+		}
 	}
 	for len(centroids) < k {
-		total := stats.Sum(mass)
+		total := stats.Sum(d2)
 		var next int
 		if total <= 0 {
 			// All remaining points coincide with chosen centroids; fall
 			// back to uniform choice to keep the procedure total.
 			next = rng.Intn(n)
 		} else {
-			next = rng.Categorical(mass)
+			next = rng.Categorical(d2)
 		}
 		c := stats.Clone(features[next])
 		centroids = append(centroids, c)
-		for i := range mass {
-			if d := d2(i, c); d < mass[i] {
-				mass[i] = d
+		for i, x := range features {
+			d := stats.SqDist(x, c)
+			if weights != nil {
+				d *= weights[i]
+			}
+			if d < d2[i] {
+				d2[i] = d
 			}
 		}
 	}

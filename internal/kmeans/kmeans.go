@@ -16,8 +16,9 @@
 // FairKM, K-Means and ZGYA; see DESIGN.md.
 //
 // There is one Lloyd objective and one driver: Run is RunWeighted with
-// nil weights, and nil weights mean unit weights throughout (centroid
-// means, SSE, move deltas and the k-means++ seeding).
+// nil weights. Both call the same driver, in which nil weights mean
+// unit weights throughout (centroid means, SSE, move deltas and the
+// k-means++ seeding).
 package kmeans
 
 import (
