@@ -213,30 +213,83 @@ func TestEvaluateObjectiveWeightedAgainstDuplication(t *testing.T) {
 	}
 }
 
-// TestEvaluateObjectiveWeightedUnitMatchesUnweighted: with nil (unit)
-// weights the weighted evaluator must agree with EvaluateObjective to
-// the bit.
+// TestEvaluateObjectiveWeightedUnitMatchesUnweighted pins the from-
+// scratch evaluators to recorded IEEE-754 bits: EvaluateObjective's
+// three terms and the fairness deviation under each fairness-term knob,
+// on an Adult table and a synthetic one, both with a numeric sensitive
+// attribute and an assignment that leaves cluster 3 empty. The unit-
+// weight path of the weighted evaluators must hit the same bits.
 func TestEvaluateObjectiveWeightedUnitMatchesUnweighted(t *testing.T) {
-	ds := testfix.Synth(33, 120, 4, 2, 1)
-	rng := stats.NewRNG(2)
-	const k = 5
-	assign := make([]int, ds.N())
-	for i := range assign {
-		assign[i] = rng.Intn(k)
+	adultDS := testfix.Adult(5, 400)
+	age := make([]float64, adultDS.N())
+	for i, x := range adultDS.Features {
+		age[i] = 17 + 73*x[0]
 	}
-	a, err := EvaluateObjectiveWeighted(ds, nil, assign, k, 30, nil)
-	if err != nil {
-		t.Fatal(err)
+	adultDS.Sensitive = append(adultDS.Sensitive, &dataset.SensitiveAttr{Name: "age", Kind: dataset.Numeric, Reals: age})
+	fixtures := map[string]*dataset.Dataset{
+		"adult": adultDS,
+		"synth": testfix.Synth(33, 120, 4, 2, 1),
 	}
-	b, err := EvaluateObjective(ds, assign, k, 30, nil)
-	if err != nil {
-		t.Fatal(err)
+	const k, lambda = 5, 30.0
+	assigns := map[string][]int{}
+	for name, ds := range fixtures {
+		rng := stats.NewRNG(2)
+		a := make([]int, ds.N())
+		for i := range a {
+			if a[i] = rng.Intn(k - 1); a[i] == 3 {
+				a[i] = k - 1 // cluster 3 stays empty
+			}
+		}
+		assigns[name] = a
 	}
-	if math.Float64bits(a.KMeansTerm) != math.Float64bits(b.KMeansTerm) {
-		t.Errorf("KM term %v vs %v", a.KMeansTerm, b.KMeansTerm)
+	attrW := map[string]float64{"gender": 2.5, "race": 0.75, "cat0": 3, "num0": 0.5, "age": 1.5}
+	cases := []struct {
+		data, knob         string
+		cfg                Config
+		km, fair, obj, dev uint64
+	}{
+		{"adult", "default", Config{}, 0x40612188f6e70004, 0x3fcbd4db21633b7c, 0x4061f24562616842, 0x3fcbd4db21633b7c},
+		{"adult", "attr-weights", Config{Weights: attrW}, 0x40612188f6e70004, 0x3fd4de5e97a4bfe1, 0x40625a9081c9a742, 0x3fd4de5e97a4bfe1},
+		{"adult", "exponent1", Config{ClusterWeightExponent: 1}, 0x40612188f6e70004, 0x3fcbd4db21633b7c, 0x4061f24562616842, 0x3fefa5695a892cd4},
+		{"adult", "no-domnorm", Config{NoDomainNormalization: true}, 0x40612188f6e70004, 0x3fcbd4db21633b7c, 0x4061f24562616842, 0x3fcc5e3b3bad684f},
+		{"adult", "skew", Config{SkewCompensation: true}, 0x40612188f6e70004, 0x3fcbd4db21633b7c, 0x4061f24562616842, 0x3fccaf3e9e756af6},
+		{"synth", "default", Config{}, 0x409c5b1f3e510448, 0x3fd0ec95398e9286, 0x409c7adad61cef9b, 0x3fd0ec95398e9286},
+		{"synth", "attr-weights", Config{Weights: attrW}, 0x409c5b1f3e510448, 0x3fc21bbefa8f36ee, 0x409c6c19415bea8b, 0x3fc21bbefa8f36ee},
+		{"synth", "exponent1", Config{ClusterWeightExponent: 1}, 0x409c5b1f3e510448, 0x3fd0ec95398e9286, 0x409c7adad61cef9b, 0x3ff1e7f4ccef907f},
+		{"synth", "no-domnorm", Config{NoDomainNormalization: true}, 0x409c5b1f3e510448, 0x3fd0ec95398e9286, 0x409c7adad61cef9b, 0x3fd1363dcafd7e38},
+		{"synth", "skew", Config{SkewCompensation: true}, 0x409c5b1f3e510448, 0x3fd0ec95398e9286, 0x409c7adad61cef9b, 0x3fd1b92a3cea5626},
 	}
-	if math.Abs(a.FairnessTerm-b.FairnessTerm) > 1e-12*(1+math.Abs(b.FairnessTerm)) {
-		t.Errorf("fairness term %v vs %v", a.FairnessTerm, b.FairnessTerm)
+	for _, tc := range cases {
+		ds, assign := fixtures[tc.data], assigns[tc.data]
+		check := func(what string, got float64, want uint64) {
+			if math.Float64bits(got) != want {
+				t.Errorf("%s/%s %s = %v (%#x), want %#x", tc.data, tc.knob, what, got, math.Float64bits(got), want)
+			}
+		}
+		obj, err := EvaluateObjective(ds, assign, k, lambda, tc.cfg.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("KMeansTerm", obj.KMeansTerm, tc.km)
+		check("FairnessTerm", obj.FairnessTerm, tc.fair)
+		check("Objective", obj.Objective, tc.obj)
+		wobj, err := EvaluateObjectiveWeighted(ds, nil, assign, k, lambda, tc.cfg.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("weighted KMeansTerm", wobj.KMeansTerm, tc.km)
+		check("weighted FairnessTerm", wobj.FairnessTerm, tc.fair)
+		check("weighted Objective", wobj.Objective, tc.obj)
+		dev, err := FairnessDeviationWith(ds, assign, k, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("FairnessDeviationWith", dev, tc.dev)
+		wdev, err := FairnessDeviationWeighted(ds, nil, assign, k, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("FairnessDeviationWeighted", wdev, tc.dev)
 	}
 }
 
