@@ -37,7 +37,7 @@ func TestDeltaMatchesNaiveUnderAblationKnobs(t *testing.T) {
 		}
 		st := newState(ds, &cfg, cfg.Lambda, append([]int(nil), assign...), nil)
 
-		baseFair, err := FairnessDeviationWith(ds, assign, k, cfg)
+		baseFair, err := FairnessDeviationWeighted(ds, nil, assign, k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestDeltaMatchesNaiveUnderAblationKnobs(t *testing.T) {
 
 			moved := append([]int(nil), st.assign...)
 			moved[i] = to
-			afterFair, err := FairnessDeviationWith(ds, moved, k, cfg)
+			afterFair, err := FairnessDeviationWeighted(ds, nil, moved, k, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +82,11 @@ func TestExponentExposesClusterWeightTradeoff(t *testing.T) {
 		assign[i] = 0
 	}
 	assign[0] = 1
-	dev1, err := FairnessDeviationWith(ds, assign, 2, Config{ClusterWeightExponent: 1})
+	dev1, err := FairnessDeviationWeighted(ds, nil, assign, 2, Config{ClusterWeightExponent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev2, err := FairnessDeviationWith(ds, assign, 2, Config{ClusterWeightExponent: 2})
+	dev2, err := FairnessDeviationWeighted(ds, nil, assign, 2, Config{ClusterWeightExponent: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestNoDomainNormalizationAmplifiesWideAttrs(t *testing.T) {
 	for i := range assign {
 		assign[i] = rng.Intn(3)
 	}
-	norm, err := FairnessDeviationWith(ds, assign, 3, Config{})
+	norm, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := FairnessDeviationWith(ds, assign, 3, Config{NoDomainNormalization: true})
+	raw, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{NoDomainNormalization: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRunWithAblationKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair, err := FairnessDeviationWith(ds, res.Assign, 3, cfg)
+	fair, err := FairnessDeviationWeighted(ds, nil, res.Assign, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestSkewCompensationAmplifiesRareValues(t *testing.T) {
 	for i := range assign {
 		assign[i] = i % 3
 	}
-	plain, err := FairnessDeviationWith(ds, assign, 3, Config{})
+	plain, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := FairnessDeviationWith(ds, assign, 3, Config{SkewCompensation: true})
+	comp, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{SkewCompensation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestSkewCompensationHelpsSkewedAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devPlain, err := FairnessDeviation(ds, plain.Assign, 3, nil)
+	devPlain, err := FairnessDeviationWeighted(ds, nil, plain.Assign, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	devComp, err := FairnessDeviation(ds, comp.Assign, 3, nil)
+	devComp, err := FairnessDeviationWeighted(ds, nil, comp.Assign, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

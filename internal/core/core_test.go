@@ -281,7 +281,7 @@ func TestFairnessDeviationZeroForProportionalClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	dev, err := FairnessDeviation(ds, assign, 2, nil)
+	dev, err := FairnessDeviationWeighted(ds, nil, assign, 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestFairnessDeviationZeroForProportionalClusters(t *testing.T) {
 	}
 	// And a maximally skewed clustering must be strictly positive.
 	skew := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	dev2, err := FairnessDeviation(ds, skew, 2, nil)
+	dev2, err := FairnessDeviationWeighted(ds, nil, skew, 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +310,11 @@ func TestWeightsScaleFairnessTerm(t *testing.T) {
 	}
 	w1 := map[string]float64{"cat0": 1, "cat1": 1, "num0": 1}
 	w2 := map[string]float64{"cat0": 2, "cat1": 2, "num0": 2}
-	d1, err := FairnessDeviation(ds, assign, 3, w1)
+	d1, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{Weights: w1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := FairnessDeviation(ds, assign, 3, w2)
+	d2, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{Weights: w2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestZeroWeightDisablesAttribute(t *testing.T) {
 	for i := range assign {
 		assign[i] = rng.Intn(3)
 	}
-	dZero, err := FairnessDeviation(ds, assign, 3, map[string]float64{"cat1": 0})
+	dZero, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{Weights: map[string]float64{"cat1": 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestZeroWeightDisablesAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dOnly, err := FairnessDeviation(only, assign, 3, nil)
+	dOnly, err := FairnessDeviationWeighted(only, nil, assign, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

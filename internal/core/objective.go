@@ -1,14 +1,6 @@
 package core
 
-//fairvet:floateq ClusterWeightExponent==0 is an exact "unset" sentinel, never the result of arithmetic
-
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/dataset"
-	"repro/internal/stats"
-)
+import "repro/internal/dataset"
 
 // ObjectiveValue decomposes the FairKM objective evaluated on a given
 // assignment.
@@ -25,130 +17,11 @@ type ObjectiveValue struct {
 // incremental bookkeeping. It exists so tests and benchmarks can verify
 // the optimized sufficient-statistic implementation against a direct
 // transcription of the paper, and so external callers can score
-// clusterings produced by other algorithms.
+// clusterings produced by other algorithms. It is
+// EvaluateObjectiveWeighted with unit row weights.
 //
 // weights maps sensitive attribute names to w_S (Eq. 23); nil means all
 // ones.
 func EvaluateObjective(ds *dataset.Dataset, assign []int, k int, lambda float64, weights map[string]float64) (ObjectiveValue, error) {
-	if err := ds.Validate(); err != nil {
-		return ObjectiveValue{}, fmt.Errorf("fairkm: %w", err)
-	}
-	n := ds.N()
-	if len(assign) != n {
-		return ObjectiveValue{}, fmt.Errorf("fairkm: assignment has %d entries, want %d", len(assign), n)
-	}
-	for i, c := range assign {
-		if c < 0 || c >= k {
-			return ObjectiveValue{}, fmt.Errorf("fairkm: row %d assigned to cluster %d outside [0,%d)", i, c, k)
-		}
-	}
-
-	// K-Means term: Σ_C Σ_{X∈C} ‖X − μ_C‖² over features.
-	members := make([][]int, k)
-	for i, c := range assign {
-		members[c] = append(members[c], i)
-	}
-	km := 0.0
-	for c := 0; c < k; c++ {
-		if len(members[c]) == 0 {
-			continue
-		}
-		mu := make([]float64, ds.Dim())
-		for _, i := range members[c] {
-			stats.AddTo(mu, ds.Features[i])
-		}
-		stats.Scale(mu, 1/float64(len(members[c])))
-		for _, i := range members[c] {
-			km += stats.SqDist(ds.Features[i], mu)
-		}
-	}
-
-	fair, err := FairnessDeviation(ds, assign, k, weights)
-	if err != nil {
-		return ObjectiveValue{}, err
-	}
-	return ObjectiveValue{
-		KMeansTerm:   km,
-		FairnessTerm: fair,
-		Objective:    km + lambda*fair,
-		Lambda:       lambda,
-	}, nil
-}
-
-// FairnessDeviation computes deviation_S(C, X) (Eq. 7 for categorical
-// attributes, Eq. 22 for numeric ones, with optional Eq. 23 weights)
-// for an arbitrary assignment, from scratch.
-func FairnessDeviation(ds *dataset.Dataset, assign []int, k int, weights map[string]float64) (float64, error) {
-	return FairnessDeviationWith(ds, assign, k, Config{Weights: weights})
-}
-
-// FairnessDeviationWith is FairnessDeviation honouring the fairness-
-// term knobs of cfg (Weights, ClusterWeightExponent,
-// NoDomainNormalization); other Config fields are ignored. It is the
-// from-scratch reference the optimized solver is tested against.
-func FairnessDeviationWith(ds *dataset.Dataset, assign []int, k int, cfg Config) (float64, error) {
-	n := ds.N()
-	if len(assign) != n {
-		return 0, fmt.Errorf("fairkm: assignment has %d entries, want %d", len(assign), n)
-	}
-	exponent := cfg.ClusterWeightExponent
-	if exponent == 0 {
-		exponent = 2
-	}
-	counts := make([]int, k)
-	for _, c := range assign {
-		counts[c]++
-	}
-	weight := func(c int) float64 {
-		return math.Pow(float64(counts[c])/float64(n), exponent)
-	}
-	total := 0.0
-	for _, s := range ds.Sensitive {
-		w := 1.0
-		if cfg.Weights != nil {
-			if cw, ok := cfg.Weights[s.Name]; ok {
-				w = cw
-			}
-		}
-		switch s.Kind {
-		case dataset.Categorical:
-			frX := ds.Fractions(s)
-			mult := skewMultipliers(frX, cfg.SkewCompensation)
-			clusterCounts := make([][]int, k)
-			for c := range clusterCounts {
-				clusterCounts[c] = make([]int, len(s.Values))
-			}
-			for i, c := range assign {
-				clusterCounts[c][s.Codes[i]]++
-			}
-			for c := 0; c < k; c++ {
-				if counts[c] == 0 {
-					continue // Eq. 3: empty clusters contribute 0
-				}
-				sum := 0.0
-				for v := range frX {
-					d := float64(clusterCounts[c][v])/float64(counts[c]) - frX[v]
-					sum += mult[v] * d * d
-				}
-				if !cfg.NoDomainNormalization {
-					sum /= float64(len(s.Values))
-				}
-				total += weight(c) * w * sum
-			}
-		case dataset.Numeric:
-			meanX := stats.Mean(s.Reals)
-			sums := make([]float64, k)
-			for i, c := range assign {
-				sums[c] += s.Reals[i]
-			}
-			for c := 0; c < k; c++ {
-				if counts[c] == 0 {
-					continue
-				}
-				d := sums[c]/float64(counts[c]) - meanX
-				total += weight(c) * w * d * d
-			}
-		}
-	}
-	return total, nil
+	return EvaluateObjectiveWeighted(ds, nil, assign, k, lambda, weights)
 }

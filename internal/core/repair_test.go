@@ -42,7 +42,7 @@ func TestEmptyClusterRepairThroughSweepPaths(t *testing.T) {
 	seed := repairSeed(t, ds.N(), k)
 
 	// The engine's initializer must have repaired the raw partition.
-	init := engine.InitAssignment(ds.Features, k, engine.RandomPartition, stats.NewRNG(seed))
+	init := engine.InitAssignmentWeighted(ds.Features, nil, k, engine.RandomPartition, stats.NewRNG(seed))
 	sizes := make([]int, k)
 	for _, c := range init {
 		sizes[c]++

@@ -39,7 +39,7 @@ func benchState(b *testing.B, ds *dataset.Dataset, naive bool) *state {
 	b.Helper()
 	cfg := Config{K: benchK, AutoLambda: true, Seed: 5, naiveKernel: naive}
 	lambda := DefaultLambda(ds.N(), cfg.K)
-	assign := engine.InitAssignment(ds.Features, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
+	assign := engine.InitAssignmentWeighted(ds.Features, nil, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
 	return newState(ds, &cfg, lambda, assign, nil)
 }
 

@@ -54,10 +54,8 @@ func RunWeighted(ds *dataset.Dataset, weights []float64, cfg Config) (*Result, e
 
 // EvaluateObjectiveWeighted computes the weighted FairKM objective for
 // an arbitrary assignment from scratch, with no incremental
-// bookkeeping — the weighted counterpart of EvaluateObjective and the
-// reference RunWeighted's sufficient statistics are tested against.
-// weights == nil means unit weights (then it matches EvaluateObjective
-// exactly).
+// bookkeeping — the reference RunWeighted's sufficient statistics are
+// tested against. rowW == nil means unit weights (EvaluateObjective).
 func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int, k int, lambda float64, attrWeights map[string]float64) (ObjectiveValue, error) {
 	if err := ds.Validate(); err != nil {
 		return ObjectiveValue{}, fmt.Errorf("fairkm: %w", err)
@@ -116,11 +114,14 @@ func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 	}, nil
 }
 
-// FairnessDeviationWeighted computes deviation_S(C, X) over weighted
-// rows for an arbitrary assignment, from scratch, honouring the
+// FairnessDeviationWeighted computes deviation_S(C, X) (Eq. 7 for
+// categorical attributes, Eq. 22 for numeric ones, with optional Eq. 23
+// weights) over weighted rows for an arbitrary assignment, from
+// scratch, honouring the
 // fairness-term knobs of cfg (Weights, ClusterWeightExponent,
-// NoDomainNormalization, SkewCompensation). rowW == nil means unit
-// weights, reproducing FairnessDeviationWith.
+// NoDomainNormalization, SkewCompensation); other Config fields are
+// ignored. rowW == nil means unit weights. It is the from-scratch
+// reference the optimized solver is tested against.
 func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int, k int, cfg Config) (float64, error) {
 	n := ds.N()
 	if len(assign) != n {

@@ -222,63 +222,6 @@ func randomVec(rng *stats.RNG, dim int) []float64 {
 	return v
 }
 
-// InferVector embeds an unseen tokenized document against the trained
-// model: a fresh document vector is fitted by the same PV-DBOW
-// objective with all word vectors frozen. Unknown words are skipped;
-// a document with no known words yields the zero vector. steps is the
-// number of SGD passes over the document (zero means 50).
-func (m *Model) InferVector(doc []string, dim int, steps int, seed int64) []float64 {
-	if steps <= 0 {
-		steps = 50
-	}
-	rng := stats.NewRNG(seed)
-	dv := randomVec(rng, dim)
-	var known []int
-	for _, w := range doc {
-		if idx, ok := m.Vocab[w]; ok {
-			known = append(known, idx)
-		}
-	}
-	if len(known) == 0 {
-		return make([]float64, dim)
-	}
-	grad := make([]float64, dim)
-	lr0 := 0.05
-	total := steps * len(known)
-	step := 0
-	for s := 0; s < steps; s++ {
-		for _, target := range known {
-			lr := lr0 * (1 - 0.9*float64(step)/float64(total))
-			step++
-			for i := range grad {
-				grad[i] = 0
-			}
-			// Positive pair only: word vectors are frozen, so negative
-			// sampling would perturb them; instead fit against the
-			// target words with the frozen outputs.
-			z := stats.Dot(dv, m.WordVecs[target])
-			g := lr * (1 - sigmoid(z))
-			for i := range grad {
-				grad[i] += g * m.WordVecs[target][i]
-			}
-			// A handful of frozen negatives keeps dv from blowing up.
-			for neg := 0; neg < 3; neg++ {
-				j := rng.Intn(len(m.WordVecs))
-				if j == target {
-					continue
-				}
-				zn := stats.Dot(dv, m.WordVecs[j])
-				gn := lr * (0 - sigmoid(zn))
-				for i := range grad {
-					grad[i] += gn * m.WordVecs[j][i]
-				}
-			}
-			stats.AddTo(dv, grad)
-		}
-	}
-	return dv
-}
-
 // CosineSimilarity returns the cosine of the angle between a and b, or
 // 0 if either is a zero vector.
 func CosineSimilarity(a, b []float64) float64 {

@@ -162,88 +162,3 @@ func TestAliasTableDistribution(t *testing.T) {
 		}
 	}
 }
-
-func TestInferVectorLandsNearTopic(t *testing.T) {
-	docs := topicCorpus(10, 12)
-	m, err := Train(docs, Config{Dim: 16, Epochs: 60, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Infer a fresh topic-A document; it must be closer (on average) to
-	// topic-A training docs than topic-B ones.
-	inferred := m.InferVector([]string{"car", "road", "engine", "speed", "highway", "wheel"}, 16, 80, 9)
-	var simA, simB float64
-	for i := 0; i < 10; i++ {
-		simA += CosineSimilarity(inferred, m.DocVecs[i])
-		simB += CosineSimilarity(inferred, m.DocVecs[10+i])
-	}
-	if simA <= simB {
-		t.Errorf("inferred vector closer to wrong topic: A %v vs B %v", simA/10, simB/10)
-	}
-}
-
-func TestInferVectorUnknownWords(t *testing.T) {
-	docs := topicCorpus(3, 6)
-	m, err := Train(docs, Config{Dim: 8, Epochs: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := m.InferVector([]string{"zzz", "qqq"}, 8, 10, 1)
-	for _, x := range v {
-		if x != 0 {
-			t.Fatalf("all-unknown doc should give zero vector, got %v", v)
-		}
-	}
-}
-
-func TestPVDMTopicsSeparate(t *testing.T) {
-	docs := topicCorpus(10, 12)
-	m, err := TrainPVDM(docs, Config{Dim: 16, Epochs: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var within, across float64
-	var nw, na int
-	for i := 0; i < len(docs); i++ {
-		for j := i + 1; j < len(docs); j++ {
-			cs := CosineSimilarity(m.DocVecs[i], m.DocVecs[j])
-			if (i < 10) == (j < 10) {
-				within += cs
-				nw++
-			} else {
-				across += cs
-				na++
-			}
-		}
-	}
-	within /= float64(nw)
-	across /= float64(na)
-	if within < across+0.15 {
-		t.Errorf("PV-DM within-topic cosine %v not clearly above across-topic %v", within, across)
-	}
-}
-
-func TestPVDMDeterminismAndErrors(t *testing.T) {
-	docs := topicCorpus(3, 8)
-	a, err := TrainPVDM(docs, Config{Dim: 8, Epochs: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TrainPVDM(docs, Config{Dim: 8, Epochs: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.DocVecs {
-		for j := range a.DocVecs[i] {
-			if a.DocVecs[i][j] != b.DocVecs[i][j] {
-				t.Fatalf("PV-DM non-deterministic at [%d][%d]", i, j)
-			}
-		}
-	}
-	if _, err := TrainPVDM(nil, Config{}); err == nil {
-		t.Error("empty corpus accepted")
-	}
-	if _, err := TrainPVDM([][]string{{"a"}, {}}, Config{}); err == nil {
-		t.Error("empty document accepted")
-	}
-}

@@ -388,8 +388,8 @@ func TestInitAssignmentDeterminism(t *testing.T) {
 		features[i] = []float64{rngData.Gaussian(0, 1), rngData.Gaussian(0, 1)}
 	}
 	for _, m := range []InitMethod{KMeansPlusPlus, RandomPartition, RandomPoints} {
-		a := InitAssignment(features, 5, m, stats.NewRNG(4))
-		b := InitAssignment(features, 5, m, stats.NewRNG(4))
+		a := InitAssignmentWeighted(features, nil, 5, m, stats.NewRNG(4))
+		b := InitAssignmentWeighted(features, nil, 5, m, stats.NewRNG(4))
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%v: nondeterministic assignment at row %d", m, i)

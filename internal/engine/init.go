@@ -40,23 +40,18 @@ func (m InitMethod) String() string {
 	}
 }
 
-// InitAssignment produces a starting partition of the feature rows
-// into k clusters: nearest-centroid assignment for the centroid-seeded
-// methods, a repaired random partition for RandomPartition. The RNG
-// stream is consumed in a fixed order per method, so (features, k,
-// method, seed) fully determines the result. It is
-// InitAssignmentWeighted with nil weights.
-func InitAssignment(features [][]float64, k int, method InitMethod, rng *stats.RNG) []int {
-	return InitAssignmentWeighted(features, nil, k, method, rng)
-}
-
-// InitAssignmentWeighted is InitAssignment over weighted rows
-// (weights == nil means unit weights): the k-means++ D² sampling
-// scales each candidate's distance by its mass (a row standing for w
-// points is w times as likely to seed a centroid), while RandomPoints
-// and RandomPartition stay row-level. Unit weights consume the RNG
-// stream identically to nil weights, so the two are bit-identical —
-// the property the weighted solvers' unit-parity contract rests on.
+// InitAssignmentWeighted produces a starting partition of the feature
+// rows into k clusters: nearest-centroid assignment for the centroid-
+// seeded methods, a repaired random partition for RandomPartition. The
+// RNG stream is consumed in a fixed order per method, so (features,
+// weights, k, method, seed) fully determines the result.
+//
+// weights == nil means unit weights. The k-means++ D² sampling scales
+// each candidate's distance by its mass (a row standing for w points is
+// w times as likely to seed a centroid), while RandomPoints and
+// RandomPartition stay row-level. Unit weights consume the RNG stream
+// identically to nil weights, so the two are bit-identical — the
+// property the weighted solvers' unit-parity contract rests on.
 func InitAssignmentWeighted(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) []int {
 	n := len(features)
 	assign := make([]int, n)

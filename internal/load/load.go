@@ -159,15 +159,6 @@ type Workload struct {
 	TotalRows int
 }
 
-// Duration is the span of the schedule: the last send offset plus one
-// inter-arrival gap.
-func (w *Workload) Duration() time.Duration {
-	if len(w.Requests) == 0 {
-		return 0
-	}
-	return w.Requests[len(w.Requests)-1].At + time.Duration(float64(time.Second)/w.Config.Rate)
-}
-
 // Fingerprint hashes the complete schedule and payload byte sequence —
 // two workloads with equal fingerprints would put identical bytes on
 // the wire at identical offsets.

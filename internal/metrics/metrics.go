@@ -1,6 +1,6 @@
 // Package metrics implements every evaluation measure from Section 5.2
-// of the FairKM paper, plus a few standard fairness diagnostics used in
-// the related literature.
+// of the FairKM paper, plus Balance, a standard fairness diagnostic
+// from the related literature.
 //
 // Clustering quality (over non-sensitive attributes N):
 //   - CO: the K-Means clustering objective, Eq. 24 (lower is better)
@@ -16,7 +16,7 @@
 //     dataset distribution, Eq. 25
 //   - ME/MW: the corresponding maxima across clusters
 //
-// Extras: Balance (Chierichetti et al.) and average normalized entropy.
+// Extra: Balance (Chierichetti et al.).
 package metrics
 
 //fairvet:floateq cluster sizes and probabilities compare exactly against 0 to detect empty clusters and zero-support values
@@ -426,26 +426,4 @@ func Balance(s *dataset.SensitiveAttr, assign []int, k int) float64 {
 		}
 	}
 	return bal
-}
-
-// AvgEntropy returns the cluster-cardinality weighted average Shannon
-// entropy of the attribute's distribution within clusters, normalized
-// by the dataset entropy (so 1.0 means clusters are as mixed as the
-// dataset). Supplementary diagnostic; undefined (0) when the dataset
-// entropy is 0.
-func AvgEntropy(ds *dataset.Dataset, s *dataset.SensitiveAttr, assign []int, k int) float64 {
-	hx := stats.Entropy(ds.Fractions(s))
-	if hx == 0 {
-		return 0
-	}
-	sizes, dists := clusterDistributions(s, assign, k)
-	total, weight := 0.0, 0.0
-	for c := 0; c < k; c++ {
-		if sizes[c] == 0 {
-			continue
-		}
-		total += float64(sizes[c]) * stats.Entropy(dists[c])
-		weight += float64(sizes[c])
-	}
-	return total / weight / hx
 }

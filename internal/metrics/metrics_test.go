@@ -335,23 +335,6 @@ func TestBalance(t *testing.T) {
 	}
 }
 
-func TestAvgEntropy(t *testing.T) {
-	b := dataset.NewBuilder("x")
-	b.AddCategoricalSensitive("g")
-	vals := []string{"a", "a", "b", "b"}
-	for i, v := range vals {
-		b.Row([]float64{float64(i)}, []string{v}, nil)
-	}
-	ds, _ := b.Build()
-	g := ds.SensitiveByName("g")
-	if got := AvgEntropy(ds, g, []int{0, 1, 0, 1}, 2); math.Abs(got-1) > 1e-12 {
-		t.Errorf("mixed clusters entropy ratio = %v, want 1", got)
-	}
-	if got := AvgEntropy(ds, g, []int{0, 0, 1, 1}, 2); got != 0 {
-		t.Errorf("pure clusters entropy ratio = %v, want 0", got)
-	}
-}
-
 func TestNumericFairness(t *testing.T) {
 	b := dataset.NewBuilder("x")
 	b.AddNumericSensitive("age")

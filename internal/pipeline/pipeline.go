@@ -255,9 +255,6 @@ func (s *Summarizer) Add(chunk *dataset.Dataset) error {
 // N returns how many points have been summarized.
 func (s *Summarizer) N() int { return s.n }
 
-// Groups returns the number of realized sensitive-value combinations.
-func (s *Summarizer) Groups() int { return len(s.groupCodes) }
-
 // Summary materializes the current weighted summary as a Dataset plus
 // per-row masses, decoding each retained row's group back into
 // per-attribute sensitive codes over the globally accumulated domains.

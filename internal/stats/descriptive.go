@@ -107,37 +107,6 @@ func Normalize(w []float64) []float64 {
 	return w
 }
 
-// Entropy returns the Shannon entropy (nats) of a probability vector p.
-// Zero entries contribute zero.
-func Entropy(p []float64) float64 {
-	h := 0.0
-	for _, v := range p {
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
-}
-
-// KLDivergence returns KL(p || q) in nats. Entries where p is 0
-// contribute 0; entries where p > 0 but q == 0 yield +Inf.
-func KLDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: KLDivergence length mismatch")
-	}
-	d := 0.0
-	for i := range p {
-		if p[i] <= 0 {
-			continue
-		}
-		if q[i] <= 0 {
-			return math.Inf(1)
-		}
-		d += p[i] * math.Log(p[i]/q[i])
-	}
-	return d
-}
-
 // MeanStd returns the mean and population standard deviation of xs in a
 // single pass.
 func MeanStd(xs []float64) (mean, std float64) {

@@ -122,11 +122,6 @@ type nbrPair struct {
 	j  uint32
 }
 
-// Norms exposes the precomputed ‖c‖² table (CentroidNorms of the
-// indexed centroids), so callers already holding an index never
-// recompute it.
-func (ix *CentroidIndex) Norms() []float64 { return ix.norms }
-
 // NewCentroidIndex builds the sorted-neighbor index over a row-major
 // copy of centroids; later mutation of the argument does not affect
 // the index.

@@ -35,17 +35,11 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Intn returns a uniform pseudo-random int in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
 // Float64 returns a uniform pseudo-random float64 in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
-
-// NormFloat64 returns a standard-normal pseudo-random float64.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
 // Gaussian returns a normal variate with the given mean and standard
 // deviation.

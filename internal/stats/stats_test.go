@@ -148,30 +148,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestEntropyAndKL(t *testing.T) {
-	if got := Entropy([]float64{0.5, 0.5}); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("Entropy(uniform2) = %v, want ln2", got)
-	}
-	if got := Entropy([]float64{1, 0}); got != 0 {
-		t.Errorf("Entropy(point mass) = %v, want 0", got)
-	}
-	if got := KLDivergence([]float64{0.5, 0.5}, []float64{0.5, 0.5}); got != 0 {
-		t.Errorf("KL(p,p) = %v, want 0", got)
-	}
-	if got := KLDivergence([]float64{1, 0}, []float64{0, 1}); !math.IsInf(got, 1) {
-		t.Errorf("KL with missing support = %v, want +Inf", got)
-	}
-	// Gibbs: KL >= 0.
-	f := func(a, b, c, d float64) bool {
-		p := Normalize([]float64{math.Abs(a) + 0.01, math.Abs(b) + 0.01})
-		q := Normalize([]float64{math.Abs(c) + 0.01, math.Abs(d) + 0.01})
-		return KLDivergence(p, q) >= -1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestVectorOps(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}

@@ -169,9 +169,6 @@ func Scale(dst []float64, c float64) {
 // Clone returns a copy of a.
 func Clone(a []float64) []float64 { return append([]float64(nil), a...) }
 
-// Zeros returns a fresh zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // MeanVector returns the element-wise mean of the given rows. It panics
 // if rows is empty or rows have mismatched lengths.
 func MeanVector(rows [][]float64) []float64 {

@@ -19,9 +19,9 @@
 // round-robin coordinate descent also used by FairKM: each point moves
 // to the cluster that most decreases E, which is monotone and
 // convergent by construction. Cluster proportions are floored at a
-// small epsilon inside the KL (the standard smoothing, also required by
-// the soft solver), and an empty cluster is scored as maximally unfair
-// so the penalty cannot be gamed by collapsing clusters.
+// small epsilon inside the KL (the standard smoothing), and an empty
+// cluster is scored as maximally unfair so the penalty cannot be gamed
+// by collapsing clusters.
 //
 // Because the formulation admits exactly one sensitive attribute, the
 // FairKM evaluation invokes ZGYA once per attribute (ZGYA(S)).
