@@ -35,7 +35,8 @@
 //	                       the live model's fairness drift reports
 //	POST /v1/models/reload {"model":"name","path":"optional new path"} —
 //	                       atomic hot-swap; in-flight requests finish on
-//	                       the old model
+//	                       the old model. An unknown model answers 404,
+//	                       a missing or broken artifact 400
 //	GET  /healthz          liveness
 //	GET  /metrics          Prometheus text exposition of the metric
 //	                       registry internal/serve counts into: per-model
@@ -326,11 +327,14 @@ func newHandler(reg *serve.Registry, metrics *telemetry.Registry, opts handlerOp
 			httpError(w, bodyErrStatus(err), err.Error())
 			return
 		}
-		name := req.Model
-		if name == "" {
-			name = reg.Default()
+		// An unknown name is a 404, as on /v1/assign; a missing or
+		// broken artifact fails Reload with a 400.
+		cur, err := reg.Get(req.Model)
+		if err != nil {
+			httpError(w, http.StatusNotFound, err.Error())
+			return
 		}
-		e, err := reg.Reload(name, req.Path)
+		e, err := reg.Reload(cur.Name, req.Path)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return

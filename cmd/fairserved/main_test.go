@@ -292,10 +292,11 @@ func TestReloadEndpoint(t *testing.T) {
 		t.Errorf("after reload generation = %d, want 2", list.Models[0].Generation)
 	}
 
-	// Reload of an unknown model 404s/400s without damage.
-	resp, _ = postJSON(t, ts.URL+"/v1/models/reload", map[string]any{"model": "ghost"})
-	if resp.StatusCode == http.StatusOK {
-		t.Error("reload of unknown model succeeded")
+	// Reload of an unknown model 404s without damage, as /v1/assign
+	// does for the same name.
+	resp, data = postJSON(t, ts.URL+"/v1/models/reload", map[string]any{"model": "ghost"})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("reload of unknown model: %d %s, want 404", resp.StatusCode, data)
 	}
 
 	// Reload with a broken artifact leaves the old model serving.
@@ -303,9 +304,9 @@ func TestReloadEndpoint(t *testing.T) {
 	if err := writeFile(bad, "{not json"); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/models/reload", map[string]any{"model": "prod", "path": bad})
-	if resp.StatusCode == http.StatusOK {
-		t.Error("reload of broken artifact succeeded")
+	resp, data = postJSON(t, ts.URL+"/v1/models/reload", map[string]any{"model": "prod", "path": bad})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("reload of broken artifact: %d %s, want 400", resp.StatusCode, data)
 	}
 	resp, data = postJSON(t, ts.URL+"/v1/assign", map[string]any{"features": []float64{1, 2, 3}})
 	if resp.StatusCode != http.StatusOK {
