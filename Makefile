@@ -117,19 +117,23 @@ bench-smoke:
 # FuzzSplitCSV checks SplitCSV's shard union against one sequential
 # read, FuzzAssignBody is the differential test of the
 # /v1/assign request decoder against encoding/json (plus the real
-# handler's status contract), and FuzzModelDecode holds the model
-# artifact decoder to no panics, Validate on every accepted input and
-# an Encode∘Decode byte fixpoint, and FuzzBenchguardParse holds
-# benchguard's `go test -json` stream parser to package:Benchmark keys,
-# finite positive ns/op and invariance under splitting an output event;
-# a crasher any of them finds is written under the package's
-# testdata/fuzz and must be committed as a regression input.
+# handler's status contract), FuzzReloadBody holds the real
+# /v1/models/reload handler to 200/400/404/413 with the model's
+# generation unchanged on every non-200 (paths outside its temp dir
+# are skipped), FuzzModelDecode holds the model artifact decoder to no
+# panics, Validate on every accepted input and an Encode∘Decode byte
+# fixpoint, and FuzzBenchguardParse holds benchguard's `go test -json`
+# stream parser to package:Benchmark keys, finite positive ns/op and
+# invariance under splitting an output event; a crasher any of them
+# finds is written under the package's testdata/fuzz and must be
+# committed as a regression input.
 # FuzzTokenize otherwise only runs its seeds in go test.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzSplitCSV$$' -fuzztime 10s
 	$(GO) test ./cmd/fairserved -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s
+	$(GO) test ./cmd/fairserved -run '^$$' -fuzz '^FuzzReloadBody$$' -fuzztime 10s
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 10s
 	$(GO) test ./cmd/benchguard -run '^$$' -fuzz '^FuzzBenchguardParse$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s

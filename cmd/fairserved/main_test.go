@@ -27,7 +27,7 @@ import (
 
 // saveFixtureModel trains a tiny FairKM model and saves its artifact,
 // returning the path and the in-memory model.
-func saveFixtureModel(t *testing.T, dir string, seed int64) (string, *model.Model) {
+func saveFixtureModel(t testing.TB, dir string, seed int64) (string, *model.Model) {
 	t.Helper()
 	ds := testfix.Synth(seed, 200, 3, 1, 0)
 	res, err := core.Run(ds, core.Config{K: 3, AutoLambda: true, Seed: seed})
@@ -312,6 +312,82 @@ func TestReloadEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("assign after failed reload: %d %s", resp.StatusCode, data)
 	}
+}
+
+// reloadFuzzMaxBody bounds FuzzReloadBody's request bodies, small
+// enough that the committed oversized seed stays a short file.
+const reloadFuzzMaxBody = 512
+
+// FuzzReloadBody drives the real /v1/models/reload handler with
+// arbitrary bodies. It must never panic and must answer 200, 400, 404
+// or 413. A non-200 leaves the model's generation unchanged; a 200
+// advances it by one and reports the new generation. A body whose
+// decoded path lies outside the fuzz's temp dir is skipped, so the
+// fuzzer never opens host files.
+func FuzzReloadBody(f *testing.F) {
+	dir := f.TempDir()
+	path, _ := saveFixtureModel(f, dir, 3)
+	other, _ := saveFixtureModel(f, dir, 4)
+	bad := filepath.Join(dir, "bad.json")
+	if err := writeFile(bad, "{not json"); err != nil {
+		f.Fatal(err)
+	}
+	metrics := telemetry.NewRegistry()
+	reg := serve.NewRegistry(serve.Options{Workers: 1, Metrics: metrics})
+	f.Cleanup(reg.Close)
+	if _, err := reg.Load("prod", path); err != nil {
+		f.Fatal(err)
+	}
+	h := newHandler(reg, metrics, handlerOptions{MaxBody: reloadFuzzMaxBody})
+	// Seeds that name files in the temp dir, whose path changes per run:
+	// another valid artifact, a broken one and a directory.
+	for _, p := range []string{other, bad, dir} {
+		body, err := json.Marshal(reloadRequest{Model: "prod", Path: p})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	generation := func(t *testing.T) int {
+		e, err := reg.Get("prod")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Generation
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The handler decodes the same value, and rejects more (unknown
+		// fields, trailing data), so this sees every path it could open.
+		var req reloadRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Path != "" {
+			rel, err := filepath.Rel(dir, req.Path)
+			if err != nil || !filepath.IsAbs(req.Path) || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+				t.Skip("path outside the fuzz temp dir")
+			}
+		}
+		before := generation(t)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/reload", bytes.NewReader(body)))
+		after := generation(t)
+		switch rec.Code {
+		case http.StatusOK:
+			var resp struct {
+				Generation int `json:"generation"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body does not parse: %v\n%s", err, rec.Body.Bytes())
+			}
+			if after != before+1 || resp.Generation != after {
+				t.Fatalf("200 for %q: generation %d -> %d, response says %d", body, before, after, resp.Generation)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			if after != before {
+				t.Fatalf("status %d for %q changed the generation %d -> %d", rec.Code, body, before, after)
+			}
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+	})
 }
 
 // TestMetricsAcrossReload pins what /metrics and /v1/models report
