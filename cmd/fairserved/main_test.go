@@ -361,7 +361,7 @@ func FuzzReloadBody(f *testing.F) {
 		var req reloadRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Path != "" {
 			rel, err := filepath.Rel(dir, req.Path)
-			if err != nil || !filepath.IsAbs(req.Path) || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+			if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
 				t.Skip("path outside the fuzz temp dir")
 			}
 		}

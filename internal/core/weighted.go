@@ -116,12 +116,11 @@ func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 
 // FairnessDeviationWeighted computes deviation_S(C, X) (Eq. 7 for
 // categorical attributes, Eq. 22 for numeric ones, with optional Eq. 23
-// weights) over weighted rows for an arbitrary assignment, from
-// scratch, honouring the
-// fairness-term knobs of cfg (Weights, ClusterWeightExponent,
-// NoDomainNormalization, SkewCompensation); other Config fields are
-// ignored. rowW == nil means unit weights. It is the from-scratch
-// reference the optimized solver is tested against.
+// weights) over weighted rows for an arbitrary assignment, from scratch
+// — the reference the optimized solver is tested against. It honours
+// the fairness-term knobs of cfg (Weights, ClusterWeightExponent,
+// NoDomainNormalization, SkewCompensation) and ignores the other Config
+// fields. rowW == nil means unit weights.
 func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int, k int, cfg Config) (float64, error) {
 	n := ds.N()
 	if len(assign) != n {

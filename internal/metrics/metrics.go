@@ -1,6 +1,6 @@
 // Package metrics implements every evaluation measure from Section 5.2
-// of the FairKM paper, plus Balance, a standard fairness diagnostic
-// from the related literature.
+// of the FairKM paper, plus one standard fairness diagnostic from the
+// related literature.
 //
 // Clustering quality (over non-sensitive attributes N):
 //   - CO: the K-Means clustering objective, Eq. 24 (lower is better)
