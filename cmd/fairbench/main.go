@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/bera"
@@ -76,8 +75,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	ds, err := dataset.ReadCSV(f, dataset.CSVSpec{
-		Features:             splitList(*features),
-		CategoricalSensitive: splitList(*sensitive),
+		Features:             cli.SplitList(*features),
+		CategoricalSensitive: cli.SplitList(*sensitive),
 	})
 	f.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
 	if err != nil {
@@ -228,15 +227,4 @@ func assignOfM(r *kmeans.Result) []int {
 		return nil
 	}
 	return r.Assign
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -90,9 +89,9 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	ds, err := dataset.ReadCSV(f, dataset.CSVSpec{
-		Features:             splitList(*features),
-		CategoricalSensitive: splitList(*sensitive),
-		NumericSensitive:     splitList(*numSens),
+		Features:             cli.SplitList(*features),
+		CategoricalSensitive: cli.SplitList(*sensitive),
+		NumericSensitive:     cli.SplitList(*numSens),
 	})
 	f.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
 	if err != nil {
@@ -198,17 +197,6 @@ func report(out io.Writer, name string, ds *dataset.Dataset, assign []int, k int
 				nrep.Attribute, nrep.AvgGap, nrep.MaxGap)
 		}
 	}
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 func writeAssignments(path string, assign []int) (err error) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/model"
 	"repro/internal/stats"
 )
@@ -82,7 +83,7 @@ func TestRunMissingArgs(t *testing.T) {
 }
 
 func TestSplitList(t *testing.T) {
-	got := splitList(" a, b ,c ")
+	got := cli.SplitList(" a, b ,c ")
 	want := []string{"a", "b", "c"}
 	if len(got) != 3 {
 		t.Fatalf("splitList = %v", got)
@@ -92,7 +93,7 @@ func TestSplitList(t *testing.T) {
 			t.Errorf("splitList[%d] = %q", i, got[i])
 		}
 	}
-	if splitList("") != nil {
+	if cli.SplitList("") != nil {
 		t.Error("empty list should be nil")
 	}
 }

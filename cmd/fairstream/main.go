@@ -20,18 +20,21 @@
 // with a fixed -seed every field is reproducible except elapsed_ns.
 //
 // With -minmax an extra leading pass computes per-column minima and
-// ranges so features can be scaled to [0,1] on the fly — three passes
-// over the file, one after the other. Each pass holds one chunk plus
-// the stream's read-ahead window in memory, and decodes that window
-// on GOMAXPROCS goroutines without changing a single output byte.
+// ranges (pipeline.ScanMinMax), and the later passes read the file
+// through pipeline.Scaled so features arrive scaled to [0,1] — three
+// passes over the file, one after the other. Each pass holds one chunk
+// plus the stream's read-ahead window in memory, and decodes that
+// window on GOMAXPROCS goroutines without changing a single output
+// byte.
 //
-// With -shards S > 1 the file is split on row boundaries into S byte
-// ranges (dataset.SplitCSV) that are summarized by S independent
-// coreset builders on -shard-workers goroutines, then merged and
-// solved — same fixed memory per shard, wall-clock bounded by the
-// slowest shard instead of one sequential reader. Results are
-// bit-identical for every -shard-workers value; -merge-budget caps the
-// merged summary with one extra reduce pass.
+// Every run ingests the same way: the file is split on row boundaries
+// into -shards byte ranges (dataset.SplitCSV; one range by default),
+// summarized by one coreset builder per range on -shard-workers
+// goroutines, then merged and solved (pipeline.FitSharded). With
+// -shards S > 1 the memory is fixed per shard and the wall-clock is
+// bounded by the slowest shard instead of one sequential reader.
+// Results are bit-identical for every -shard-workers value;
+// -merge-budget caps the merged summary with one extra reduce pass.
 package main
 
 import (
@@ -102,11 +105,13 @@ func run(args []string, out io.Writer) (retErr error) {
 		return fmt.Errorf("-shard-workers and -merge-budget only apply to sharded ingestion; pass -shards > 1")
 	}
 	spec := dataset.CSVSpec{
-		Features:             splitList(*features),
-		CategoricalSensitive: splitList(*sensitive),
+		Features:             cli.SplitList(*features),
+		CategoricalSensitive: cli.SplitList(*sensitive),
 	}
 
-	var scaleMins, scaleRanges []float64
+	// scaling is nil until the min-max pass has measured the columns;
+	// from then on every pass reads the file through it.
+	var scaling *model.Scaling
 	open := func() (pipeline.Source, *os.File, error) {
 		f, err := os.Open(*in)
 		if err != nil {
@@ -117,33 +122,25 @@ func run(args []string, out io.Writer) (retErr error) {
 			f.Close() //fairvet:ignore errflow -- read-only file closed on the error path; the stream error wins
 			return nil, nil, err
 		}
-		if scaleMins != nil {
-			return &scaledSource{src: src, mins: scaleMins, ranges: scaleRanges}, f, nil
-		}
-		return src, f, nil
+		return pipeline.Scaled(src, scaling), f, nil
 	}
 
 	// Optional pass 0: min-max statistics.
 	if *minmax {
-		f, err := os.Open(*in)
+		src, f, err := open()
 		if err != nil {
 			return err
 		}
-		src, err := dataset.NewCSVStream(f, spec, *chunk)
-		if err != nil {
-			f.Close() //fairvet:ignore errflow -- read-only file closed on the error path; the stream error wins
-			return err
-		}
-		scaleMins, scaleRanges, err = scanMinMax(src)
+		scaling, err = pipeline.ScanMinMax(src)
 		f.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "min-max pass: scaled %d feature columns\n", len(scaleMins))
+		fmt.Fprintf(out, "min-max pass: scaled %d feature columns\n", len(scaling.Mins))
 	}
 
-	// Pass 1: summarize and solve — sequentially, or across byte-range
-	// shards of the file when -shards asks for parallel ingestion.
+	// Pass 1: summarize the file's -shards byte ranges (one range by
+	// default) and solve on the merged summary.
 	pcfg := pipeline.Config{
 		K:           *k,
 		Lambda:      *lambda,
@@ -167,51 +164,34 @@ func run(args []string, out io.Writer) (retErr error) {
 		pcfg.Observer = journal.Observer("fairstream")
 	}
 	started := time.Now()
-	var res *pipeline.Result
-	if *shards > 1 {
-		split, err := dataset.SplitCSV(*in, *shards)
+	split, err := dataset.SplitCSV(*in, *shards)
+	if err != nil {
+		return err
+	}
+	srcs := make([]pipeline.Source, split.Shards())
+	closers := make([]io.Closer, 0, split.Shards())
+	closeAll := func() {
+		for _, c := range closers {
+			c.Close() //fairvet:ignore errflow -- shard readers are opened read-only; nothing was buffered to lose
+		}
+	}
+	for i := range srcs {
+		stream, closer, err := split.Open(i, spec, *chunk)
 		if err != nil {
+			closeAll()
 			return err
 		}
-		srcs := make([]pipeline.Source, split.Shards())
-		closers := make([]io.Closer, 0, split.Shards())
-		closeAll := func() {
-			for _, c := range closers {
-				c.Close() //fairvet:ignore errflow -- shard readers are opened read-only; nothing was buffered to lose
-			}
-		}
-		for i := range srcs {
-			stream, closer, err := split.Open(i, spec, *chunk)
-			if err != nil {
-				closeAll()
-				return err
-			}
-			closers = append(closers, closer)
-			if scaleMins != nil {
-				srcs[i] = &scaledSource{src: stream, mins: scaleMins, ranges: scaleRanges}
-			} else {
-				srcs[i] = stream
-			}
-		}
-		res, err = pipeline.FitSharded(srcs, pipeline.ShardedConfig{
-			Config:      pcfg,
-			Workers:     *shardWorkers,
-			MergeBudget: *mergeBudget,
-		})
-		closeAll()
-		if err != nil {
-			return err
-		}
-	} else {
-		src, f, err := open()
-		if err != nil {
-			return err
-		}
-		res, err = pipeline.FitStream(src, pcfg)
-		f.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
-		if err != nil {
-			return err
-		}
+		closers = append(closers, closer)
+		srcs[i] = pipeline.Scaled(stream, scaling)
+	}
+	res, err := pipeline.FitSharded(srcs, pipeline.ShardedConfig{
+		Config:      pcfg,
+		Workers:     *shardWorkers,
+		MergeBudget: *mergeBudget,
+	})
+	closeAll()
+	if err != nil {
+		return err
 	}
 	if journal != nil {
 		journal.WriteSummary("fairstream", telemetry.RunSummary{
@@ -248,9 +228,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		if err != nil {
 			return err
 		}
-		if scaleMins != nil {
-			art.Scaling = &model.Scaling{Kind: "minmax", Mins: scaleMins, Ranges: scaleRanges}
-		}
+		art.Scaling = scaling
 		if err := model.Save(*saveOut, art); err != nil {
 			return err
 		}
@@ -282,86 +260,10 @@ func run(args []string, out io.Writer) (retErr error) {
 	return nil
 }
 
-// scanMinMax streams the source once, accumulating per-column minima
-// and ranges.
-func scanMinMax(src pipeline.Source) (mins, ranges []float64, err error) {
-	var maxs []float64
-	for {
-		chunk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if mins == nil {
-			mins = make([]float64, chunk.Dim())
-			maxs = make([]float64, chunk.Dim())
-			for j := range mins {
-				mins[j] = chunk.Features[0][j]
-				maxs[j] = chunk.Features[0][j]
-			}
-		}
-		for _, row := range chunk.Features {
-			for j, v := range row {
-				if v < mins[j] {
-					mins[j] = v
-				}
-				if v > maxs[j] {
-					maxs[j] = v
-				}
-			}
-		}
-	}
-	if mins == nil {
-		return nil, nil, fmt.Errorf("empty input")
-	}
-	ranges = make([]float64, len(mins))
-	for j := range ranges {
-		ranges[j] = maxs[j] - mins[j]
-	}
-	return mins, ranges, nil
-}
-
-// scaledSource applies the min-max transform to every chunk in flight.
-type scaledSource struct {
-	src    pipeline.Source
-	mins   []float64
-	ranges []float64
-}
-
-func (s *scaledSource) Next() (*dataset.Dataset, error) {
-	chunk, err := s.src.Next()
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range chunk.Features {
-		for j, v := range row {
-			if s.ranges[j] > 0 {
-				row[j] = (v - s.mins[j]) / s.ranges[j]
-			} else {
-				row[j] = 0
-			}
-		}
-	}
-	return chunk, nil
-}
-
 func formatMasses(masses []float64) string {
 	parts := make([]string, len(masses))
 	for i, m := range masses {
 		parts[i] = strconv.FormatFloat(m, 'f', 1, 64)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }

@@ -263,34 +263,7 @@ func FitStreamSharded(src StreamSource, cfg ShardedStreamConfig) (*StreamResult,
 // artifact's feature scaling (if any) to every chunk first — so the raw
 // training file can be re-evaluated against a saved model directly.
 func EvaluateStreamModel(src StreamSource, m *Model) (*StreamEvaluation, error) {
-	if m.Scaling != nil {
-		src = &scaledStream{src: src, scaling: m.Scaling}
-	}
-	return pipeline.Evaluate(src, m.Centroids, m.Lambda)
-}
-
-// scaledStream applies a model's feature scaling to every chunk in
-// flight. Rows are copied before scaling: sources may alias caller
-// memory (SliceSource chunks share the underlying Dataset's rows), and
-// evaluation must never mutate the caller's data.
-type scaledStream struct {
-	src     StreamSource
-	scaling *model.Scaling
-}
-
-func (s *scaledStream) Next() (*Dataset, error) {
-	chunk, err := s.src.Next()
-	if err != nil {
-		return nil, err
-	}
-	scaled := *chunk
-	scaled.Features = make([][]float64, len(chunk.Features))
-	for i, row := range chunk.Features {
-		r := append([]float64(nil), row...)
-		s.scaling.Apply(r)
-		scaled.Features[i] = r
-	}
-	return &scaled, nil
+	return pipeline.Evaluate(pipeline.Scaled(src, m.Scaling), m.Centroids, m.Lambda)
 }
 
 // Model is a persistent, self-describing trained-clustering artifact:

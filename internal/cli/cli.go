@@ -78,3 +78,16 @@ func firstLine(s string) string {
 	}
 	return "unknown error"
 }
+
+// SplitList splits a comma-separated flag value into its items, each
+// trimmed of surrounding space; the empty string gives nil.
+func SplitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
+}

@@ -254,10 +254,3 @@ func ReduceGroups(features [][]float64, weights []float64, groups []int, budget 
 	}
 	return out, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -61,13 +61,6 @@ func (t *textTable) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // f4 formats a measurement the way the paper's tables do.
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 

@@ -269,21 +269,11 @@ func scaleFairness(acc map[string]metrics.FairnessReport, f float64) {
 // accumulations built per-attribute, where FairnessAll's own mean row
 // is absent).
 func addMeanReport(acc map[string]metrics.FairnessReport, attrs []string) {
-	var mean metrics.FairnessReport
-	mean.Attribute = MeanAttr
-	for _, attr := range attrs {
-		rep := acc[attr]
-		mean.AE += rep.AE
-		mean.AW += rep.AW
-		mean.ME += rep.ME
-		mean.MW += rep.MW
+	reps := make([]metrics.FairnessReport, len(attrs))
+	for i, attr := range attrs {
+		reps[i] = acc[attr]
 	}
-	inv := 1 / float64(len(attrs))
-	mean.AE *= inv
-	mean.AW *= inv
-	mean.ME *= inv
-	mean.MW *= inv
-	acc[MeanAttr] = mean
+	acc[MeanAttr] = metrics.MeanReport(reps)
 }
 
 // Improvement returns the paper's "FairKM Impr(%)" column: the

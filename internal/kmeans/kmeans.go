@@ -294,18 +294,6 @@ func assignAll(features [][]float64, centroids [][]float64, assign []int) int {
 	return changed
 }
 
-// Centroids returns the per-cluster feature means (empty clusters get
-// zero vectors); exported for other packages (metrics, FairKM tests).
-func Centroids(features [][]float64, assign []int, k int) [][]float64 {
-	return weightedCentroids(features, nil, assign, k)
-}
-
-// SSE returns the K-Means objective: the summed squared distance of each
-// point to its cluster centroid (Eq. 24).
-func SSE(features [][]float64, assign []int, centroids [][]float64) float64 {
-	return WeightedSSE(features, nil, assign, centroids)
-}
-
 // Sizes returns per-cluster cardinalities for an assignment.
 func Sizes(assign []int, k int) []int {
 	sizes := make([]int, k)

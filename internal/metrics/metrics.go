@@ -330,6 +330,14 @@ func FairnessAll(ds *dataset.Dataset, assign []int, k int) []FairnessReport {
 	if len(reps) == 0 {
 		return reps
 	}
+	return append(reps, MeanReport(reps))
+}
+
+// MeanReport is the synthetic "mean" report: each of AE/AW/ME/MW
+// summed across reps in order, then multiplied by 1/len(reps). Every
+// cross-attribute mean in the repository is computed here, so all of
+// them carry the same bits for the same reports.
+func MeanReport(reps []FairnessReport) FairnessReport {
 	mean := FairnessReport{Attribute: "mean"}
 	for _, r := range reps {
 		mean.AE += r.AE
@@ -342,7 +350,7 @@ func FairnessAll(ds *dataset.Dataset, assign []int, k int) []FairnessReport {
 	mean.AW *= inv
 	mean.ME *= inv
 	mean.MW *= inv
-	return append(reps, mean)
+	return mean
 }
 
 // NumericFairnessReport carries the numeric-attribute analogues of the

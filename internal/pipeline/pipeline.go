@@ -16,14 +16,21 @@
 // Evaluate second pass then reports exact full-data fairness and
 // utility for the centroids the summary solve produced.
 //
-// Ingestion parallelizes by data sharding (FitSharded over pre-split
-// sources such as dataset.SplitCSV byte ranges, FitStreamSharded for
-// round-robin dealing of one chunked source): per-shard summaries are
-// fair coresets, and their union — after a shard-order domain merge
-// and an optional reduce pass — is again a fair coreset, so the solve
-// stage is unchanged. Results are bit-identical for every worker
-// count at a fixed shard count, and a single shard replays FitStream
-// exactly; see DESIGN.md "Sharded ingestion".
+// FitSharded is the one fit driver. It runs one Summarizer per source
+// (pre-split sources such as dataset.SplitCSV byte ranges) and merges
+// the per-shard summaries: each is a fair coreset, and their union —
+// after a shard-order domain merge and an optional reduce pass — is
+// again a fair coreset, so the solve stage is unchanged. FitStream is
+// FitSharded over one source, Summarizer.Solve is the same merge-and-
+// solve over its single summary, and FitStreamSharded deals one
+// chunked source round-robin to S summarizers. Results are
+// bit-identical for every worker count at a fixed shard count; see
+// DESIGN.md "Sharded ingestion".
+//
+// Min-max scaling is written once, here: ScanMinMax is the extra
+// leading pass that measures per-column minima and ranges, and Scaled
+// wraps any Source so its chunks arrive in the scaled space — for
+// training and for re-evaluating a saved model over raw data alike.
 //
 // cmd/fairstream exposes the pipeline over CSV files;
 // internal/experiments benchmarks it against full-data solves.
@@ -108,8 +115,8 @@ type Result struct {
 	Groups int
 	// Lambda is the λ actually used.
 	Lambda float64
-	// Shards is how many parallel summarizers fed the solve (1 for
-	// FitStream; FitSharded/FitStreamSharded record their S here).
+	// Shards is how many summarizers fed the solve (1 for FitStream
+	// and Summarizer.Solve; FitSharded/FitStreamSharded record S).
 	Shards int
 	// Reduced reports whether the sharded merge re-sampled the union
 	// down to ShardedConfig.MergeBudget before solving.
@@ -121,16 +128,9 @@ type Result struct {
 // categorical sensitive attributes, then solves weighted FairKM on the
 // summary. Numeric sensitive attributes are not streamable (their
 // deviation needs exact masses per cluster, which per-group coresets
-// do not stratify) and are rejected.
+// do not stratify) and are rejected. It is FitSharded over one source.
 func FitStream(src Source, cfg Config) (*Result, error) {
-	sum, err := NewSummarizer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := drainInto(sum, src); err != nil {
-		return nil, err
-	}
-	return sum.Solve()
+	return FitSharded([]Source{src}, ShardedConfig{Config: cfg})
 }
 
 // Summarizer is the incremental form of FitStream for callers that
@@ -285,43 +285,10 @@ func (s *Summarizer) Summary() (*dataset.Dataset, []float64, error) {
 	return ds, weights, nil
 }
 
-// Solve materializes the summary and runs weighted FairKM on it.
+// Solve materializes the summary and runs weighted FairKM on it: the
+// sharded merge-and-solve with this one summarizer.
 func (s *Summarizer) Solve() (*Result, error) {
-	summary, weights, err := s.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return solveSummary(s.cfg, summary, weights, &Result{N: s.n, Groups: len(s.groupCodes), Shards: 1})
-}
-
-// solveSummary runs weighted FairKM on a (possibly merged) summary and
-// completes res — which carries the caller's N, Groups, Shards and
-// Reduced — with the solve, the summary and the λ used. It is the one
-// place the summary solve's core.Config is built, for Summarizer.Solve
-// and the sharded fits alike.
-func solveSummary(cfg Config, summary *dataset.Dataset, weights []float64, res *Result) (*Result, error) {
-	if summary.N() < cfg.K {
-		return nil, fmt.Errorf("pipeline: summary has %d rows for K=%d; raise CoresetSize or stream more data", summary.N(), cfg.K)
-	}
-	solve, err := core.RunWeighted(summary, weights, core.Config{
-		K:           cfg.K,
-		Lambda:      cfg.Lambda,
-		AutoLambda:  cfg.AutoLambda,
-		Seed:        cfg.Seed,
-		MaxIter:     cfg.MaxIter,
-		Tol:         cfg.Tol,
-		Parallelism: cfg.Parallelism,
-		Weights:     cfg.Weights,
-		Observer:    cfg.Observer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Solve = solve
-	res.Summary = summary
-	res.SummaryWeights = weights
-	res.Lambda = solve.Lambda
-	return res, nil
+	return solveSharded([]*Summarizer{s}, ShardedConfig{Config: s.cfg})
 }
 
 // Evaluation carries full-data metrics of a fixed set of centroids,
@@ -485,19 +452,7 @@ func Evaluate(src Source, centroids [][]float64, lambda float64) (*Evaluation, e
 		reports = append(reports, metrics.FairnessFromDistributions(ca.name, frX, szf, dists))
 	}
 	if len(reports) > 0 {
-		mean := metrics.FairnessReport{Attribute: "mean"}
-		for _, r := range reports {
-			mean.AE += r.AE
-			mean.AW += r.AW
-			mean.ME += r.ME
-			mean.MW += r.MW
-		}
-		inv := 1 / float64(len(reports))
-		mean.AE *= inv
-		mean.AW *= inv
-		mean.ME *= inv
-		mean.MW *= inv
-		reports = append(reports, mean)
+		reports = append(reports, metrics.MeanReport(reports))
 	}
 
 	return &Evaluation{

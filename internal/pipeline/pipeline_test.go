@@ -250,3 +250,35 @@ func TestSliceSource(t *testing.T) {
 		t.Fatalf("Reset did not rewind: %v", err)
 	}
 }
+
+// TestFitStreamPinnedBits pins FitStream's summary solve on a fixed
+// fixture to recorded float64 bits. They were recorded when FitStream
+// still drove its own Summarizer and solved the summary directly,
+// before it became FitSharded over one source; the one-shard merge
+// must not move a bit of it.
+func TestFitStreamPinnedBits(t *testing.T) {
+	_, src := adultStream(t, 1500, 200)
+	res, err := FitStream(src, Config{K: 5, AutoLambda: true, CoresetSize: 48, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"objective", res.Solve.Objective, 0x4071606534d17255},
+		{"K-Means term", res.Solve.KMeansTerm, 0x4071473c8a40aef1},
+		{"fairness term", res.Solve.FairnessTerm, 0x3ef251f336ab220a},
+		{"lambda", res.Lambda, 0x40f5f8fffffffff9},
+		{"centroid[0][0]", res.Solve.Centroids[0][0], 0x3fdaf696dd24c9b7},
+	} {
+		if got := math.Float64bits(c.got); got != c.want {
+			t.Errorf("%s = %v (%#x), want %#x", c.name, c.got, got, c.want)
+		}
+	}
+	if res.Summary.N() != 353 || res.Groups != 10 || res.Solve.Iterations != 11 || res.Shards != 1 {
+		t.Errorf("summary rows %d, groups %d, iterations %d, shards %d; want 353, 10, 11, 1",
+			res.Summary.N(), res.Groups, res.Solve.Iterations, res.Shards)
+	}
+}

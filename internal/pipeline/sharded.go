@@ -9,21 +9,21 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/coreset"
 	"repro/internal/dataset"
 	"repro/internal/stats"
 )
 
 // ShardedConfig parameterizes FitSharded and FitStreamSharded: the
-// embedded Config drives each per-shard Summarizer and the final solve,
-// exactly as in FitStream.
+// embedded Config drives each per-shard Summarizer and the final solve.
 type ShardedConfig struct {
 	Config
 
 	// Shards is the number of independent summarizers S. FitSharded
 	// derives it from its source list (a non-zero value must agree);
-	// FitStreamSharded requires it. S ≤ 1 reproduces FitStream
-	// bit-for-bit.
+	// FitStreamSharded requires it, and at S ≤ 1 fits its one source
+	// as FitStream does.
 	Shards int
 
 	// Workers bounds how many shards ingest concurrently: 0 means one
@@ -36,14 +36,14 @@ type ShardedConfig struct {
 	// if the union of per-shard summaries exceeds it, one reduce pass
 	// through coreset.LightweightWeighted re-samples each sensitive
 	// group proportionally (preserving group masses exactly). Zero
-	// means never reduce — the union solves as-is, which keeps S=1 a
-	// bit-identical replay of FitStream.
+	// means never reduce — the union solves as-is, which is what
+	// FitStream and Summarizer.Solve ask for.
 	MergeBudget int
 }
 
 // shardSeed derives shard i's RNG stream from the base seed: disjoint
 // golden-ratio increments (the splitmix64 stream constant), with shard
-// 0 keeping the base seed so a single shard replays FitStream exactly.
+// 0 keeping the base seed so a single shard is seeded by Config.Seed.
 func shardSeed(seed int64, i int) int64 {
 	return seed + int64(i)*-0x61c8864680b583eb // 0x9e3779b97f4a7c15 as int64
 }
@@ -66,17 +66,17 @@ func (cfg ShardedConfig) workerCount(shards int) int {
 	return w
 }
 
-// FitSharded runs one Summarizer per source in parallel — each with its
-// own deterministically derived RNG stream — merges the per-shard
-// summaries (weighted union with cross-shard domain reconciliation,
-// optionally reduced to MergeBudget rows) and solves weighted FairKM on
-// the result. Sources must share one schema; dataset.SplitCSV produces
-// such sources from a single CSV file with true parallel byte-range
-// reads.
+// FitSharded is the pipeline's one fit driver. It runs one Summarizer
+// per source in parallel — each with its own deterministically derived
+// RNG stream — merges the per-shard summaries (weighted union with
+// cross-shard domain reconciliation, optionally reduced to MergeBudget
+// rows) and solves weighted FairKM on the result. Sources must share
+// one schema; dataset.SplitCSV produces such sources from a single CSV
+// file with true parallel byte-range reads. FitStream is this function
+// over one source.
 //
 // The result is bit-identical for every Workers value at a fixed shard
-// count, and with a single source it is bit-identical to
-// FitStream(sources[0], cfg.Config) at MergeBudget 0.
+// count.
 func FitSharded(sources []Source, cfg ShardedConfig) (*Result, error) {
 	s := len(sources)
 	if s == 0 {
@@ -114,7 +114,7 @@ func FitSharded(sources []Source, cfg ShardedConfig) (*Result, error) {
 // are dealt round-robin to cfg.Shards summarizers (chunk j to shard
 // j mod S), which ingest on cfg.Workers workers. The chunk→shard
 // assignment depends only on S, so results are bit-identical for every
-// worker count; Shards ≤ 1 delegates to FitStream.
+// worker count; Shards ≤ 1 fits the source as FitStream does.
 //
 // Reading stays single-threaded here (the source is one stream); for
 // parallel file reads shard the file itself with dataset.SplitCSV and
@@ -122,7 +122,7 @@ func FitSharded(sources []Source, cfg ShardedConfig) (*Result, error) {
 func FitStreamSharded(src Source, cfg ShardedConfig) (*Result, error) {
 	s := cfg.Shards
 	if s <= 1 {
-		return FitStream(src, cfg.Config)
+		return FitSharded([]Source{src}, ShardedConfig{Config: cfg.Config})
 	}
 	sums, err := newShardSummarizers(s, cfg)
 	if err != nil {
@@ -216,14 +216,41 @@ func drainInto(sum *Summarizer, src Source) error {
 	}
 }
 
-// solveSharded merges the shard summaries and runs the weighted solve
-// on the merged summary.
+// solveSharded merges the shard summaries and runs weighted FairKM on
+// the merged summary. It is the one place the summary solve's
+// core.Config is built, for every fit.
 func solveSharded(sums []*Summarizer, cfg ShardedConfig) (*Result, error) {
 	summary, weights, n, groups, reduced, err := mergeSummaries(sums, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return solveSummary(cfg.Config, summary, weights, &Result{N: n, Groups: groups, Shards: len(sums), Reduced: reduced})
+	if summary.N() < cfg.K {
+		return nil, fmt.Errorf("pipeline: summary has %d rows for K=%d; raise CoresetSize or stream more data", summary.N(), cfg.K)
+	}
+	solve, err := core.RunWeighted(summary, weights, core.Config{
+		K:           cfg.K,
+		Lambda:      cfg.Lambda,
+		AutoLambda:  cfg.AutoLambda,
+		Seed:        cfg.Seed,
+		MaxIter:     cfg.MaxIter,
+		Tol:         cfg.Tol,
+		Parallelism: cfg.Parallelism,
+		Weights:     cfg.Weights,
+		Observer:    cfg.Observer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Solve:          solve,
+		Summary:        summary,
+		SummaryWeights: weights,
+		N:              n,
+		Groups:         groups,
+		Lambda:         solve.Lambda,
+		Shards:         len(sums),
+		Reduced:        reduced,
+	}, nil
 }
 
 // mergeSummaries takes the weighted union of the per-shard summaries.

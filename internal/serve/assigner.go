@@ -375,8 +375,9 @@ func (a *Assigner) ctxErr(err error, when string) error {
 	return fmt.Errorf("serve: model %q: request canceled %s: %w", a.m.Name, when, err)
 }
 
-// Assign labels one feature vector (already in the model's trained
-// space if the artifact carries Scaling — see AssignRaw). The
+// Assign labels one feature vector, which must already be in the
+// model's trained space: a caller holding a raw vector applies the
+// artifact's Scaling first (model.Scaling.Apply). The
 // sensitive values, when non-nil, feed the drift tracker; they are keyed
 // by attribute name and never influence the assignment itself.
 func (a *Assigner) Assign(x []float64, sensitive map[string]string) (cluster int, dist float64, err error) {
@@ -587,17 +588,6 @@ func (a *Assigner) nonFiniteErr(row int) error {
 }
 
 func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
-
-// AssignRaw is Assign for a vector in raw input space: the artifact's
-// Scaling (if any) is applied to a copy first.
-func (a *Assigner) AssignRaw(x []float64, sensitive map[string]string) (int, float64, error) {
-	if a.m.Scaling != nil && len(x) == a.m.Dim() {
-		scaled := append([]float64(nil), x...)
-		a.m.Scaling.Apply(scaled)
-		x = scaled
-	}
-	return a.Assign(x, sensitive)
-}
 
 // Stats snapshots the serving counters, which span every Assigner that
 // counted into the same instruments, and this Assigner's admission
