@@ -55,7 +55,7 @@ race:
 	$(GO) test -race ./internal/model ./internal/serve
 	$(GO) test -race ./internal/load
 	$(GO) test -race ./internal/telemetry
-	$(GO) test -race ./internal/cli ./cmd/benchguard
+	$(GO) test -race ./internal/cli ./cmd/benchguard ./cmd/fairserved
 
 # bench records the sweep/kernel perf trajectory for this checkout as a
 # raw `go test -bench -json` event stream, so future PRs can diff

@@ -68,23 +68,28 @@ type RegistryTarget struct {
 	Registry *serve.Registry
 }
 
-// Do resolves the model and scores the batch under ctx.
+// Do resolves the model and scores the batch under ctx. The latency it
+// reports is the AssignBatchCtx call alone — the interval the served
+// model's latency histogram records — not the model lookup before it.
 func (t *RegistryTarget) Do(ctx context.Context, req *Request) Outcome {
 	e, err := t.Registry.Get(req.Model)
 	if err != nil {
 		return Outcome{Class: ClassError, Err: err}
 	}
+	sent := time.Now()
 	_, _, err = e.Assigner().AssignBatchCtx(ctx, req.Rows, nil)
+	o := Outcome{Latency: time.Since(sent), Err: err}
 	switch {
 	case err == nil:
-		return Outcome{Class: ClassOK, Rows: len(req.Rows)}
+		o.Class, o.Rows = ClassOK, len(req.Rows)
 	case serve.IsShed(err):
-		return Outcome{Class: ClassShed, Err: err}
+		o.Class = ClassShed
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		return Outcome{Class: ClassDeadline, Err: err}
+		o.Class = ClassDeadline
 	default:
-		return Outcome{Class: ClassError, Err: err}
+		o.Class = ClassError
 	}
+	return o
 }
 
 // HTTPTarget drives a live fairserved over HTTP, reusing keep-alive

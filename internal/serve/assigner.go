@@ -456,13 +456,20 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 	// A non-finite result is a malformed request found only after
 	// scoring; like the malformed requests above it is not traced.
 	nonFinite := false
-	if a.tracer != nil {
-		defer func() {
-			if !nonFinite {
-				a.traceDone(retErr, denied, len(rows), start, admitted, queueWait)
-			}
-		}()
-	}
+	// Registered first, so it runs last: an accepted request's latency
+	// is recorded after the trace bookkeeping, the gate release and the
+	// drift observation, covering everything the caller waits on.
+	defer func() {
+		if nonFinite {
+			return
+		}
+		if a.tracer != nil {
+			a.traceDone(retErr, denied, len(rows), start, admitted, queueWait)
+		}
+		if retErr == nil {
+			a.stats.record(len(rows), time.Since(start))
+		}
+	}()
 	if a.gate != nil {
 		qw, err := a.gate.acquire(ctx)
 		if err != nil {
@@ -571,7 +578,6 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 			return nil, nil, a.nonFiniteErr(i)
 		}
 	}
-	a.stats.record(len(rows), time.Since(start))
 	for i, sv := range sensitive {
 		if sv != nil {
 			a.stats.observe(out[i], sv)
