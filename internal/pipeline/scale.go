@@ -27,9 +27,6 @@ func ScanMinMax(src Source) (*model.Scaling, error) {
 				mins = append([]float64(nil), row...)
 				maxs = append([]float64(nil), row...)
 			}
-			if len(row) != len(mins) {
-				return nil, fmt.Errorf("pipeline: row has %d features, want %d", len(row), len(mins))
-			}
 			for j, v := range row {
 				if v < mins[j] {
 					mins[j] = v
