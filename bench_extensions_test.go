@@ -285,9 +285,10 @@ func BenchmarkStream(b *testing.B) {
 }
 
 // BenchmarkShard measures sharded summarize-then-solve scaling on the
-// same corpora as BenchmarkStream: for each shard count S the chunked
-// source deals round-robin into S summarizers ingesting on one worker
-// each, and the merged union solves. Sub-benchmark metrics carry the
+// same corpora as BenchmarkStream: for each shard count S the dataset
+// splits into S contiguous row ranges (pipeline.SliceShards) that feed
+// S summarizers ingesting on one worker each, and the merged union
+// solves. Sub-benchmark metrics carry the
 // union size and the merged-solve objective relative to the S=1
 // pipeline, which must stay flat — sharding buys wall-clock, not
 // objective.
@@ -319,9 +320,8 @@ func BenchmarkShard(b *testing.B) {
 			shards := shards
 			b.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := pipeline.FitStreamSharded(pipeline.NewSliceSource(c.ds, c.chunk), pipeline.ShardedConfig{
+					res, err := pipeline.FitSharded(pipeline.SliceShards(c.ds, shards, c.chunk), pipeline.ShardedConfig{
 						Config: pipeline.Config{K: c.k, AutoLambda: true, CoresetSize: 160, Seed: 1},
-						Shards: shards,
 					})
 					if err != nil {
 						b.Fatal(err)

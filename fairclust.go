@@ -31,12 +31,11 @@
 //	// res.Solve.Centroids deploys via res.Solve.Predict; re-stream
 //	// through fairclust.EvaluateStream for exact full-data metrics.
 //
-// For data-parallel ingestion, FitStreamSharded deals chunks round-
-// robin to S independent summarizers, and FitSharded runs one
-// summarizer per pre-split source — SplitCSV shards a CSV file on row
-// boundaries for true parallel reads. Per-shard coresets merge into one
-// weighted summary (a union of fair coresets is a fair coreset), and
-// results are bit-identical for every worker count.
+// For data-parallel ingestion, FitSharded runs one summarizer per
+// pre-split source — SplitCSV shards a CSV file on row boundaries for
+// true parallel reads. Per-shard coresets merge into one weighted
+// summary (a union of fair coresets is a fair coreset), and results
+// are bit-identical for every worker count.
 //
 // See cmd/fairstream for the end-to-end CLI.
 //
@@ -228,7 +227,8 @@ func EvaluateStream(src StreamSource, centroids [][]float64, lambda float64) (*S
 
 // ShardedStreamConfig parameterizes the sharded summarize-then-solve
 // entry points: the embedded StreamConfig drives each shard and the
-// final solve; Shards, Workers and MergeBudget control the fan-out.
+// final solve; Workers and MergeBudget control the fan-out, and the
+// shard count is the number of sources.
 type ShardedStreamConfig = pipeline.ShardedConfig
 
 // CSVShards is a CSV file split on row boundaries into independently
@@ -249,13 +249,6 @@ func SplitCSV(path string, shards int) (*CSVShards, error) {
 // at MergeBudget 0 reproduces FitStream bit-for-bit.
 func FitSharded(sources []StreamSource, cfg ShardedStreamConfig) (*StreamResult, error) {
 	return pipeline.FitSharded(sources, cfg)
-}
-
-// FitStreamSharded is FitSharded over one chunked source: chunks are
-// dealt round-robin to cfg.Shards summarizers ingesting on cfg.Workers
-// workers. Shards ≤ 1 delegates to FitStream.
-func FitStreamSharded(src StreamSource, cfg ShardedStreamConfig) (*StreamResult, error) {
-	return pipeline.FitStreamSharded(src, cfg)
 }
 
 // EvaluateStreamModel is EvaluateStream for a loaded model artifact: it

@@ -140,9 +140,9 @@ func TestPublicWeightedAndStreaming(t *testing.T) {
 }
 
 // TestPublicSharded exercises the sharded streaming surface: SplitCSV
-// over a real file, FitSharded across its shards, FitStreamSharded
-// round-robin, and the S=1 ≡ FitStream contract — all through the
-// public API only.
+// over a real file, FitSharded across its shards deterministically for
+// every worker count, and the S=1 ≡ FitStream contract — all through
+// the public API only.
 func TestPublicSharded(t *testing.T) {
 	ds := buildDataset(t)
 	var buf bytes.Buffer
@@ -160,52 +160,50 @@ func TestPublicSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := make([]fairclust.StreamSource, split.Shards())
-	for i := range srcs {
-		stream, closer, err := split.Open(i, spec, 16)
+	fitSplit := func(workers int) *fairclust.StreamResult {
+		t.Helper()
+		srcs := make([]fairclust.StreamSource, split.Shards())
+		for i := range srcs {
+			stream, closer, err := split.Open(i, spec, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closer.Close()
+			srcs[i] = stream
+		}
+		res, err := fairclust.FitSharded(srcs, fairclust.ShardedStreamConfig{Config: cfg, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer closer.Close()
-		srcs[i] = stream
+		return res
 	}
-	res, err := fairclust.FitSharded(srcs, fairclust.ShardedStreamConfig{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.N != ds.N() || res.Shards != 2 {
-		t.Fatalf("sharded run saw n=%d shards=%d, want n=%d shards=2", res.N, res.Shards, ds.N())
+	first := fitSplit(1)
+	if first.N != ds.N() || first.Shards != 2 {
+		t.Fatalf("sharded run saw n=%d shards=%d, want n=%d shards=2", first.N, first.Shards, ds.N())
 	}
 
-	// Round-robin over one source, S=1: bit-identical to FitStream.
+	// S=2, deterministic across workers.
+	second := fitSplit(2)
+	if math.Float64bits(first.Solve.Objective) != math.Float64bits(second.Solve.Objective) {
+		t.Errorf("worker count changed the S=2 objective: %v vs %v", first.Solve.Objective, second.Solve.Objective)
+	}
+
+	// One source, S=1: bit-identical to FitStream.
 	ref, err := fairclust.FitStream(fairclust.NewSliceSource(ds, 16), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := fairclust.FitStreamSharded(fairclust.NewSliceSource(ds, 16), fairclust.ShardedStreamConfig{Config: cfg, Shards: 1, Workers: 4})
+	one, err := fairclust.FitSharded([]fairclust.StreamSource{fairclust.NewSliceSource(ds, 16)}, fairclust.ShardedStreamConfig{Config: cfg, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(rr.Solve.Objective) != math.Float64bits(ref.Solve.Objective) {
-		t.Errorf("S=1 objective %v differs from FitStream %v", rr.Solve.Objective, ref.Solve.Objective)
+	if math.Float64bits(one.Solve.Objective) != math.Float64bits(ref.Solve.Objective) {
+		t.Errorf("S=1 objective %v differs from FitStream %v", one.Solve.Objective, ref.Solve.Objective)
 	}
 	for i := range ref.Solve.Assign {
-		if rr.Solve.Assign[i] != ref.Solve.Assign[i] {
+		if one.Solve.Assign[i] != ref.Solve.Assign[i] {
 			t.Fatalf("S=1 assign[%d] differs", i)
 		}
-	}
-
-	// S=2 round-robin, deterministic across workers.
-	first, err := fairclust.FitStreamSharded(fairclust.NewSliceSource(ds, 16), fairclust.ShardedStreamConfig{Config: cfg, Shards: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := fairclust.FitStreamSharded(fairclust.NewSliceSource(ds, 16), fairclust.ShardedStreamConfig{Config: cfg, Shards: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(first.Solve.Objective) != math.Float64bits(second.Solve.Objective) {
-		t.Errorf("worker count changed the S=2 objective: %v vs %v", first.Solve.Objective, second.Solve.Objective)
 	}
 }
 

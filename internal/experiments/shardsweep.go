@@ -5,16 +5,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/data/adult"
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
-	"repro/internal/testfix"
 )
 
-// The shard-scaling study measures FitStreamSharded across shard
-// counts: how the merged-summary solve's objective moves relative to
-// the single-shard pipeline and the full-data solve, how much summary
-// the union carries, and the ingest+solve wall-clock per S. It backs
+// The shard-scaling study measures FitSharded over S contiguous row
+// ranges (pipeline.SliceShards, the in-memory twin of the SplitCSV
+// byte ranges fairstream reads) across shard counts: how the
+// merged-summary solve's objective moves relative to the single-shard
+// pipeline and the full-data solve, how much summary the union
+// carries, and the ingest+solve wall-clock per S. It backs
 // the EXPERIMENTS.md "Shard scaling" section and BenchmarkShard.
 // (Wall-clock scaling needs cores; objective quality and determinism
 // do not, so the ratios are the portable part of this table.)
@@ -59,21 +59,12 @@ func RunShardStudy(opts Options) (*ShardStudy, error) {
 	const m = 160
 	study := &ShardStudy{M: m}
 
-	adultDS, err := adult.Generate(adult.Config{Seed: opts.Seed, Rows: 6500, SkipParity: true})
+	corpora, err := streamCorpora(opts, ShardStudySizes)
 	if err != nil {
 		return nil, err
 	}
-	adultDS.MinMaxNormalize()
-	adultStrat, err := adultDS.WithSensitive("gender", "race")
-	if err != nil {
-		return nil, err
-	}
-	if err := study.sweep("adult-6500", adultStrat, 7, 500, m, opts); err != nil {
-		return nil, err
-	}
-	for _, n := range ShardStudySizes {
-		synth := testfix.Synth(opts.Seed+100, n, 6, 2, 0)
-		if err := study.sweep(fmt.Sprintf("synth-%d", n), synth, 8, 2048, m, opts); err != nil {
+	for _, c := range corpora {
+		if err := study.sweep(c.name, c.ds, c.k, c.chunk, m, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -92,12 +83,11 @@ func (s *ShardStudy) sweep(name string, ds *dataset.Dataset, k, chunk, m int, op
 	var s1 float64
 	for _, shards := range ShardStudyShards {
 		start := time.Now()
-		res, err := pipeline.FitStreamSharded(pipeline.NewSliceSource(ds, chunk), pipeline.ShardedConfig{
+		res, err := pipeline.FitSharded(pipeline.SliceShards(ds, shards, chunk), pipeline.ShardedConfig{
 			Config: pipeline.Config{
 				K: k, AutoLambda: true, CoresetSize: m,
 				Seed: opts.Seed, MaxIter: opts.MaxIter, Parallelism: opts.Parallelism,
 			},
-			Shards: shards,
 		})
 		if err != nil {
 			return fmt.Errorf("experiments: shardsweep %s S=%d: %w", name, shards, err)

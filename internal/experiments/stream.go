@@ -62,6 +62,31 @@ func RunStreamStudy(opts Options) (*StreamStudy, error) {
 	const m = 160
 	study := &StreamStudy{M: m}
 
+	corpora, err := streamCorpora(opts, StreamStudySizes)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range corpora {
+		if err := study.measure(c.name, c.ds, c.k, c.chunk, m, opts); err != nil {
+			return nil, err
+		}
+	}
+	return study, nil
+}
+
+// streamCorpus is one dataset of the streaming and shard studies, with
+// the k and chunk size both studies solve it at.
+type streamCorpus struct {
+	name     string
+	ds       *dataset.Dataset
+	k, chunk int
+}
+
+// streamCorpora builds the corpora shared by the streaming and shard
+// studies: Adult (n=6500, min-max scaled, stratified on gender×race;
+// k=7 in 500-row chunks), then one synthetic mixture per entry of
+// sizes (k=8 in 2048-row chunks).
+func streamCorpora(opts Options, sizes []int) ([]streamCorpus, error) {
 	adultDS, err := adult.Generate(adult.Config{Seed: opts.Seed, Rows: 6500, SkipParity: true})
 	if err != nil {
 		return nil, err
@@ -71,17 +96,12 @@ func RunStreamStudy(opts Options) (*StreamStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := study.measure("adult-6500", adultStrat, 7, 500, m, opts); err != nil {
-		return nil, err
-	}
-
-	for _, n := range StreamStudySizes {
+	corpora := []streamCorpus{{"adult-6500", adultStrat, 7, 500}}
+	for _, n := range sizes {
 		synth := testfix.Synth(opts.Seed+100, n, 6, 2, 0)
-		if err := study.measure(fmt.Sprintf("synth-%d", n), synth, 8, 2048, m, opts); err != nil {
-			return nil, err
-		}
+		corpora = append(corpora, streamCorpus{fmt.Sprintf("synth-%d", n), synth, 8, 2048})
 	}
-	return study, nil
+	return corpora, nil
 }
 
 // measure runs one dataset through both paths.

@@ -16,16 +16,16 @@
 // Evaluate second pass then reports exact full-data fairness and
 // utility for the centroids the summary solve produced.
 //
-// FitSharded is the one fit driver. It runs one Summarizer per source
-// (pre-split sources such as dataset.SplitCSV byte ranges) and merges
-// the per-shard summaries: each is a fair coreset, and their union —
-// after a shard-order domain merge and an optional reduce pass — is
-// again a fair coreset, so the solve stage is unchanged. FitStream is
-// FitSharded over one source, Summarizer.Solve is the same merge-and-
-// solve over its single summary, and FitStreamSharded deals one
-// chunked source round-robin to S summarizers. Results are
-// bit-identical for every worker count at a fixed shard count; see
-// DESIGN.md "Sharded ingestion".
+// FitSharded is the one fit driver. It runs one Summarizer per
+// pre-split source — dataset.SplitCSV byte ranges for files,
+// SliceShards row ranges for an in-memory dataset — and merges the
+// per-shard summaries: each is a fair coreset, and their union — after
+// a shard-order domain merge and an optional reduce pass — is again a
+// fair coreset, so the solve stage is unchanged. The shard count is
+// the number of sources. FitStream is FitSharded over one source, and
+// Summarizer.Solve is the same merge-and-solve over its single
+// summary. Results are bit-identical for every worker count at a fixed
+// shard count; see DESIGN.md "Sharded ingestion".
 //
 // Min-max scaling is written once, here: ScanMinMax is the extra
 // leading pass that measures per-column minima and ranges, and Scaled
@@ -116,7 +116,7 @@ type Result struct {
 	// Lambda is the λ actually used.
 	Lambda float64
 	// Shards is how many summarizers fed the solve (1 for FitStream
-	// and Summarizer.Solve; FitSharded/FitStreamSharded record S).
+	// and Summarizer.Solve; FitSharded records its source count).
 	Shards int
 	// Reduced reports whether the sharded merge re-sampled the union
 	// down to ShardedConfig.MergeBudget before solving.
@@ -505,3 +505,22 @@ func (s *SliceSource) Next() (*dataset.Dataset, error) {
 
 // Reset rewinds the source for a second pass.
 func (s *SliceSource) Reset() { s.pos = 0 }
+
+// SliceShards splits ds into shards ≥ 1 contiguous row ranges of
+// near-equal size, in row order, each a SliceSource of chunk-row
+// chunks: the in-memory twin of dataset.SplitCSV's byte ranges, ready
+// for FitSharded. As with SplitCSV, a range is empty only when ds has
+// fewer rows than shards.
+func SliceShards(ds *dataset.Dataset, shards, chunk int) []Source {
+	n := ds.N()
+	srcs := make([]Source, shards)
+	for i := range srcs {
+		lo, hi := i*n/shards, (i+1)*n/shards
+		idx := make([]int, hi-lo)
+		for j := range idx {
+			idx[j] = lo + j
+		}
+		srcs[i] = NewSliceSource(ds.Subset(idx), chunk)
+	}
+	return srcs
+}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/coreset"
@@ -15,16 +14,11 @@ import (
 	"repro/internal/stats"
 )
 
-// ShardedConfig parameterizes FitSharded and FitStreamSharded: the
-// embedded Config drives each per-shard Summarizer and the final solve.
+// ShardedConfig parameterizes FitSharded: the embedded Config drives
+// each per-shard Summarizer and the final solve. The shard count S is
+// the number of sources FitSharded is given.
 type ShardedConfig struct {
 	Config
-
-	// Shards is the number of independent summarizers S. FitSharded
-	// derives it from its source list (a non-zero value must agree);
-	// FitStreamSharded requires it, and at S ≤ 1 fits its one source
-	// as FitStream does.
-	Shards int
 
 	// Workers bounds how many shards ingest concurrently: 0 means one
 	// worker per shard, -1 means GOMAXPROCS, n means n workers. Shards
@@ -82,9 +76,6 @@ func FitSharded(sources []Source, cfg ShardedConfig) (*Result, error) {
 	if s == 0 {
 		return nil, errors.New("pipeline: no shard sources")
 	}
-	if cfg.Shards != 0 && cfg.Shards != s {
-		return nil, fmt.Errorf("pipeline: Shards=%d but %d sources given", cfg.Shards, s)
-	}
 	sums, err := newShardSummarizers(s, cfg)
 	if err != nil {
 		return nil, err
@@ -102,81 +93,6 @@ func FitSharded(sources []Source, cfg ShardedConfig) (*Result, error) {
 		}(worker)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return solveSharded(sums, cfg)
-}
-
-// FitStreamSharded is FitSharded over a single chunked source: chunks
-// are dealt round-robin to cfg.Shards summarizers (chunk j to shard
-// j mod S), which ingest on cfg.Workers workers. The chunk→shard
-// assignment depends only on S, so results are bit-identical for every
-// worker count; Shards ≤ 1 fits the source as FitStream does.
-//
-// Reading stays single-threaded here (the source is one stream); for
-// parallel file reads shard the file itself with dataset.SplitCSV and
-// use FitSharded.
-func FitStreamSharded(src Source, cfg ShardedConfig) (*Result, error) {
-	s := cfg.Shards
-	if s <= 1 {
-		return FitSharded([]Source{src}, ShardedConfig{Config: cfg.Config})
-	}
-	sums, err := newShardSummarizers(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	w := cfg.workerCount(s)
-
-	type shardMsg struct {
-		shard int
-		chunk *dataset.Dataset
-	}
-	chans := make([]chan shardMsg, w)
-	for i := range chans {
-		chans[i] = make(chan shardMsg, 4)
-	}
-	errs := make([]error, s)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for worker := 0; worker < w; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for msg := range chans[worker] {
-				if errs[msg.shard] != nil {
-					continue
-				}
-				if err := sums[msg.shard].Add(msg.chunk); err != nil {
-					errs[msg.shard] = err
-					failed.Store(true)
-				}
-			}
-		}(worker)
-	}
-
-	var srcErr error
-	for j := 0; !failed.Load(); j++ {
-		chunk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			srcErr = err
-			break
-		}
-		shard := j % s
-		chans[shard%w] <- shardMsg{shard: shard, chunk: chunk}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if srcErr != nil {
-		return nil, srcErr
-	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -83,8 +83,7 @@ func modShardSources(ds *dataset.Dataset, s, chunk int) []Source {
 }
 
 // TestFitShardedSingleShardMatchesFitStream pins the S=1 contract: one
-// shard at MergeBudget 0 replays FitStream bit-for-bit, through both
-// entry points.
+// shard at MergeBudget 0 replays FitStream bit-for-bit.
 func TestFitShardedSingleShardMatchesFitStream(t *testing.T) {
 	ds, src := adultStream(t, 1500, 200)
 	cfg := Config{K: 5, AutoLambda: true, CoresetSize: 48, Seed: 7}
@@ -101,24 +100,75 @@ func TestFitShardedSingleShardMatchesFitStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "FitSharded/S=1", want, got)
+}
 
-	got2, err := FitStreamSharded(NewSliceSource(ds, 200), ShardedConfig{Config: cfg, Shards: 1, Workers: 8})
+// TestSliceShards pins the in-memory split: S sources of contiguous
+// rows, none empty, whose rows joined in order are ds itself, and one
+// shard through FitSharded replays FitStream bit-for-bit.
+func TestSliceShards(t *testing.T) {
+	ds := testfix.Synth(43, 1000, 4, 2, 0)
+	for _, s := range []int{1, 2, 3, 7} {
+		srcs := SliceShards(ds, s, 64)
+		if len(srcs) != s {
+			t.Fatalf("S=%d: %d sources", s, len(srcs))
+		}
+		row := 0
+		for i, src := range srcs {
+			rows := 0
+			for {
+				chunk, err := src.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range chunk.Features {
+					for j, v := range chunk.Features[r] {
+						if math.Float64bits(v) != math.Float64bits(ds.Features[row][j]) {
+							t.Fatalf("S=%d shard %d: row %d feature %d is %v, want %v", s, i, row, j, v, ds.Features[row][j])
+						}
+					}
+					for ai, attr := range chunk.Sensitive {
+						want := ds.Sensitive[ai]
+						if attr.Values[attr.Codes[r]] != want.Values[want.Codes[row]] {
+							t.Fatalf("S=%d shard %d: row %d attr %d differs", s, i, row, ai)
+						}
+					}
+					row++
+					rows++
+				}
+			}
+			if rows == 0 {
+				t.Fatalf("S=%d: shard %d yields no rows", s, i)
+			}
+		}
+		if row != ds.N() {
+			t.Fatalf("S=%d: shards yield %d rows, want %d", s, row, ds.N())
+		}
+	}
+
+	cfg := Config{K: 4, AutoLambda: true, CoresetSize: 32, Seed: 5}
+	want, err := FitStream(NewSliceSource(ds, 64), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdentical(t, "FitStreamSharded/S=1", want, got2)
+	got, err := FitSharded(SliceShards(ds, 1, 64), ShardedConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "SliceShards S=1", want, got)
 }
 
 // TestFitShardedWorkerDeterminism pins the parallelism contract: at a
 // fixed shard count the result is bit-identical for every worker
-// count, for both the pre-split and the round-robin entry points.
-// CI runs this under -race.
+// count. CI runs this under -race.
 func TestFitShardedWorkerDeterminism(t *testing.T) {
 	ds := testfix.Synth(41, 4000, 5, 2, 0)
 	for _, s := range []int{2, 3, 4} {
-		cfg := ShardedConfig{Config: Config{K: 4, AutoLambda: true, CoresetSize: 32, Seed: 11}, Shards: s}
+		cfg := ShardedConfig{Config: Config{K: 4, AutoLambda: true, CoresetSize: 32, Seed: 11}}
 
-		var wantSplit, wantRR *Result
+		var wantSplit *Result
 		for _, w := range []int{1, 2, 3, 8, -1} {
 			cfg.Workers = w
 			got, err := FitSharded(modShardSources(ds, s, 256), ShardedConfig{Config: cfg.Config, Workers: w})
@@ -132,16 +182,6 @@ func TestFitShardedWorkerDeterminism(t *testing.T) {
 				wantSplit = got
 			} else {
 				requireBitIdentical(t, fmt.Sprintf("FitSharded S=%d W=%d", s, w), wantSplit, got)
-			}
-
-			gotRR, err := FitStreamSharded(NewSliceSource(ds, 256), cfg)
-			if err != nil {
-				t.Fatalf("round-robin S=%d W=%d: %v", s, w, err)
-			}
-			if wantRR == nil {
-				wantRR = gotRR
-			} else {
-				requireBitIdentical(t, fmt.Sprintf("FitStreamSharded S=%d W=%d", s, w), wantRR, gotRR)
 			}
 		}
 	}
@@ -380,9 +420,6 @@ func TestFitShardedValidation(t *testing.T) {
 	ds := testfix.Synth(3, 200, 3, 1, 0)
 	if _, err := FitSharded(nil, ShardedConfig{Config: Config{K: 2}}); err == nil {
 		t.Error("no sources should error")
-	}
-	if _, err := FitSharded(modShardSources(ds, 2, 64), ShardedConfig{Config: Config{K: 2}, Shards: 3}); err == nil {
-		t.Error("Shards disagreeing with len(sources) should error")
 	}
 	if _, err := FitSharded(modShardSources(ds, 2, 64), ShardedConfig{Config: Config{K: 0}}); err == nil {
 		t.Error("K=0 should error")
