@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkLloyd sweeps k for full Lloyd runs with Hamerly pruning on
-// (the default) and off (Config.FullScan), on 4096 mildly-overlapping
+// (the default) and off (Config.fullScan), on 4096 mildly-overlapping
 // blob rows in the Adult-shaped dim-8 space. Identical seeds and
 // MaxIter mean both variants execute the exact same iterations on the
 // exact same assignments (pinned by TestPrunedParityGrid), so the
@@ -22,7 +22,7 @@ func BenchmarkLloyd(b *testing.B) {
 			b.Run(fmt.Sprintf("kernel=%s/k=%d", mode.name, k), func(b *testing.B) {
 				var iters int
 				for i := 0; i < b.N; i++ {
-					res, err := Run(features, Config{K: k, Seed: 1, MaxIter: 25, FullScan: mode.full})
+					res, err := Run(features, Config{K: k, Seed: 1, MaxIter: 25, fullScan: mode.full})
 					if err != nil {
 						b.Fatal(err)
 					}

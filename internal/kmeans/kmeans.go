@@ -80,16 +80,17 @@ type Config struct {
 	// against frozen centroids is pure, results are bit-identical for
 	// every setting.
 	Parallelism int
-	// FullScan disables Hamerly triangle-inequality pruning: every row
-	// is scored with the naive k-way centroid scan each iteration. The
-	// pruned default is bit-identical to this path (assignments,
-	// iteration counts and objective bits — pinned by prune_test.go);
-	// the switch exists as the test/benchmark reference, not as a
-	// correctness knob.
-	FullScan bool
 	// Observer, when non-nil, receives per-iteration statistics
 	// (moves, objective, elapsed wall-clock).
 	Observer engine.Observer
+
+	// fullScan disables Hamerly triangle-inequality pruning: every row
+	// is scored with the naive k-way centroid scan each iteration. The
+	// pruned default is bit-identical to this path (assignments,
+	// iteration counts and objective bits — pinned by prune_test.go);
+	// it exists as the test/benchmark reference, not as a correctness
+	// knob.
+	fullScan bool
 }
 
 // DefaultMaxIter is used when Config.MaxIter is zero.
@@ -224,7 +225,7 @@ func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 		k:        cfg.K,
 		assign:   initialAssign(features, weights, &cfg),
 	}
-	if !cfg.FullScan {
+	if !cfg.fullScan {
 		obj.prune = newPruner(features)
 	}
 

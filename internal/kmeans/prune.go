@@ -60,7 +60,7 @@ import (
 //     inside Freeze, before workers start.
 //
 // prune_test.go pins all of this against Run/RunWeighted with
-// Config.FullScan set, plus the bound invariants after every
+// Config.fullScan set, plus the bound invariants after every
 // iteration.
 
 // prunePad is the relative outward padding applied to every bound

@@ -10,14 +10,14 @@ import (
 )
 
 // comparePrunedFull runs the same configuration with pruning (default)
-// and with Config.FullScan and requires bit-identical results:
+// and with Config.fullScan and requires bit-identical results:
 // assignments (including ties), iteration counts, convergence flags,
 // centroid bits and objective bits.
 func comparePrunedFull(t *testing.T, name string, features [][]float64, weights []float64, cfg Config) {
 	t.Helper()
 	run := func(fullScan bool) *Result {
 		c := cfg
-		c.FullScan = fullScan
+		c.fullScan = fullScan
 		var r *Result
 		var err error
 		if weights == nil {

@@ -47,9 +47,6 @@ func (g *RNG) Gaussian(mean, std float64) float64 {
 	return mean + std*g.r.NormFloat64()
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
