@@ -103,6 +103,7 @@ bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream/stream' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard/shards=2/adult6500' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/workers=1/batch=64' -benchtime 1x
+	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/single' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/kernel=' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServeTelemetry' -benchtime 1x
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x

@@ -143,9 +143,9 @@ func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 		t.Error("deadline expiry misclassified as shed")
 	}
 
-	// Single-query path honors the deadline the same way.
-	if _, _, err := a.AssignCtx(ctx, ds.Features[0], nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("AssignCtx after expiry got %v, want DeadlineExceeded", err)
+	// A single query, a one-row batch, honors the deadline the same way.
+	if _, _, err := a.AssignBatchCtx(ctx, ds.Features[:1], nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("one-row AssignBatchCtx after expiry got %v, want DeadlineExceeded", err)
 	}
 
 	close(stall.release)
@@ -274,6 +274,56 @@ func TestDeadlineMidBatchPooled(t *testing.T) {
 	if !reflect.DeepEqual(got, sequential(m, ds.Features)) {
 		t.Error("post-fault labelling differs from sequential scan")
 	}
+}
+
+// TestDeadlineRacesCompletion: pooled requests whose deadlines expire
+// around the moment their last stride finishes. Either the caller or
+// the last worker out recycles each job, exactly once: every request
+// either succeeds with the sequential labelling or fails with
+// DeadlineExceeded, Close returns, and later requests reusing the
+// pooled jobs see no stale completion signal.
+func TestDeadlineRacesCompletion(t *testing.T) {
+	ds := testfix.Synth(12, 240, 4, 1, 0)
+	m := trainModel(t, ds, 4, 6)
+	want := sequential(m, ds.Features)
+	a, err := NewAssigner(m, Options{Workers: 3, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients, perClient = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration((g+i)%6)*15*time.Microsecond)
+				got, _, err := a.AssignBatchCtx(ctx, ds.Features, nil)
+				cancel()
+				switch {
+				case err == nil && !reflect.DeepEqual(got, want):
+					t.Error("racing request got a different labelling")
+				case err != nil && !errors.Is(err, context.DeadlineExceeded):
+					t.Errorf("racing request got %v, want success or DeadlineExceeded", err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := a.Stats(); st.Requests+st.Deadline != clients*perClient {
+		t.Errorf("%d ok + %d deadline, want %d requests accounted for", st.Requests, st.Deadline, clients*perClient)
+	}
+	for i := 0; i < 50; i++ {
+		got, _, err := a.AssignBatch(ds.Features, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("request after the deadline storm differs from the sequential scan")
+		}
+	}
+	a.Close()
 }
 
 // TestGatedDeterminism: admission control must never change what a row

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -8,12 +9,13 @@ import (
 )
 
 // TestHotPathAllocs pins the steady-state allocation budget of the
-// serving hot paths. AssignBatch may allocate only its two result
-// slices (labels + distances); the pool machinery (jobs, scratch,
-// worker wakeups) must come from sync.Pools after warm-up. Assign
-// must be allocation-free when the caller supplies no gate. A
-// regression here shows up long before it shows up in ns/op — GC
-// pressure under open-loop load is what breaks the SLO tail.
+// serving hot path. AssignBatch may allocate only its two result
+// slices (labels + distances); the pool machinery (jobs, their
+// completion signals, scratch, worker wakeups) must come from
+// sync.Pools after warm-up. The same bound holds under a cancellable
+// context, the shape every fairserved request has. A regression here
+// shows up long before it shows up in ns/op — GC pressure under
+// open-loop load is what breaks the SLO tail.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -45,14 +47,15 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("AssignBatch allocs/op = %.1f, want <= 3", batch)
 	}
 
-	x := rows[0]
-	single := testing.AllocsPerRun(100, func() {
-		if _, _, err := a.Assign(x, nil); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := testing.AllocsPerRun(20, func() {
+		if _, _, err := a.AssignBatchCtx(ctx, rows, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if single > 0.5 {
-		t.Errorf("Assign allocs/op = %.1f, want 0", single)
+	if served > 3 {
+		t.Errorf("AssignBatchCtx (cancellable) allocs/op = %.1f, want <= 3", served)
 	}
 
 	// Tracing on: the span bookkeeping (stage histogram records, flight

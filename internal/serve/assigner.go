@@ -4,10 +4,11 @@
 //
 // The package has three pieces:
 //
-//   - Assigner: answers single and batch queries for one immutable
-//     model through a micro-batching worker pool. It counts requests,
-//     rows, sheds, deadlines and latency into owned instruments of
-//     Options.Metrics, and tracks its own traffic's fairness drift.
+//   - Assigner: answers batch queries for one immutable model through
+//     a micro-batching worker pool; a single query is a one-row batch.
+//     It counts requests, rows, sheds, deadlines and latency into
+//     owned instruments of Options.Metrics, and tracks its own
+//     traffic's fairness drift.
 //   - Registry: a named set of Assigners with atomic hot-swap — a
 //     reload under traffic lets in-flight requests finish on the model
 //     they started with while new requests see the new one. It owns
@@ -36,7 +37,7 @@
 // MaxQueue wait for a slot, and (with QueueBudget) arrivals whose
 // estimated queue wait already exceeds the budget are rejected with a
 // ShedError instead of queueing — shed, don't collapse. Request
-// contexts propagate through AssignCtx/AssignBatchCtx: a deadline that
+// contexts propagate through AssignBatchCtx: a deadline that
 // expires while queued or mid-batch aborts the request (wrapping
 // context.DeadlineExceeded) rather than scoring rows nobody is waiting
 // for. Limits are per model: every Assigner a Registry constructs gets
@@ -116,43 +117,57 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// batchJob is one batch request's shared work descriptor: participants
-// (pool workers plus, for deadline-free requests, the caller itself)
-// claim micro-batch strides with one atomic add each and score them
-// into the caller's result slots. This replaces the old
-// one-channel-send-per-micro-batch fan-out: dispatch cost is now one
-// channel handoff per PARTICIPANT instead of one per micro-batch, so
-// large batches no longer drown in pool overhead.
+// batchJob is one pooled batch request's shared work descriptor: pool
+// workers (the participants) claim micro-batch strides with one atomic
+// add each and score them into the caller's result slots, so dispatch
+// costs one channel handoff per participant, however many
+// micro-batches the request spans. The caller never scores: a stalled
+// stride must cost a pool goroutine, not the request's deadline.
 //
-// wg counts participant EXITS, and a participant only exits once no
-// unclaimed stride remains and its own claimed strides are scored —
-// so wg.Wait() implies every stride is done, and implies no
-// participant will touch the job again, which is what makes the
-// sync.Pool reuse of jobs safe.
+// active counts the participants still inside the job plus the
+// caller's holds (one count while it dispatches, waiterHold while it
+// waits), and done is the one-slot completion signal. A participant
+// exits only once no unclaimed stride remains and its own strides are
+// scored. The exit that leaves exactly waiterHold sends on done; if
+// the caller already dropped that hold on expiry, the exit that
+// reaches zero recycles the job instead (see leave). Either way
+// exactly one party puts the job back, after which nobody touches it.
 type batchJob struct {
-	ctx   context.Context // non-nil only when cancellation can fire
-	rows  [][]float64
-	out   []int
-	dists []float64
-	batch int
-	next  atomic.Int64 // next unclaimed row offset
-	wg    sync.WaitGroup
+	ctx    context.Context
+	rows   [][]float64
+	out    []int
+	dists  []float64
+	batch  int
+	next   atomic.Int64 // next unclaimed row offset
+	active atomic.Int64
+	done   chan struct{} // capacity 1; empty whenever the job is pooled
 }
 
-// jobPool recycles batchJob descriptors so the steady-state batch path
-// allocates nothing beyond the result slices it returns.
-var jobPool = sync.Pool{New: func() any { return new(batchJob) }}
+// waiterHold is the waiting caller's count in batchJob.active. It
+// exceeds any participant count, so once the caller drops it on expiry
+// no participant's exit can read as "only the caller is left".
+const waiterHold = 1 << 32
 
+// jobPool recycles batchJob descriptors, done channel included, so the
+// steady-state batch path allocates nothing beyond the result slices
+// it returns.
+var jobPool = sync.Pool{New: func() any { return &batchJob{done: make(chan struct{}, 1)} }}
+
+// newJob takes a job from the pool holding the caller's two holds: the
+// waiter's, and one count as the dispatcher, dropped by leave once
+// every handoff is made, so no participant can signal completion
+// while workers are still being invited.
 func newJob(ctx context.Context, rows [][]float64, out []int, dists []float64, batch int) *batchJob {
 	j := jobPool.Get().(*batchJob)
 	j.ctx, j.rows, j.out, j.dists, j.batch = ctx, rows, out, dists, batch
 	j.next.Store(0)
+	j.active.Store(waiterHold + 1)
 	return j
 }
 
-// putJob must only be called after j.wg.Wait() has returned (or before
-// the job was ever offered to a worker): the wg protocol guarantees no
-// participant touches the job afterwards.
+// putJob must only be called once no participant can touch the job
+// again: after its done signal is drained, by the participant whose
+// exit orphaned it, or before it was ever offered to a worker.
 func putJob(j *batchJob) {
 	j.ctx, j.rows, j.out, j.dists = nil, nil, nil, nil
 	jobPool.Put(j)
@@ -187,10 +202,8 @@ type Assigner struct {
 	inflight sync.WaitGroup
 
 	stats *tracker
-	// tracer, when non-nil, receives one span Trace per batch request
-	// (every outcome). Single-query AssignCtx stays untraced: its whole
-	// budget is a few hundred nanoseconds and the trace would cost more
-	// than the work it measures.
+	// tracer, when non-nil, receives one span Trace per request (every
+	// outcome).
 	tracer *telemetry.RequestTracer
 }
 
@@ -238,20 +251,33 @@ func newAssigner(m *model.Model, opts Options, name string) (*Assigner, error) {
 // Model returns the immutable model being served.
 func (a *Assigner) Model() *model.Model { return a.m }
 
-// Options returns the (defaulted) pool configuration.
-func (a *Assigner) Options() Options { return a.opts }
-
 func (a *Assigner) worker() {
 	for j := range a.jobs {
 		a.runJob(j)
-		j.wg.Done()
+		a.leave(j)
+	}
+}
+
+// leave drops one count of j. The exit that leaves only the waiting
+// caller's hold signals it; the exit that reaches zero means the
+// caller left on expiry, so it runs the orphan cleanup the caller
+// could not: the job recycles and the request stops counting as in
+// flight only once its last stride has drained, so Close still cannot
+// truncate it.
+func (a *Assigner) leave(j *batchJob) {
+	switch j.active.Add(-1) {
+	case waiterHold:
+		j.done <- struct{}{}
+	case 0:
+		putJob(j)
+		a.inflight.Done()
 	}
 }
 
 // runJob claims and scores strides until none remain. Stride claiming
-// is one atomic add; the per-stride context check keeps the old
-// semantics that a worker never burns time scoring rows whose request
-// already gave up (it still drains the claims so wg settles).
+// is one atomic add; the per-stride context check means a worker never
+// burns time scoring rows whose request already gave up (it still
+// drains the claims, so it exits promptly).
 func (a *Assigner) runJob(j *batchJob) {
 	n := len(j.rows)
 	for {
@@ -260,7 +286,7 @@ func (a *Assigner) runJob(j *batchJob) {
 			return
 		}
 		hi := min(lo+j.batch, n)
-		if j.ctx != nil && j.ctx.Err() != nil {
+		if j.ctx.Err() != nil {
 			continue // request abandoned: drain without scoring
 		}
 		a.score(j.rows[lo:hi], j.out[lo:hi], j.dists[lo:hi])
@@ -269,23 +295,22 @@ func (a *Assigner) runJob(j *batchJob) {
 
 // invite offers the job to up to n idle workers without blocking; each
 // successful handoff registers one participant. Busy workers are
-// simply not invited — whoever is already participating (for
-// deadline-free requests, at least the caller) covers the strides.
+// simply not invited — the participants already in cover the strides.
 func (a *Assigner) invite(j *batchJob, n int) {
 	for w := 0; w < n; w++ {
-		j.wg.Add(1)
+		j.active.Add(1)
 		select {
 		case a.jobs <- j:
 		default:
-			j.wg.Done()
+			j.active.Add(-1) // the dispatcher's hold keeps this above waiterHold
 			return
 		}
 	}
 }
 
 // score labels rows into the caller's slots via the pruned fused
-// kernel — the exact kernel single queries use, so batch and single
-// results are identical bit for bit.
+// kernel — the one kernel both the inline and the pooled branch use,
+// so results are identical bit for bit whichever branch runs.
 //
 //fairvet:hotpath
 func (a *Assigner) score(rows [][]float64, out []int, dists []float64) {
@@ -375,53 +400,14 @@ func (a *Assigner) ctxErr(err error, when string) error {
 	return fmt.Errorf("serve: model %q: request canceled %s: %w", a.m.Name, when, err)
 }
 
-// Assign labels one feature vector, which must already be in the
-// model's trained space: a caller holding a raw vector applies the
-// artifact's Scaling first (model.Scaling.Apply). The
-// sensitive values, when non-nil, feed the drift tracker; they are keyed
-// by attribute name and never influence the assignment itself.
-func (a *Assigner) Assign(x []float64, sensitive map[string]string) (cluster int, dist float64, err error) {
-	return a.AssignCtx(context.Background(), x, sensitive)
-}
-
-// AssignCtx is Assign under a request context: it passes the admission
-// gate (when configured) and honors the context's deadline while
-// queued. Shed requests return a ShedError; expired ones wrap ctx.Err().
-// A query whose winning squared distance is not finite fails and is
-// neither counted nor observed for drift.
-func (a *Assigner) AssignCtx(ctx context.Context, x []float64, sensitive map[string]string) (cluster int, dist float64, err error) {
-	if len(x) != a.m.Dim() {
-		return 0, 0, fmt.Errorf("serve: query has %d features, model %q expects %d", len(x), a.m.Name, a.m.Dim())
-	}
-	start := time.Now()
-	if a.gate != nil {
-		if _, err := a.gate.acquire(ctx); err != nil {
-			return 0, 0, a.admitErr(err)
-		}
-		admitted := time.Now()
-		defer func() { a.gate.release(time.Since(admitted)) }()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, 0, a.ctxErr(err, "before scoring")
-	}
-	sc := a.scratch.Get().(*stats.CentroidScratch)
-	cluster, dist = a.ix.Nearest(x, sc)
-	a.scratch.Put(sc)
-	if !isFinite(dist) {
-		return 0, 0, a.nonFiniteErr(0)
-	}
-	a.stats.record(1, time.Since(start))
-	if sensitive != nil {
-		a.stats.observe(cluster, sensitive)
-	}
-	return cluster, dist, nil
-}
-
 // AssignBatch labels rows[i] into result slot i, spreading micro-batches
-// of Options.BatchSize rows over the worker pool. sensitive, when
+// of Options.BatchSize rows over the worker pool. Rows must already be
+// in the model's trained space: a caller holding raw vectors applies
+// the artifact's Scaling first (model.Scaling.Apply). sensitive, when
 // non-nil, must have one entry per row (nil entries allowed) and feeds
-// the drift tracker. Results are deterministic and identical for every
-// pool configuration.
+// the drift tracker; the values never influence the assignment itself.
+// A single query is a one-row batch. Results are deterministic and
+// identical for every pool configuration.
 func (a *Assigner) AssignBatch(rows [][]float64, sensitive []map[string]string) ([]int, []float64, error) {
 	return a.AssignBatchCtx(context.Background(), rows, sensitive)
 }
@@ -508,35 +494,15 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 			// a success whose latency belongs in the accepted stats.
 			return nil, nil, a.ctxErr(err, "mid-batch")
 		}
-	} else if ctx.Done() == nil {
-		// Deadline-free pooled path: the caller is a guaranteed
-		// participant (it scores strides itself — no idle blocking, no
-		// goroutine per request), and idle workers join via invite. One
-		// channel handoff per joining worker is the entire dispatch
-		// cost, however many micro-batches the request spans.
-		//fairvet:ignore ctxflow -- nil is the documented deadline-free sentinel: batchJob.ctx is "non-nil only when cancellation can fire", and strides skip the per-claim ctx poll entirely
-		j := newJob(nil, rows, out, dists, batch)
-		strides := (len(rows) + batch - 1) / batch
-		a.invite(j, min(a.opts.Workers, strides-1))
-		a.runJob(j)
-		j.wg.Wait()
-		putJob(j)
-		a.inflight.Done()
 	} else {
-		// Cancellable pooled path: the caller must never score (a
-		// stalled stride would pin it past its own deadline), so the
-		// first handoff blocks — bounded by the context — to guarantee
-		// a scorer, and the rest are opportunistic.
+		// Pooled: the caller never scores, so the first handoff blocks —
+		// bounded by the context — to guarantee a scorer, and the rest
+		// are opportunistic.
 		j := newJob(ctx, rows, out, dists, batch)
-		j.wg.Add(1)
-		submitted := false
+		j.active.Add(1)
 		select {
 		case a.jobs <- j:
-			submitted = true
 		case <-ctx.Done():
-			j.wg.Done()
-		}
-		if !submitted {
 			// Never offered: nothing else references the job.
 			putJob(j)
 			a.inflight.Done()
@@ -544,22 +510,16 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 		}
 		strides := (len(rows) + batch - 1) / batch
 		a.invite(j, min(a.opts.Workers, strides)-1)
-		// Wait for the participants, but never past the deadline: a
-		// stalled worker must cost a pool goroutine, not the request.
-		done := make(chan struct{})
-		go func() { j.wg.Wait(); close(done) }()
-		expired := false
+		a.leave(j) // dispatch done
+		// Wait for the participants, but never past the deadline.
 		select {
-		case <-done:
+		case <-j.done:
 		case <-ctx.Done():
-			expired = true
-		}
-		if expired {
-			// Free the caller now; inflight drops (and the job recycles)
-			// only once the orphaned strides drain, so Close still can't
-			// truncate them.
-			go func() { <-done; a.inflight.Done(); putJob(j) }()
-			return nil, nil, a.ctxErr(ctx.Err(), "mid-batch")
+			if j.active.Add(-waiterHold) > 0 {
+				// Orphaned: the last participant out recycles the job.
+				return nil, nil, a.ctxErr(ctx.Err(), "mid-batch")
+			}
+			<-j.done // every participant has left; drain its signal
 		}
 		err := ctx.Err()
 		putJob(j)

@@ -98,8 +98,8 @@ func BenchmarkServe(b *testing.B) {
 		})
 	}
 
-	// Single-query path: the per-request floor the batch variants
-	// amortize.
+	// A single query, as fairserved serves it: a one-row batch, the
+	// per-request floor the batch variants amortize.
 	b.Run("single", func(b *testing.B) {
 		a, err := NewAssigner(m, Options{})
 		if err != nil {
@@ -108,7 +108,7 @@ func BenchmarkServe(b *testing.B) {
 		defer a.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := a.Assign(rows[i%len(rows)], nil); err != nil {
+			if _, _, err := a.AssignBatch(rows[i%len(rows):i%len(rows)+1], nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -64,12 +64,12 @@ func TestAssignerDeterministic(t *testing.T) {
 					t.Fatal("batch labelling differs from sequential scan")
 				}
 				for i, x := range ds.Features {
-					c, d, err := a.Assign(x, nil)
+					c, d, err := a.AssignBatch([][]float64{x}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if c != want[i] || d != dists[i] {
-						t.Fatalf("single query %d: (%d,%v) vs batch (%d,%v)", i, c, d, want[i], dists[i])
+					if c[0] != want[i] || d[0] != dists[i] {
+						t.Fatalf("one-row query %d: (%d,%v) vs batch (%d,%v)", i, c[0], d[0], want[i], dists[i])
 					}
 				}
 			})
@@ -127,7 +127,7 @@ func TestAssignerDimensionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if _, _, err := a.Assign([]float64{1}, nil); err == nil {
+	if _, _, err := a.AssignBatch([][]float64{{1}}, nil); err == nil {
 		t.Error("short vector accepted")
 	}
 	if _, _, err := a.AssignBatch([][]float64{{1, 2, 3}, {1}}, nil); err == nil {
@@ -317,7 +317,7 @@ func TestDrift(t *testing.T) {
 	src := ds.SensitiveByName(attr.Name)
 	for i, x := range ds.Features {
 		sv := map[string]string{attr.Name: src.Values[src.Codes[i]]}
-		if _, _, err := a.Assign(x, sv); err != nil {
+		if _, _, err := a.AssignBatch([][]float64{x}, []map[string]string{sv}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +344,7 @@ func TestDrift(t *testing.T) {
 		if i%5 == 0 {
 			v = "unseen-segment"
 		}
-		if _, _, err := b.Assign(x, map[string]string{attr.Name: v}); err != nil {
+		if _, _, err := b.AssignBatch([][]float64{x}, []map[string]string{{attr.Name: v}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,8 +371,8 @@ func TestNonFiniteDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := a.Assign(huge, sv); err == nil || !strings.Contains(err.Error(), "row 0") {
-			t.Errorf("Assign(%v) err = %v, want a non-finite error naming row 0", huge, err)
+		if _, _, err := a.AssignBatch([][]float64{huge}, []map[string]string{sv}); err == nil || !strings.Contains(err.Error(), "row 0") {
+			t.Errorf("one-row AssignBatch(%v) err = %v, want a non-finite error naming row 0", huge, err)
 		}
 		rows := [][]float64{ds.Features[0], ds.Features[1], huge}
 		if _, _, err := a.AssignBatch(rows, []map[string]string{sv, sv, sv}); err == nil || !strings.Contains(err.Error(), "row 2") {

@@ -54,13 +54,6 @@ func TestAssignBatchTraced(t *testing.T) {
 			t.Fatalf("stages exceed total: %+v", tr)
 		}
 	}
-	// Untraced single queries must not reach the recorder.
-	if _, _, err := a.Assign(rows[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tracer.Slowest()); got != 3 {
-		t.Fatalf("single query was traced: %d traces", got)
-	}
 }
 
 // TestAssignBatchTracedOutcomes: shed and deadline requests land in
