@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dataset"
 	"repro/internal/stats"
 )
 
@@ -38,16 +37,11 @@ type Weighted struct {
 // TotalWeight returns the summed weight (≈ n of the source data).
 func (w *Weighted) TotalWeight() float64 { return stats.Sum(w.Weights) }
 
-// Lightweight builds a lightweight coreset of m points over the given
-// rows of features (subset == nil means all rows).
-func Lightweight(features [][]float64, subset []int, m int, rng *stats.RNG) (*Weighted, error) {
-	return LightweightWeighted(features, subset, nil, m, rng)
-}
-
-// LightweightWeighted is Lightweight over an already-weighted point
-// set (weights == nil means unit weights, aligned with subset). It is
-// the "reduce" step of the streaming merge-and-reduce construction:
-// coresets of coresets remain coresets.
+// LightweightWeighted builds a lightweight coreset of m points over
+// the given rows of features (subset == nil means all rows), each
+// carrying a weight (weights == nil means unit weights, aligned with
+// subset). It is the "reduce" step of the streaming merge-and-reduce
+// construction: coresets of coresets remain coresets.
 func LightweightWeighted(features [][]float64, subset []int, weights []float64, m int, rng *stats.RNG) (*Weighted, error) {
 	if subset == nil {
 		subset = make([]int, len(features))
@@ -143,69 +137,15 @@ func LightweightWeighted(features [][]float64, subset []int, weights []float64, 
 	return w, nil
 }
 
-// Fair builds a fair coreset over the named categorical attribute:
-// one lightweight coreset per attribute value (size proportional to
-// the group, at least k points each), merged. The result preserves
-// each group's total weight, so group proportions — the quantity fair
-// clustering constrains — survive the compression.
-func Fair(ds *dataset.Dataset, attr string, m, k int, seed int64) (*Weighted, error) {
-	if ds == nil {
-		return nil, errors.New("coreset: nil dataset")
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, fmt.Errorf("coreset: %w", err)
-	}
-	s := ds.SensitiveByName(attr)
-	if s == nil {
-		return nil, fmt.Errorf("coreset: no sensitive attribute %q", attr)
-	}
-	if s.Kind != dataset.Categorical {
-		return nil, fmt.Errorf("coreset: attribute %q is not categorical", attr)
-	}
-	n := ds.N()
-	if m < len(s.Values)*max(1, k) {
-		return nil, fmt.Errorf("coreset: m=%d too small for %d groups at k=%d", m, len(s.Values), k)
-	}
-	rng := stats.NewRNG(seed)
-	byValue := make([][]int, len(s.Values))
-	for i, c := range s.Codes {
-		byValue[c] = append(byValue[c], i)
-	}
-	out := &Weighted{}
-	for _, members := range byValue {
-		if len(members) == 0 {
-			continue
-		}
-		gm := m * len(members) / n
-		if gm < max(1, k) {
-			gm = max(1, k)
-		}
-		gw, err := Lightweight(ds.Features, members, gm, rng.Fork())
-		if err != nil {
-			return nil, err
-		}
-		// Rescale so the group's weight equals its population exactly:
-		// proportions are what fairness measures; sampling noise in the
-		// total is pure harm.
-		scale := float64(len(members)) / gw.TotalWeight()
-		for i := range gw.Weights {
-			gw.Weights[i] *= scale
-		}
-		out.Indices = append(out.Indices, gw.Indices...)
-		out.Weights = append(out.Weights, gw.Weights...)
-	}
-	return out, nil
-}
-
 // ReduceGroups re-samples a weighted, group-labelled point set down to
 // about budget points: one LightweightWeighted pass per group (groups
 // in order of first appearance, sizes proportional to group row counts,
 // at least one point each), with each group's total weight rescaled to
-// its exact input mass afterwards — group proportions survive, as in
-// Fair. It is the sharded pipeline's merge-reduce step: the union of
-// per-shard fair coresets is a fair coreset, and one more reduce keeps
-// it one while bounding the solve cost. The result holds at most
-// budget + #groups points. Indices index into features.
+// its exact input mass afterwards — group proportions survive. It is
+// the sharded pipeline's merge-reduce step: the union of per-shard
+// fair coresets is a fair coreset, and one more reduce keeps it one
+// while bounding the solve cost. The result holds at most budget +
+// #groups points. Indices index into features.
 func ReduceGroups(features [][]float64, weights []float64, groups []int, budget int, rng *stats.RNG) (*Weighted, error) {
 	n := len(features)
 	if n == 0 {

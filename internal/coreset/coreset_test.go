@@ -31,7 +31,7 @@ func clusteredDataset(t *testing.T, n int) *dataset.Dataset {
 
 func TestLightweightWeightsSumApproxN(t *testing.T) {
 	ds := clusteredDataset(t, 600)
-	w, err := Lightweight(ds.Features, nil, 120, stats.NewRNG(1))
+	w, err := LightweightWeighted(ds.Features, nil, nil, 120, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestLightweightWeightsSumApproxN(t *testing.T) {
 
 func TestLightweightDegenerate(t *testing.T) {
 	ds := clusteredDataset(t, 10)
-	w, err := Lightweight(ds.Features, nil, 50, stats.NewRNG(1))
+	w, err := LightweightWeighted(ds.Features, nil, nil, 50, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestLightweightDegenerate(t *testing.T) {
 			t.Errorf("unit weights expected, got %v", wt)
 		}
 	}
-	if _, err := Lightweight(ds.Features, []int{}, 5, stats.NewRNG(1)); err == nil {
+	if _, err := LightweightWeighted(ds.Features, []int{}, nil, 5, stats.NewRNG(1)); err == nil {
 		t.Error("empty subset accepted")
 	}
-	if _, err := Lightweight(ds.Features, nil, 0, stats.NewRNG(1)); err == nil {
+	if _, err := LightweightWeighted(ds.Features, nil, nil, 0, stats.NewRNG(1)); err == nil {
 		t.Error("m=0 accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestCoresetApproximatesKMeansCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Lightweight(ds.Features, nil, 250, stats.NewRNG(2))
+	w, err := LightweightWeighted(ds.Features, nil, nil, 250, stats.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,42 +140,20 @@ func TestCoresetApproximatesKMeansCost(t *testing.T) {
 	}
 }
 
-// TestFairCoresetPreservesGroupProportions: the defining property.
-func TestFairCoresetPreservesGroupProportions(t *testing.T) {
-	ds := clusteredDataset(t, 800)
-	w, err := Fair(ds, "g", 200, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ds.SensitiveByName("g")
-	var aWeight, bWeight float64
-	for pos, i := range w.Indices {
-		if g.Values[g.Codes[i]] == "a" {
-			aWeight += w.Weights[pos]
-		} else {
-			bWeight += w.Weights[pos]
-		}
-	}
-	// Dataset is 80% a / 20% b; the fair construction preserves group
-	// mass exactly (rescaled per group).
-	total := aWeight + bWeight
-	if math.Abs(aWeight/total-0.8) > 1e-9 {
-		t.Errorf("group-a proportion %v, want 0.8 exactly", aWeight/total)
-	}
-	if math.Abs(total-800) > 1e-6 {
-		t.Errorf("total weight %v, want 800", total)
-	}
-}
-
-// TestWeightedKMeansOnCoresetApproximatesFull: clustering the coreset
-// should find centroids nearly as good as clustering everything.
+// TestWeightedKMeansOnCoresetApproximatesFull: clustering the fair
+// coreset (the unit-weight rows reduced per group of g) should find
+// centroids nearly as good as clustering everything.
 func TestWeightedKMeansOnCoresetApproximatesFull(t *testing.T) {
 	ds := clusteredDataset(t, 900)
 	full, err := kmeans.Run(ds.Features, kmeans.Config{K: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Fair(ds, "g", 250, 3, 8)
+	ones := make([]float64, ds.N())
+	for i := range ones {
+		ones[i] = 1
+	}
+	w, err := ReduceGroups(ds.Features, ones, ds.SensitiveByName("g").Codes, 250, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,19 +261,6 @@ func TestReduceGroups(t *testing.T) {
 	}
 	if _, err := ReduceGroups(features, weights, groups, 0, rng); err == nil {
 		t.Error("zero budget accepted")
-	}
-}
-
-func TestFairErrors(t *testing.T) {
-	ds := clusteredDataset(t, 50)
-	if _, err := Fair(nil, "g", 20, 2, 1); err == nil {
-		t.Error("nil dataset accepted")
-	}
-	if _, err := Fair(ds, "nope", 20, 2, 1); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-	if _, err := Fair(ds, "g", 1, 2, 1); err == nil {
-		t.Error("m too small accepted")
 	}
 }
 

@@ -150,29 +150,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
 // Summary condenses the histogram for reports.
 type Summary struct {
 	Count uint64        `json:"count"`

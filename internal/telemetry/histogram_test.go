@@ -67,32 +67,6 @@ func TestHistogramQuantileRank(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
-	for i := 1; i <= 200; i++ {
-		v := time.Duration(i*i) * time.Microsecond
-		whole.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged count/min/max differ: %d/%v/%v vs %d/%v/%v",
-			a.Count(), a.Min(), a.Max(), whole.Count(), whole.Min(), whole.Max())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q=%v: merged %v vs whole %v", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if a.Mean() != whole.Mean() {
-		t.Errorf("merged mean %v vs whole %v", a.Mean(), whole.Mean())
-	}
-}
-
 // TestHistogramBucketLayout sanity-checks the bucket functions: indexes
 // are monotone in the value and every value lands at or below its
 // bucket's upper bound.
