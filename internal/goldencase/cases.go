@@ -210,6 +210,17 @@ func All() ([]Record, error) {
 			return kMeansWeighted("weighted-par3", "synthA", fractionalWeights(fx["synthA"].N()),
 				kmeans.Config{K: 6, Seed: 5, Parallelism: 3, Tol: 1e-4})
 		},
+
+		// Frozen-statistics solves appended after the 29 records above:
+		// the weighted FairKM parallel sweep behind the pipeline's
+		// summary solve, and a parallel ZGYA sweep.
+		func() error {
+			return fairKMWeighted("weighted-par2", "adult", fractionalWeights(fx["adult"].N()),
+				core.Config{K: 7, AutoLambda: true, Seed: 3, Parallelism: 2})
+		},
+		func() error {
+			return zgyaRun("par2", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2, Parallelism: 2})
+		},
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
