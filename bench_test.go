@@ -10,7 +10,6 @@
 package fairclust
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -229,72 +228,6 @@ func ablationDataset(b *testing.B) *dataset.Dataset {
 	return ds
 }
 
-// BenchmarkAblationClusterWeight compares the paper's squared
-// fractional-cardinality cluster weight (e=2) against the linear sum
-// it rejects (e=1): e=1 tolerates skewed cluster sizes, visible in the
-// fairness metric reported.
-func BenchmarkAblationClusterWeight(b *testing.B) {
-	ds := ablationDataset(b)
-	for _, exp := range []float64{1, 2} {
-		b.Run(fmt.Sprintf("exponent=%g", exp), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(ds, core.Config{
-					K: 5, Lambda: 1e6, Seed: 1, ClusterWeightExponent: exp,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reps := metrics.FairnessAll(ds, res.Assign, 5)
-				b.ReportMetric(reps[len(reps)-1].AE, "meanAE")
-				b.ReportMetric(float64(maxSize(res.Sizes)), "maxClusterSize")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDomainNormalization compares Eq. 4's 1/|Values(S)|
-// normalization against its absence, where the 41-value native-country
-// attribute dominates the 2-value gender attribute.
-func BenchmarkAblationDomainNormalization(b *testing.B) {
-	ds := ablationDataset(b)
-	for _, disable := range []bool{false, true} {
-		b.Run(fmt.Sprintf("disabled=%v", disable), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(ds, core.Config{
-					K: 5, Lambda: 1e6, Seed: 1, NoDomainNormalization: disable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				gender := metrics.Fairness(ds, ds.SensitiveByName("gender"), res.Assign, 5)
-				country := metrics.Fairness(ds, ds.SensitiveByName("native-country"), res.Assign, 5)
-				b.ReportMetric(gender.AE, "genderAE")
-				b.ReportMetric(country.AE, "countryAE")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMiniBatch compares per-move prototype updates (the
-// paper's algorithm) with the Section 6.1 mini-batch heuristic.
-func BenchmarkAblationMiniBatch(b *testing.B) {
-	ds := ablationDataset(b)
-	for _, batch := range []int{0, 64, 512} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(ds, core.Config{
-					K: 5, Lambda: 1e6, Seed: 1, MiniBatch: batch,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Objective, "objective")
-				b.ReportMetric(float64(res.Iterations), "iterations")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationInit compares FairKM under the paper's random-
 // partition initialization against k-means++ seeding.
 func BenchmarkAblationInit(b *testing.B) {
@@ -437,37 +370,5 @@ func BenchmarkHungarian(b *testing.B) {
 		if _, _, err := hungarian.Solve(cost); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func maxSize(sizes []int) int {
-	m := 0
-	for _, s := range sizes {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// BenchmarkAblationSkewCompensation contrasts plain FairKM with the
-// χ²-style skew-compensated variant (Section 6.1 future work #2) on
-// Adult, reporting fairness on the 86%-skewed race attribute.
-func BenchmarkAblationSkewCompensation(b *testing.B) {
-	ds := ablationDataset(b)
-	for _, comp := range []bool{false, true} {
-		b.Run(fmt.Sprintf("compensated=%v", comp), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(ds, core.Config{
-					K: 5, Lambda: 1e6, Seed: 1, SkewCompensation: comp,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				race := metrics.Fairness(ds, ds.SensitiveByName("race"), res.Assign, 5)
-				b.ReportMetric(race.AE*1e4, "raceAE-x1e4")
-				b.ReportMetric(race.MW*1e4, "raceMW-x1e4")
-			}
-		})
 	}
 }

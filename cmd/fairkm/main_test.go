@@ -102,7 +102,11 @@ func TestSplitList(t *testing.T) {
 // invocation returns a clear error from run (main converts it to exit
 // code 2) and never panics.
 func TestValidationAudit(t *testing.T) {
+	csv := writeTestCSV(t)
 	cases := map[string][]string{
+		"NaN lambda":        {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-lambda", "NaN"},
+		"infinite lambda":   {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-lambda", "+Inf"},
+		"NaN tol":           {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-tol", "NaN"},
 		"missing -in":       {"-features", "x", "-sensitive", "g"},
 		"missing -features": {"-in", "x.csv", "-sensitive", "g"},
 		"no sensitive":      {"-in", "x.csv", "-features", "x"},

@@ -104,6 +104,22 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *shards == 1 && (*shardWorkers != 0 || *mergeBudget != 0) {
 		return fmt.Errorf("-shard-workers and -merge-budget only apply to sharded ingestion; pass -shards > 1")
 	}
+	// The solve's settings are checked before any pass reads the file.
+	pcfg := pipeline.Config{
+		K:           *k,
+		Lambda:      *lambda,
+		AutoLambda:  *autoLambda,
+		CoresetSize: *m,
+		BlockSize:   *block,
+		MaxGroups:   *maxGroups,
+		Seed:        *seed,
+		MaxIter:     *maxIter,
+		Tol:         *tol,
+		Parallelism: *parallel,
+	}
+	if err := pcfg.Validate(); err != nil {
+		return err
+	}
 	spec := dataset.CSVSpec{
 		Features:             cli.SplitList(*features),
 		CategoricalSensitive: cli.SplitList(*sensitive),
@@ -141,18 +157,6 @@ func run(args []string, out io.Writer) (retErr error) {
 
 	// Pass 1: summarize the file's -shards byte ranges (one range by
 	// default) and solve on the merged summary.
-	pcfg := pipeline.Config{
-		K:           *k,
-		Lambda:      *lambda,
-		AutoLambda:  *autoLambda,
-		CoresetSize: *m,
-		BlockSize:   *block,
-		MaxGroups:   *maxGroups,
-		Seed:        *seed,
-		MaxIter:     *maxIter,
-		Tol:         *tol,
-		Parallelism: *parallel,
-	}
 	var journal *telemetry.RunLog
 	if *telem != "" {
 		var cerr error

@@ -165,7 +165,11 @@ func TestFairstreamFlagValidation(t *testing.T) {
 
 // TestValidationAudit pins the CLI failure contract for fairstream.
 func TestValidationAudit(t *testing.T) {
+	csv := writeTestCSV(t, 60)
 	cases := map[string][]string{
+		"NaN lambda":          {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-lambda", "NaN"},
+		"NaN lambda minmax":   {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-lambda", "NaN", "-minmax"},
+		"NaN tol":             {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-tol", "NaN"},
 		"missing -in":         {"-features", "x", "-sensitive", "g"},
 		"nonexistent input":   {"-in", "definitely/not/here.csv", "-features", "x", "-sensitive", "g"},
 		"k zero":              {"-in", "x.csv", "-features", "x", "-sensitive", "g", "-k", "0"},

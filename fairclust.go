@@ -58,7 +58,7 @@
 // # Package map
 //
 //   - internal/engine — the shared descent engine: initializers, sweep
-//     strategies (sequential, mini-batch, frozen-parallel, Lloyd),
+//     strategies (sequential, frozen-parallel, Lloyd),
 //     convergence policies (zero-moves, Tol, MaxIter, wall-clock
 //     budget) and the per-iteration Observer hook
 //   - internal/core — the FairKM objective on the engine (re-exported

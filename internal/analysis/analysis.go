@@ -297,19 +297,19 @@ func applySuppressions(pkg *Package, diags []Diagnostic, ranPasses []string) []D
 	return out
 }
 
-// hasFileMarker reports whether a file carries a //fairvet:<name>
-// marker comment (anywhere in the file, conventionally near the top).
+// fileMarker returns the first //fairvet:<name> marker comment in f
+// (anywhere in the file, conventionally near the top), or nil.
 // Trailing text after the marker is a free-form justification.
-func hasFileMarker(f *ast.File, name string) bool {
+func fileMarker(f *ast.File, name string) *ast.Comment {
 	prefix := "//fairvet:" + name
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			if c.Text == prefix || strings.HasPrefix(c.Text, prefix+" ") {
-				return true
+				return c
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // ---- shared type helpers ----------------------------------------------

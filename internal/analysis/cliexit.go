@@ -22,7 +22,7 @@ var CLIExit = &Analyzer{
 func runCLIExit(pass *Pass) error {
 	inCmd := strings.Contains(pass.Path, "/cmd/") || strings.HasPrefix(pass.Path, "cmd/")
 	for _, f := range pass.Files {
-		if !inCmd && !hasFileMarker(f, "climain") {
+		if !inCmd && fileMarker(f, "climain") == nil {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -15,7 +15,9 @@ import (
 //	//fairvet:floateq <why bitwise comparison is correct here>
 //
 // marker, so any future float comparison added to an unmarked file is
-// caught at lint time instead of as a flaky parity test.
+// caught at lint time instead of as a flaky parity test. A marker on a
+// file with no float ==/!= is itself a finding: an opt-out must not
+// outlive the comparison it justified.
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "forbid ==/!= on floats outside files opted in with //fairvet:floateq",
@@ -24,9 +26,8 @@ var FloatEq = &Analyzer{
 
 func runFloatEq(pass *Pass) error {
 	for _, f := range pass.Files {
-		if hasFileMarker(f, "floateq") {
-			continue
-		}
+		marker := fileMarker(f, "floateq")
+		compared := false
 		ast.Inspect(f, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
@@ -37,10 +38,16 @@ func runFloatEq(pass *Pass) error {
 				return true
 			}
 			if isFloat(xt) || isFloat(yt) {
-				pass.Reportf(bin.OpPos, "%s on floating-point values: compare with an epsilon, or mark the file //fairvet:floateq if bitwise equality is the contract", bin.Op)
+				compared = true
+				if marker == nil {
+					pass.Reportf(bin.OpPos, "%s on floating-point values: compare with an epsilon, or mark the file //fairvet:floateq if bitwise equality is the contract", bin.Op)
+				}
 			}
 			return true
 		})
+		if marker != nil && !compared {
+			pass.Reportf(marker.Pos(), "//fairvet:floateq marker on a file with no floating-point ==/!=: remove it")
+		}
 	}
 	return nil
 }

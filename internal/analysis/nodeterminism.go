@@ -39,7 +39,7 @@ var NoDeterminism = &Analyzer{
 
 func runNoDeterminism(pass *Pass) error {
 	for _, f := range pass.Files {
-		if !detPackages[pass.Path] && !hasFileMarker(f, "deterministic") {
+		if !detPackages[pass.Path] && fileMarker(f, "deterministic") == nil {
 			continue
 		}
 		for _, decl := range f.Decls {

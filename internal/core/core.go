@@ -23,7 +23,7 @@
 // This package is the FairKM *objective* for the shared descent engine
 // (internal/engine): state holds the sufficient statistics and scores/
 // applies single-point moves, while initialization, sweep scheduling
-// (full, mini-batch, frozen-parallel), convergence policies
+// (full, frozen-parallel), convergence policies
 // (zero-moves, Tol, MaxIter, wall-clock Budget) and the per-iteration
 // Observer hook are the engine's, shared bit-for-bit with the K-Means
 // and ZGYA solvers. See DESIGN.md for the layering and the parallelism
@@ -36,9 +36,9 @@
 // every value of every categorical sensitive attribute, so one
 // round-robin sweep costs O(n·k·(|N| + Σ_S |Values(S)|)). This package
 // instead maintains, per (attribute, cluster) pair, the quadratic
-// aggregates Σ_v mult·cc², Σ_v mult·cc·Fr_X and the constant
-// Σ_v mult·Fr_X² (see state), which turn each candidate evaluation into
-// an O(1)-per-attribute closed form; a sweep is O(n·k·(|N| + #attrs)),
+// aggregates Σ_v cc², Σ_v cc·Fr_X and the constant Σ_v Fr_X² (see
+// state), which turn each candidate evaluation into an
+// O(1)-per-attribute closed form; a sweep is O(n·k·(|N| + #attrs)),
 // independent of the attribute domain sizes — the Σ_S |Values(S)|
 // factor Section 6.1's scalability discussion worries about is gone
 // (41 values of native-country cost the same as 2 of gender).
@@ -57,26 +57,26 @@
 // Config.Parallelism additionally spreads candidate scoring over
 // worker goroutines via the engine's frozen sweep: points are
 // processed in fixed-size batches, each batch is scored concurrently
-// against statistics frozen at its start (generalizing the Section 6.1
-// frozen-prototype mini-batch heuristic to all sufficient statistics),
-// and accepted moves are applied sequentially in row order after
-// re-validating their objective delta against the live statistics.
-// Results are deterministic and identical for every worker count; they
-// can differ from the strictly sequential Algorithm 1 (Parallelism 0)
-// because points within a batch do not see each other's moves — the
-// same relaxation the paper itself proposes for mini-batching.
-// Re-validation keeps descent monotone, so convergence guarantees are
-// preserved.
+// against sufficient statistics frozen at its start, and accepted
+// moves are applied sequentially in row order after re-validating
+// their objective delta against the live statistics. Results are
+// deterministic and identical for every worker count; they can differ
+// from the strictly sequential Algorithm 1 (Parallelism 0) because
+// points within a batch do not see each other's moves — the
+// relaxation Section 6.1 sketches for mini-batching. Re-validation
+// keeps descent monotone, so convergence guarantees are preserved.
 //
-// The package also implements the paper's extensions: numeric sensitive
-// attributes (Eq. 22), per-attribute fairness weights (Eq. 23), and the
-// mini-batch prototype-update heuristic sketched as future work in
-// Section 6.1.
+// The objective is the paper's as stated: cluster weight (|C|/|X|)²,
+// the Eq. 4 domain normalization, and statistics updated after every
+// move. Beyond it the package implements the paper's two extensions:
+// numeric sensitive attributes (Eq. 22) and per-attribute fairness
+// weights (Eq. 23).
 package core
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/dataset"
@@ -125,33 +125,9 @@ type Config struct {
 	InitAssign []int
 	// Weights optionally assigns per-attribute fairness weights w_S
 	// (Eq. 23), keyed by sensitive attribute name. Attributes absent
-	// from the map get weight 1. Negative weights are an error.
+	// from the map get weight 1. Negative or non-finite weights are an
+	// error.
 	Weights map[string]float64
-	// ClusterWeightExponent is the exponent of the fractional-
-	// cardinality cluster weight (|C|/|X|)^e in Eq. 7. Zero means the
-	// paper's e=2; e=1 is the cardinality-weighted sum the paper
-	// rejects in Section 4.1 ("Cluster Weighting") — exposed as an
-	// ablation knob.
-	ClusterWeightExponent float64
-	// NoDomainNormalization drops the 1/|Values(S)| factor of Eq. 4,
-	// letting high-cardinality attributes dominate — the behaviour the
-	// normalization exists to prevent. Ablation knob.
-	NoDomainNormalization bool
-	// SkewCompensation divides each value's squared deviation by
-	// Fr_X(s)·(1−Fr_X(s)) — a χ²-style normalization that amplifies
-	// deviations on rare values, addressing the poor behaviour on
-	// highly skewed attributes the paper observes for Race in Section
-	// 5.6 and lists as future work (Section 6.1, second direction).
-	// Values with dataset frequency 0 or 1 contribute nothing (their
-	// deviation is structurally 0 anyway).
-	SkewCompensation bool
-	// MiniBatch, when m > 0, defers prototype and fractional-
-	// representation updates so they happen once per batch of m
-	// assignment decisions instead of after every move (the Section 6.1
-	// scalability heuristic). Zero reproduces the paper's per-move
-	// updates. Under a parallel sweep (Parallelism != 0) it instead
-	// sets the frozen-statistics batch size.
-	MiniBatch int
 	// Parallelism selects the sweep execution mode. Zero (the default)
 	// runs the paper's strictly sequential Algorithm 1. A positive
 	// value scores candidate moves with that many worker goroutines
@@ -266,14 +242,11 @@ func validate(ds *dataset.Dataset, cfg *Config) error {
 	if cfg.K < 1 || cfg.K > n {
 		return fmt.Errorf("fairkm: K=%d out of range [1,%d]", cfg.K, n)
 	}
-	if cfg.Lambda < 0 {
-		return fmt.Errorf("fairkm: negative lambda %v", cfg.Lambda)
+	if cfg.Lambda < 0 || !finite(cfg.Lambda) {
+		return fmt.Errorf("fairkm: lambda %v must be finite and non-negative", cfg.Lambda)
 	}
-	if cfg.MiniBatch < 0 {
-		return fmt.Errorf("fairkm: negative mini-batch size %d", cfg.MiniBatch)
-	}
-	if cfg.Tol < 0 {
-		return fmt.Errorf("fairkm: negative tolerance %v", cfg.Tol)
+	if cfg.Tol < 0 || !finite(cfg.Tol) {
+		return fmt.Errorf("fairkm: tolerance %v must be finite and non-negative", cfg.Tol)
 	}
 	if cfg.InitAssign != nil {
 		if len(cfg.InitAssign) != n {
@@ -286,8 +259,8 @@ func validate(ds *dataset.Dataset, cfg *Config) error {
 		}
 	}
 	for name, w := range cfg.Weights {
-		if w < 0 {
-			return fmt.Errorf("fairkm: negative weight %v for attribute %q", w, name)
+		if w < 0 || !finite(w) {
+			return fmt.Errorf("fairkm: weight %v for attribute %q must be finite and non-negative", w, name)
 		}
 		if ds.SensitiveByName(name) == nil {
 			return fmt.Errorf("fairkm: weight for unknown sensitive attribute %q", name)
@@ -295,3 +268,5 @@ func validate(ds *dataset.Dataset, cfg *Config) error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

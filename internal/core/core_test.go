@@ -114,6 +114,62 @@ func TestDeltaMatchesNaiveObjective(t *testing.T) {
 	}
 }
 
+// TestDeltaMatchesNaiveUnderAttrWeights extends the central delta
+// property to per-attribute weights (Eq. 23) over categorical and
+// numeric sensitive attributes: the incremental solver must stay
+// consistent with the from-scratch evaluation.
+func TestDeltaMatchesNaiveUnderAttrWeights(t *testing.T) {
+	rng := stats.NewRNG(101)
+	for trial := 0; trial < 20; trial++ {
+		n := 10 + rng.Intn(25)
+		k := 2 + rng.Intn(3)
+		ds := randomDataset(t, rng, n, 2, 2, 1)
+		cfg := Config{
+			K:      k,
+			Lambda: []float64{1, 10, 200}[rng.Intn(3)],
+			Weights: map[string]float64{
+				"cat0": 0.5 + rng.Float64(),
+				"cat1": rng.Float64() * 2,
+				"num0": rng.Float64(),
+			},
+		}
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = rng.Intn(k)
+		}
+		st := newState(ds, &cfg, cfg.Lambda, append([]int(nil), assign...), nil)
+
+		baseFair, err := FairnessDeviationWeighted(ds, nil, assign, k, cfg.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for probe := 0; probe < 8; probe++ {
+			i := rng.Intn(n)
+			from := st.assign[i]
+			to := rng.Intn(k)
+			if to == from {
+				continue
+			}
+			dFair := (st.deviationWithDelta(from, i, -1) - st.devCache[from]) +
+				(st.deviationWithDelta(to, i, +1) - st.devCache[to])
+
+			moved := append([]int(nil), st.assign...)
+			moved[i] = to
+			afterFair, err := FairnessDeviationWeighted(ds, nil, moved, k, cfg.Weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive := afterFair - baseFair
+			if math.Abs(dFair-naive) > 1e-9+1e-7*math.Abs(naive) {
+				t.Fatalf("trial %d probe %d: fairness delta %v, naive %v (cfg %+v)",
+					trial, probe, dFair, naive, cfg)
+			}
+			st.move(i, from, to)
+			baseFair = afterFair
+		}
+	}
+}
+
 // TestRunResultSelfConsistent verifies the final Result decomposition
 // matches a from-scratch evaluation of the returned assignment.
 func TestRunResultSelfConsistent(t *testing.T) {
@@ -236,8 +292,14 @@ func TestValidateErrors(t *testing.T) {
 		{"k too small", Config{K: 0}},
 		{"k too large", Config{K: 11}},
 		{"negative lambda", Config{K: 2, Lambda: -1}},
-		{"negative minibatch", Config{K: 2, MiniBatch: -5}},
+		{"NaN lambda", Config{K: 2, Lambda: math.NaN()}},
+		{"infinite lambda", Config{K: 2, Lambda: math.Inf(1)}},
+		{"negative tol", Config{K: 2, Tol: -1}},
+		{"NaN tol", Config{K: 2, Tol: math.NaN()}},
+		{"infinite tol", Config{K: 2, Tol: math.Inf(1)}},
 		{"negative weight", Config{K: 2, Weights: map[string]float64{"cat0": -1}}},
+		{"NaN weight", Config{K: 2, Weights: map[string]float64{"cat0": math.NaN()}}},
+		{"infinite weight", Config{K: 2, Weights: map[string]float64{"cat0": math.Inf(1)}}},
 		{"unknown weight attr", Config{K: 2, Weights: map[string]float64{"nope": 1}}},
 	}
 	for _, tc := range cases {
@@ -281,7 +343,7 @@ func TestFairnessDeviationZeroForProportionalClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	dev, err := FairnessDeviationWeighted(ds, nil, assign, 2, Config{})
+	dev, err := FairnessDeviationWeighted(ds, nil, assign, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +352,7 @@ func TestFairnessDeviationZeroForProportionalClusters(t *testing.T) {
 	}
 	// And a maximally skewed clustering must be strictly positive.
 	skew := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	dev2, err := FairnessDeviationWeighted(ds, nil, skew, 2, Config{})
+	dev2, err := FairnessDeviationWeighted(ds, nil, skew, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +372,11 @@ func TestWeightsScaleFairnessTerm(t *testing.T) {
 	}
 	w1 := map[string]float64{"cat0": 1, "cat1": 1, "num0": 1}
 	w2 := map[string]float64{"cat0": 2, "cat1": 2, "num0": 2}
-	d1, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{Weights: w1})
+	d1, err := FairnessDeviationWeighted(ds, nil, assign, 3, w1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{Weights: w2})
+	d2, err := FairnessDeviationWeighted(ds, nil, assign, 3, w2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +394,7 @@ func TestZeroWeightDisablesAttribute(t *testing.T) {
 	for i := range assign {
 		assign[i] = rng.Intn(3)
 	}
-	dZero, err := FairnessDeviationWeighted(ds, nil, assign, 3, Config{Weights: map[string]float64{"cat1": 0}})
+	dZero, err := FairnessDeviationWeighted(ds, nil, assign, 3, map[string]float64{"cat1": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,30 +402,12 @@ func TestZeroWeightDisablesAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dOnly, err := FairnessDeviationWeighted(only, nil, assign, 3, Config{})
+	dOnly, err := FairnessDeviationWeighted(only, nil, assign, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(dZero-dOnly) > 1e-12 {
 		t.Errorf("zero weight %v vs attribute removed %v", dZero, dOnly)
-	}
-}
-
-// TestMiniBatchTerminates verifies the mini-batch variant runs and
-// yields a valid self-consistent result.
-func TestMiniBatchTerminates(t *testing.T) {
-	rng := stats.NewRNG(41)
-	ds := randomDataset(t, rng, 80, 3, 2, 0)
-	res, err := Run(ds, Config{K: 4, Lambda: 3, Seed: 5, MiniBatch: 16, MaxIter: 25})
-	if err != nil {
-		t.Fatalf("Run minibatch: %v", err)
-	}
-	want, err := EvaluateObjective(ds, res.Assign, 4, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Objective-want.Objective) > 1e-6*(1+want.Objective) {
-		t.Errorf("minibatch objective %v, want %v", res.Objective, want.Objective)
 	}
 }
 

@@ -32,9 +32,9 @@ func repairSeed(t *testing.T, n, k int) int64 {
 
 // TestEmptyClusterRepairThroughSweepPaths starts FairKM from a random
 // partition that needs empty-cluster repair and drives it through the
-// sequential, mini-batch and frozen-parallel sweep paths. Each run
-// must see k non-empty clusters at initialization (the engine
-// invariant) and produce a valid, correctly-scored clustering.
+// sequential and frozen-parallel sweep paths. Each run must see k
+// non-empty clusters at initialization (the engine invariant) and
+// produce a valid, correctly-scored clustering.
 func TestEmptyClusterRepairThroughSweepPaths(t *testing.T) {
 	rng := stats.NewRNG(77)
 	ds := randomDataset(t, rng, 24, 3, 2, 0)
@@ -58,9 +58,7 @@ func TestEmptyClusterRepairThroughSweepPaths(t *testing.T) {
 		cfg  Config
 	}{
 		{"sequential", Config{}},
-		{"minibatch", Config{MiniBatch: 5}},
 		{"parallel", Config{Parallelism: 3}},
-		{"parallel-minibatch", Config{Parallelism: 2, MiniBatch: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

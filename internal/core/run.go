@@ -54,16 +54,9 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 	st := newState(ds, &cfg, lambda, assign, rowW)
 
 	var sw engine.Sweeper
-	switch {
-	case workers >= 1:
-		sw = engine.NewFrozenSweep(st, engine.FrozenOpts{
-			Workers:    workers,
-			Batch:      cfg.MiniBatch,
-			Revalidate: true,
-		})
-	case cfg.MiniBatch > 0:
-		sw = engine.NewMiniBatchSweep(st, cfg.MiniBatch)
-	default:
+	if workers >= 1 {
+		sw = engine.NewFrozenSweep(st, engine.FrozenOpts{Workers: workers, Revalidate: true})
+	} else {
 		sw = engine.NewFullSweep(st)
 	}
 
@@ -134,19 +127,6 @@ func (st *state) Move(i, from, to int) { st.move(i, from, to) }
 // Value returns the current objective O = SSE + λ·deviation.
 func (st *state) Value() float64 { return st.sseTotal() + st.lambda*st.fairnessTotal() }
 
-// ---- engine.BatchObjective (Section 6.1 mini-batch heuristic) ----
-
-// RefreshBatchView re-materializes the frozen prototypes the mini-batch
-// sweep scores the K-Means term against; the (cheap) fairness
-// statistics stay live.
-func (st *state) RefreshBatchView() { st.batchProtos = st.centroids() }
-
-// BestMoveBatch scores row i with the K-Means term against the frozen
-// prototypes and the fairness term against live statistics.
-func (st *state) BestMoveBatch(i, from int) int {
-	return st.bestMoveAgainst(i, from, st.batchProtos)
-}
-
 // ---- engine.SnapshotObjective (frozen-statistics parallel sweeps) ----
 
 // stateSnap is a reusable frozen copy of all mutable statistics,
@@ -170,56 +150,25 @@ func (s *stateSnap) Freeze() { s.live.freezeInto(s.frozen) }
 func (s *stateSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from) }
 
 // bestMove returns the cluster minimizing the objective change δ(O) of
-// Eq. 10 for row i, which currently sits in cluster from, with every
-// term scored against live statistics. Ties keep the current cluster
-// (δ = 0 for staying put).
-func (st *state) bestMove(i, from int) int { return st.bestMoveAgainst(i, from, nil) }
-
-// bestMoveAgainst is the single scoring kernel behind every sweep
-// strategy. With frozen == nil both objective terms use the live
-// sufficient statistics (the strictly sequential Algorithm 1). With a
-// frozen prototype matrix, the K-Means term becomes the classic
-// nearest-centroid rule against those prototypes while the fairness
-// term stays live — the Section 6.1 mini-batch heuristic. The two
-// variants differ only in the K-Means delta, so the candidate loop is
-// specialized per variant to keep the branch out of the hot path.
+// Eq. 10 for row i, which currently sits in cluster from. It is the
+// single scoring kernel behind every sweep strategy: the full sweep
+// calls it on the live statistics, the frozen sweep on a snapshot.
+// Ties keep the current cluster (δ = 0 for staying put).
 //
 //fairvet:hotpath
-func (st *state) bestMoveAgainst(i, from int, frozen [][]float64) int {
+func (st *state) bestMove(i, from int) int {
 	// Leaving `from` costs the same regardless of destination; compute
 	// those pieces once.
 	dDevOut := st.deviationWithDelta(from, i, -1) - st.devCache[from]
+	kmOut := st.kmeansOutDelta(i, from)
 
 	best := from
 	bestDelta := 0.0
-	if frozen == nil {
-		kmOut := st.kmeansOutDelta(i, from)
-		for c := 0; c < st.k; c++ {
-			if c == from {
-				continue
-			}
-			dKM := kmOut + st.kmeansInDelta(i, c)
-			dFair := dDevOut + (st.deviationWithDelta(c, i, +1) - st.devCache[c])
-			delta := dKM + st.lambda*dFair
-			if delta < bestDelta {
-				bestDelta = delta
-				best = c
-			}
-		}
-		return best
-	}
-	x := st.ds.Features[i]
-	// The proxy K-Means delta must carry the row's mass like the exact
-	// kmeansIn/OutDelta does, or weighted rows would score the two
-	// objective terms on incompatible scales (w·1 under unit weights is
-	// an IEEE no-op, preserving the unweighted path bit-for-bit).
-	w := st.wOf(i)
-	dFrom := stats.SqDist(x, frozen[from])
 	for c := 0; c < st.k; c++ {
 		if c == from {
 			continue
 		}
-		dKM := w * (stats.SqDist(x, frozen[c]) - dFrom)
+		dKM := kmOut + st.kmeansInDelta(i, c)
 		dFair := dDevOut + (st.deviationWithDelta(c, i, +1) - st.devCache[c])
 		delta := dKM + st.lambda*dFair
 		if delta < bestDelta {

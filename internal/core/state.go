@@ -1,10 +1,6 @@
 package core
 
-//fairvet:floateq exponent==0/==2 are exact config sentinels (default + fast path), never results of arithmetic
-
 import (
-	"math"
-
 	"repro/internal/dataset"
 	"repro/internal/stats"
 )
@@ -35,26 +31,26 @@ import (
 // two quadratic aggregates and the value masses cc; a third aggregate
 // does not depend on the assignment and sits beside the record:
 //
-//	rec[2j]         = Σ_v mult[v]·cc[v]²
-//	rec[2j+1]       = Σ_v mult[v]·cc[v]·Fr_X(v)
+//	rec[2j]         = Σ_v cc[v]²
+//	rec[2j+1]       = Σ_v cc[v]·Fr_X(v)
 //	rec[ccOff[j]+v] = cc[v], the members' mass taking value v
-//	catConst[j]     = Σ_v mult[v]·Fr_X(v)²
+//	catConst[j]     = Σ_v Fr_X(v)²
 //
-// Expanding Eq. 7's Σ_v mult[v]·(cc[v]/m − Fr_X(v))² gives the closed
-// form (1/m²)·rec[2j] − (2/m)·rec[2j+1] + catConst[j], so both
+// Expanding Eq. 7's Σ_v (cc[v]/m − Fr_X(v))² gives the closed form
+// (1/m²)·rec[2j] − (2/m)·rec[2j+1] + catConst[j], so both
 // clusterDeviation and deviationWithDelta cost O(1) per attribute.
 // When a point with value code moves in or out, only cc[code] changes,
 // so the aggregates update in O(1) too:
 //
-//	rec[2j]   += mult[code]·(±2·cc[code] + 1)
-//	rec[2j+1] += ±mult[code]·Fr_X(code)
+//	rec[2j]   += ±2·cc[code] + 1
+//	rec[2j+1] += ±Fr_X(code)
 //
 // Row i's value code for attribute j is resolved once per run into the
-// row-offset table rowOff[i·nCat+j] = ccOff[j]+code, and multAt/frXAt
-// hold mult and Fr_X at the same record offsets, so the kernel reads a
-// row's per-attribute constants without touching ds.Sensitive or any
-// [attr][value] slice. rowOff, multAt, frXAt, catConst and catScale
-// are immutable for the run and shared by frozen snapshots.
+// row-offset table rowOff[i·nCat+j] = ccOff[j]+code, and frXAt holds
+// Fr_X at the same record offsets, so the kernel reads a row's
+// per-attribute constants without touching ds.Sensitive or any
+// [attr][value] slice. rowOff, frXAt, catConst and catScale are
+// immutable for the run and shared by frozen snapshots.
 //
 // The pre-aggregate per-value kernel is kept as the *Naive methods; it
 // reads the value masses through catCounts[a][c], views into the slab.
@@ -87,10 +83,7 @@ type state struct {
 	n       int
 	dim     int
 	weights []float64 // per sensitive attribute, aligned with ds.Sensitive
-
-	exponent float64 // cluster-weight exponent, paper default 2
-	domNorm  bool    // divide by |Values(S)| (Eq. 4), paper default true
-	naive    bool    // score with the per-value reference kernel
+	naive   bool      // score with the per-value reference kernel
 
 	rowW      []float64 // per-row weights; nil means unit weights
 	totalMass float64   // Σ rowW (float64(n) when rowW == nil)
@@ -111,9 +104,6 @@ type state struct {
 	// slots of the other kind are nil/zero).
 	frX   [][]float64
 	meanX []float64
-	// frMult[ai][v] multiplies value v's squared deviation: all ones by
-	// default, 1/(fr·(1−fr)) under Config.SkewCompensation.
-	frMult [][]float64
 
 	// The categorical slab and its per-run tables (see above); j
 	// indexes catAttrs.
@@ -122,12 +112,10 @@ type state struct {
 	ccOff    []int     // [j] record offset of attribute j's value masses
 	cat      []float64 // k records of stride floats
 	rowOff   []int32   // [i·nCat+j] record offset of row i's value of attr j
-	multAt   []float64 // [offset] mult of the value stored there
 	frXAt    []float64 // [offset] Fr_X of the value stored there
-	catConst []float64 // [j] Σ_v mult·frX²
+	catConst []float64 // [j] Σ_v frX²
 	// catScale[j] folds the Eq. 23 weight and the Eq. 4 domain
-	// normalization into one factor: w_S/|Values(S)| (or w_S without
-	// domain normalization).
+	// normalization into one factor: w_S/|Values(S)|.
 	catScale []float64
 
 	catCounts [][][]float64 // [attr][cluster] views of the value masses in cat, attr indexed as ds.Sensitive
@@ -135,10 +123,6 @@ type state struct {
 	numReals  [][]float64   // [j] ds.Sensitive[numAttrs[j]].Reals
 
 	devCache []float64
-
-	// batchProtos are the frozen prototypes mini-batch sweeps score the
-	// K-Means term against, re-materialized by RefreshBatchView.
-	batchProtos [][]float64
 }
 
 // newState builds the sufficient statistics for assign. rowW carries
@@ -147,19 +131,14 @@ type state struct {
 func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, rowW []float64) *state {
 	n := ds.N()
 	st := &state{
-		ds:       ds,
-		k:        cfg.K,
-		lambda:   lambda,
-		n:        n,
-		dim:      ds.Dim(),
-		rowW:     rowW,
-		assign:   assign,
-		exponent: cfg.ClusterWeightExponent,
-		domNorm:  !cfg.NoDomainNormalization,
-		naive:    cfg.naiveKernel,
-	}
-	if st.exponent == 0 {
-		st.exponent = 2
+		ds:     ds,
+		k:      cfg.K,
+		lambda: lambda,
+		n:      n,
+		dim:    ds.Dim(),
+		rowW:   rowW,
+		assign: assign,
+		naive:  cfg.naiveKernel,
 	}
 	if rowW == nil {
 		st.totalMass = float64(n)
@@ -169,10 +148,8 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 	st.weights = make([]float64, len(ds.Sensitive))
 	for i, s := range ds.Sensitive {
 		w := 1.0
-		if cfg.Weights != nil {
-			if cw, ok := cfg.Weights[s.Name]; ok {
-				w = cw
-			}
+		if cw, ok := cfg.Weights[s.Name]; ok {
+			w = cw
 		}
 		st.weights[i] = w
 	}
@@ -186,7 +163,6 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 	st.ssqs = make([]float64, st.k)
 	st.frX = make([][]float64, len(ds.Sensitive))
 	st.meanX = make([]float64, len(ds.Sensitive))
-	st.frMult = make([][]float64, len(ds.Sensitive))
 	st.numSums = make([][]float64, len(ds.Sensitive))
 	for ai, s := range ds.Sensitive {
 		switch s.Kind {
@@ -197,15 +173,10 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 			} else {
 				st.frX[ai] = weightedFractions(s, rowW, st.totalMass)
 			}
-			st.frMult[ai] = skewMultipliers(st.frX[ai], cfg.SkewCompensation)
-			scale := st.weights[ai]
-			if st.domNorm {
-				scale /= float64(len(s.Values))
-			}
-			st.catScale = append(st.catScale, scale)
+			st.catScale = append(st.catScale, st.weights[ai]/float64(len(s.Values)))
 			cnst := 0.0
-			for v, fr := range st.frX[ai] {
-				cnst += st.frMult[ai][v] * fr * fr
+			for _, fr := range st.frX[ai] {
+				cnst += fr * fr
 			}
 			st.catConst = append(st.catConst, cnst)
 		case dataset.Numeric:
@@ -227,11 +198,9 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 		st.ccOff[j] = st.stride
 		st.stride += len(ds.Sensitive[ai].Values)
 	}
-	st.multAt = make([]float64, st.stride)
 	st.frXAt = make([]float64, st.stride)
 	st.rowOff = make([]int32, n*st.nCat)
 	for j, ai := range st.catAttrs {
-		copy(st.multAt[st.ccOff[j]:], st.frMult[ai])
 		copy(st.frXAt[st.ccOff[j]:], st.frX[ai])
 		for i, code := range ds.Sensitive[ai].Codes {
 			st.rowOff[i*st.nCat+j] = int32(st.ccOff[j] + code)
@@ -320,9 +289,8 @@ func (st *state) add(i, c, sign int) {
 	for j, off := range st.rowOffsets(i) {
 		old := rec[off]
 		rec[off] = old + sw
-		mult := st.multAt[off]
-		rec[2*j] += mult * (sw * (2*old + sw))
-		rec[2*j+1] += mult * sw * st.frXAt[off]
+		rec[2*j] += sw * (2*old + sw)
+		rec[2*j+1] += sw * st.frXAt[off]
 	}
 	for j, ai := range st.numAttrs {
 		st.numSums[ai][c] += sw * st.numReals[j][i]
@@ -405,16 +373,13 @@ func (st *state) clusterDeviationNaive(c int) float64 {
 	nd := 0.0
 	for _, ai := range st.catAttrs {
 		frX := st.frX[ai]
-		mult := st.frMult[ai]
 		cc := st.catCounts[ai][c]
 		sum := 0.0
 		for v := range frX {
 			d := cc[v]*inv - frX[v]
-			sum += mult[v] * d * d
+			sum += d * d
 		}
-		if st.domNorm {
-			sum /= float64(len(frX))
-		}
+		sum /= float64(len(frX))
 		nd += st.weights[ai] * sum
 	}
 	for _, ai := range st.numAttrs {
@@ -424,14 +389,11 @@ func (st *state) clusterDeviationNaive(c int) float64 {
 	return st.clusterWeight(st.mass[c]) * nd
 }
 
-// clusterWeight returns (mass_C/mass_X)^e, with the common e=2
-// fast-pathed. Under unit weights this is the paper's (|C|/|X|)^e.
+// clusterWeight returns (mass_C/mass_X)². Under unit weights this is
+// the paper's (|C|/|X|)² (Section 4.1, "Cluster Weighting").
 func (st *state) clusterWeight(m float64) float64 {
 	frac := m / st.totalMass
-	if st.exponent == 2 {
-		return frac * frac
-	}
-	return math.Pow(frac, st.exponent)
+	return frac * frac
 }
 
 // fairnessTotal returns deviation_S(C, X) across all clusters using the
@@ -449,8 +411,8 @@ func (st *state) fairnessTotal() float64 {
 // without mutating state. Only cc[code] shifts by sw = sign·w, so the
 // aggregates adjust in O(1) per attribute:
 //
-//	rec[2j]'   = rec[2j] + mult[code]·(sw·(2·cc[code] + sw))
-//	rec[2j+1]' = rec[2j+1] + mult[code]·sw·Fr_X(code)
+//	rec[2j]'   = rec[2j] + sw·(2·cc[code] + sw)
+//	rec[2j+1]' = rec[2j+1] + sw·Fr_X(code)
 //
 // It reads cluster c's slab record and the per-run tables at row i's
 // offsets, nothing else of the categorical statistics.
@@ -469,9 +431,8 @@ func (st *state) deviationWithDelta(c, i, sign int) float64 {
 	rec := st.record(c)
 	nd := 0.0
 	for j, off := range st.rowOffsets(i) {
-		mult := st.multAt[off]
-		sq := rec[2*j] + mult*(sw*(2*rec[off]+sw))
-		cross := rec[2*j+1] + mult*sw*st.frXAt[off]
+		sq := rec[2*j] + sw*(2*rec[off]+sw)
+		cross := rec[2*j+1] + sw*st.frXAt[off]
 		sum := inv*inv*sq - 2*inv*cross + st.catConst[j]
 		if sum < 0 {
 			sum = 0 // floating-point cancellation guard
@@ -498,7 +459,6 @@ func (st *state) deviationWithDeltaNaive(c, i, sign int) float64 {
 	nd := 0.0
 	for _, ai := range st.catAttrs {
 		frX := st.frX[ai]
-		mult := st.frMult[ai]
 		cc := st.catCounts[ai][c]
 		code := st.ds.Sensitive[ai].Codes[i]
 		sum := 0.0
@@ -508,11 +468,9 @@ func (st *state) deviationWithDeltaNaive(c, i, sign int) float64 {
 				cnt += sw
 			}
 			d := cnt*inv - frX[v]
-			sum += mult[v] * d * d
+			sum += d * d
 		}
-		if st.domNorm {
-			sum /= float64(len(frX))
-		}
+		sum /= float64(len(frX))
 		nd += st.weights[ai] * sum
 	}
 	for _, ai := range st.numAttrs {
@@ -641,8 +599,6 @@ func (st *state) freezeInto(fz *state) {
 	fz.n = st.n
 	fz.dim = st.dim
 	fz.weights = st.weights
-	fz.exponent = st.exponent
-	fz.domNorm = st.domNorm
 	fz.naive = st.naive
 	fz.rowW = st.rowW
 	fz.totalMass = st.totalMass
@@ -650,12 +606,10 @@ func (st *state) freezeInto(fz *state) {
 	fz.numAttrs = st.numAttrs
 	fz.frX = st.frX
 	fz.meanX = st.meanX
-	fz.frMult = st.frMult
 	fz.nCat = st.nCat
 	fz.stride = st.stride
 	fz.ccOff = st.ccOff
 	fz.rowOff = st.rowOff
-	fz.multAt = st.multAt
 	fz.frXAt = st.frXAt
 	fz.catConst = st.catConst
 	fz.catScale = st.catScale
@@ -669,22 +623,4 @@ func (st *state) freezeInto(fz *state) {
 		copy(fz.numSums[ai], st.numSums[ai])
 	}
 	copy(fz.devCache, st.devCache)
-}
-
-// skewMultipliers returns the per-value deviation multipliers: all ones
-// normally, 1/(fr·(1−fr)) under skew compensation (0 for degenerate
-// values whose deviation is structurally zero).
-func skewMultipliers(frX []float64, compensate bool) []float64 {
-	mult := make([]float64, len(frX))
-	for v, fr := range frX {
-		switch {
-		case !compensate:
-			mult[v] = 1
-		case fr <= 0 || fr >= 1:
-			mult[v] = 0
-		default:
-			mult[v] = 1 / (fr * (1 - fr))
-		}
-	}
-	return mult
 }

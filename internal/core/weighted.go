@@ -1,10 +1,9 @@
 package core
 
-//fairvet:floateq exponent==0 is an unset sentinel; mass[c]==0 is exact emptiness of a sum of positive weights
+//fairvet:floateq mass[c]==0 is exact emptiness of a sum of positive weights
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -45,7 +44,7 @@ func RunWeighted(ds *dataset.Dataset, weights []float64, cfg Config) (*Result, e
 		return nil, fmt.Errorf("fairkm: %d weights for %d rows", len(weights), ds.N())
 	}
 	for i, w := range weights {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		if w <= 0 || !finite(w) {
 			return nil, fmt.Errorf("fairkm: weight[%d] = %v must be positive and finite", i, w)
 		}
 	}
@@ -102,7 +101,7 @@ func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 		}
 	}
 
-	fair, err := FairnessDeviationWeighted(ds, rowW, assign, k, Config{Weights: attrWeights})
+	fair, err := FairnessDeviationWeighted(ds, rowW, assign, k, attrWeights)
 	if err != nil {
 		return ObjectiveValue{}, err
 	}
@@ -116,12 +115,10 @@ func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 
 // FairnessDeviationWeighted computes deviation_S(C, X) (Eq. 7 for
 // categorical attributes, Eq. 22 for numeric ones, with optional Eq. 23
-// weights) over weighted rows for an arbitrary assignment, from scratch
-// — the reference the optimized solver is tested against. It honours
-// the fairness-term knobs of cfg (Weights, ClusterWeightExponent,
-// NoDomainNormalization, SkewCompensation) and ignores the other Config
-// fields. rowW == nil means unit weights.
-func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int, k int, cfg Config) (float64, error) {
+// weights keyed by attribute name, nil meaning all ones) over weighted
+// rows for an arbitrary assignment, from scratch — the reference the
+// optimized solver is tested against. rowW == nil means unit weights.
+func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int, k int, attrWeights map[string]float64) (float64, error) {
 	n := ds.N()
 	if len(assign) != n {
 		return 0, fmt.Errorf("fairkm: assignment has %d entries, want %d", len(assign), n)
@@ -135,10 +132,6 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 		}
 		return rowW[i]
 	}
-	exponent := cfg.ClusterWeightExponent
-	if exponent == 0 {
-		exponent = 2
-	}
 	mass := make([]float64, k)
 	totalMass := 0.0
 	for i, c := range assign {
@@ -146,15 +139,14 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 		totalMass += wOf(i)
 	}
 	weight := func(c int) float64 {
-		return math.Pow(mass[c]/totalMass, exponent)
+		frac := mass[c] / totalMass
+		return frac * frac
 	}
 	total := 0.0
 	for _, s := range ds.Sensitive {
 		w := 1.0
-		if cfg.Weights != nil {
-			if cw, ok := cfg.Weights[s.Name]; ok {
-				w = cw
-			}
+		if cw, ok := attrWeights[s.Name]; ok {
+			w = cw
 		}
 		switch s.Kind {
 		case dataset.Categorical:
@@ -164,7 +156,6 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 			} else {
 				frX = weightedFractions(s, rowW, totalMass)
 			}
-			mult := skewMultipliers(frX, cfg.SkewCompensation)
 			clusterMass := make([][]float64, k)
 			for c := range clusterMass {
 				clusterMass[c] = make([]float64, len(s.Values))
@@ -179,11 +170,9 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 				sum := 0.0
 				for v := range frX {
 					d := clusterMass[c][v]/mass[c] - frX[v]
-					sum += mult[v] * d * d
+					sum += d * d
 				}
-				if !cfg.NoDomainNormalization {
-					sum /= float64(len(s.Values))
-				}
+				sum /= float64(len(s.Values))
 				total += weight(c) * w * sum
 			}
 		case dataset.Numeric:

@@ -8,8 +8,7 @@
 //
 //   - the OBJECTIVE level — solver-specific sufficient statistics that
 //     can score and apply single-point cluster moves (the Objective
-//     interface and its optional BatchObjective / SnapshotObjective
-//     capabilities);
+//     interface and its optional SnapshotObjective capability);
 //   - the ORCHESTRATION level — everything about how a descent run is
 //     scheduled and observed: initialization (init.go), sweep order,
 //     batching and parallelism (sweep.go), convergence policy and
@@ -18,7 +17,9 @@
 // A solver supplies an Objective plus a Sweeper and gets, for free and
 // identically to every other solver: the zero-moves / Tol / MaxIter /
 // wall-clock-budget stopping rules, per-iteration observer hooks, and
-// the frozen-statistics parallel sweep contract described below.
+// the frozen-statistics parallel sweep contract described below. There
+// are three sweepers: the sequential full sweep (the paper's Algorithm
+// 1), the frozen-statistics sweep, and Lloyd iteration.
 //
 // # Parallelism contract
 //
@@ -64,20 +65,6 @@ type Objective interface {
 	// once per iteration at most (Tol convergence and observers); it
 	// should be cheap relative to a sweep.
 	Value() float64
-}
-
-// BatchObjective is implemented by objectives supporting the
-// mini-batch heuristic (FairKM paper, Section 6.1): scoring against a
-// solver-chosen view — typically frozen cluster prototypes — that is
-// refreshed only once per batch while the cheap bookkeeping stays
-// live.
-type BatchObjective interface {
-	Objective
-	// RefreshBatchView re-derives the batch-scoring view from the live
-	// statistics.
-	RefreshBatchView()
-	// BestMoveBatch is BestMove scored against the batch view.
-	BestMoveBatch(i, from int) int
 }
 
 // SnapshotObjective is implemented by objectives supporting

@@ -341,25 +341,6 @@ func TestLloydSweepMatchesReference(t *testing.T) {
 	}
 }
 
-// batchCounter wraps lineObj to count batch-view refreshes.
-type batchCounter struct {
-	*lineObj
-	refreshes int
-}
-
-func (b *batchCounter) RefreshBatchView()             { b.refreshes++ }
-func (b *batchCounter) BestMoveBatch(i, from int) int { return b.BestMove(i, from) }
-
-func TestMiniBatchRefreshCadence(t *testing.T) {
-	obj := &batchCounter{lineObj: lineFixture(5, 10, 2)}
-	sw := NewMiniBatchSweep(obj, 3)
-	sw.Sweep()
-	// One refresh at sweep start plus one after rows 3, 6 and 9.
-	if obj.refreshes != 4 {
-		t.Fatalf("10 rows at batch 3: want 4 refreshes per sweep, got %d", obj.refreshes)
-	}
-}
-
 func TestRandomPartitionAssignRepairsEmptyClusters(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		rng := stats.NewRNG(seed)

@@ -34,43 +34,6 @@ func (s *fullSweep) Sweep() int {
 	return moves
 }
 
-// NewMiniBatchSweep returns the Section 6.1 mini-batch sweep: rows are
-// still visited one at a time with moves applied immediately, but
-// scoring uses the objective's batch view, refreshed at the sweep
-// start and then once per batch of `batch` visited rows.
-func NewMiniBatchSweep(obj BatchObjective, batch int) Sweeper {
-	if batch < 1 {
-		batch = 1
-	}
-	return &miniBatchSweep{obj: obj, batch: batch}
-}
-
-type miniBatchSweep struct {
-	obj   BatchObjective
-	batch int
-}
-
-func (s *miniBatchSweep) Sweep() int {
-	obj := s.obj
-	n := obj.N()
-	obj.RefreshBatchView()
-	moves := 0
-	sinceRefresh := 0
-	for i := 0; i < n; i++ {
-		from := obj.Current(i)
-		if to := obj.BestMoveBatch(i, from); to != from {
-			obj.Move(i, from, to)
-			moves++
-		}
-		sinceRefresh++
-		if sinceRefresh == s.batch {
-			obj.RefreshBatchView()
-			sinceRefresh = 0
-		}
-	}
-	return moves
-}
-
 // DefaultFrozenBatch is the frozen-statistics batch size of parallel
 // sweeps when FrozenOpts.Batch doesn't override it. Smaller batches
 // keep statistics fresher (fewer stale proposals rejected at apply

@@ -1,15 +1,15 @@
 // Package goldencase enumerates the frozen solver configurations whose
-// trajectories are pinned by testdata/golden.json. The first 23 goldens
+// trajectories are pinned by testdata/golden.json. The first 20 goldens
 // were recorded against the pre-engine solvers (the hand-rolled loops of
-// commit 9c464aa) on the internal/testfix fixtures; four FairKM corners
-// (a non-unit-weight solve, ClusterWeightExponent 1,
-// NoDomainNormalization, and mini-batching with numeric sensitive
-// attributes) were appended later, recorded on the per-attribute
-// aggregate kernel before it moved to the cluster-major slab. Two
-// weighted K-Means runs (kmeans.RunWeighted on fractional weights)
-// came last, recorded while the weighted Lloyd objective still had an
-// unweighted twin. The golden test re-runs every case against the
-// current solvers and requires bit-identical assignments and
+// commit 9c464aa) on the internal/testfix fixtures. A non-unit-weight
+// FairKM solve was appended later, recorded on the per-attribute
+// aggregate kernel before it moved to the cluster-major slab; then two
+// weighted K-Means runs (kmeans.RunWeighted on fractional weights),
+// recorded while the weighted Lloyd objective still had an unweighted
+// twin; and last a weighted parallel FairKM solve and a parallel ZGYA
+// solve, recorded while both frozen scorers still carried a
+// frozen-prototype branch. The golden test re-runs every case against
+// the current solvers and requires bit-identical assignments and
 // objectives. This is the contract that the internal/engine port — and
 // any future orchestration or kernel change — is a pure refactor of the
 // optimization trajectory.
@@ -126,19 +126,10 @@ func All() ([]Record, error) {
 		// FairKM: kernel corners, every sweep strategy, every initializer.
 		func() error { return fairKM("seq", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3}) },
 		func() error {
-			return fairKM("skew", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, SkewCompensation: true})
-		},
-		func() error {
 			return fairKM("weights", "synthA", core.Config{K: 5, Lambda: 40, Seed: 9, Weights: map[string]float64{"cat0": 2.5}})
 		},
 		func() error {
-			return fairKM("minibatch", "synthA", core.Config{K: 6, AutoLambda: true, Seed: 2, MiniBatch: 100})
-		},
-		func() error {
 			return fairKM("par1", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Parallelism: 1})
-		},
-		func() error {
-			return fairKM("par4-minibatch", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Parallelism: 4, MiniBatch: 128})
 		},
 		func() error {
 			return fairKM("init-partition", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Init: kmeans.RandomPartition})
@@ -180,26 +171,15 @@ func All() ([]Record, error) {
 			return zgyaRun("partition", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2, Init: kmeans.RandomPartition})
 		},
 
-		// FairKM corners recorded after the first 23 (appended so the
-		// earlier records keep their positions): the weighted solve the
-		// summarize-then-solve pipeline runs, the two fairness-term
-		// ablation knobs, and mini-batching with numeric sensitive
-		// attributes.
+		// Recorded after the first 20 (appended so the earlier records
+		// keep their positions): the weighted solve the
+		// summarize-then-solve pipeline runs.
 		func() error {
 			return fairKMWeighted("weighted", "adult", fractionalWeights(fx["adult"].N()),
 				core.Config{K: 7, AutoLambda: true, Seed: 3})
 		},
-		func() error {
-			return fairKM("exponent1", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, ClusterWeightExponent: 1})
-		},
-		func() error {
-			return fairKM("no-domnorm", "adult", core.Config{K: 7, AutoLambda: true, Seed: 3, NoDomainNormalization: true})
-		},
-		func() error {
-			return fairKM("minibatch", "synthB", core.Config{K: 5, AutoLambda: true, Seed: 2, MiniBatch: 64})
-		},
 
-		// Weighted K-Means, appended after the 27 records above: the
+		// Weighted K-Means, appended after the 21 records above: the
 		// non-unit-weight Lloyd trajectory, sequential and with a
 		// parallel sweep under the Tol stop.
 		func() error {
@@ -211,7 +191,7 @@ func All() ([]Record, error) {
 				kmeans.Config{K: 6, Seed: 5, Parallelism: 3, Tol: 1e-4})
 		},
 
-		// Frozen-statistics solves appended after the 29 records above:
+		// Frozen-statistics solves appended after the 23 records above:
 		// the weighted FairKM parallel sweep behind the pipeline's
 		// summary solve, and a parallel ZGYA sweep.
 		func() error {

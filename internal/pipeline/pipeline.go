@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/coreset"
@@ -163,10 +164,27 @@ type Summarizer struct {
 	n int
 }
 
+// Validate checks the settings that can be checked before any row is
+// read: K, and the solve's λ and Tol, which must be finite and
+// non-negative. The solve re-checks them along with the rest of its
+// configuration.
+func (cfg Config) Validate() error {
+	if cfg.K < 1 {
+		return fmt.Errorf("pipeline: K=%d must be positive", cfg.K)
+	}
+	if cfg.Lambda < 0 || math.IsNaN(cfg.Lambda) || math.IsInf(cfg.Lambda, 0) {
+		return fmt.Errorf("pipeline: lambda %v must be finite and non-negative", cfg.Lambda)
+	}
+	if cfg.Tol < 0 || math.IsNaN(cfg.Tol) || math.IsInf(cfg.Tol, 0) {
+		return fmt.Errorf("pipeline: tolerance %v must be finite and non-negative", cfg.Tol)
+	}
+	return nil
+}
+
 // NewSummarizer validates cfg and prepares an empty summary.
 func NewSummarizer(cfg Config) (*Summarizer, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("pipeline: K=%d must be positive", cfg.K)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	m := cfg.CoresetSize
 	if m <= 0 {
@@ -295,8 +313,7 @@ func (s *Summarizer) Solve() (*Result, error) {
 // computed in one streaming pass with O(k·(dim + Σ|Values|)) memory.
 type Evaluation struct {
 	// Value decomposes the full-data FairKM objective of the nearest-
-	// centroid assignment (paper defaults: domain normalization on,
-	// cluster-weight exponent 2, unit attribute weights).
+	// centroid assignment, with unit attribute weights.
 	Value core.ObjectiveValue
 	// Fairness holds one AE/AW/ME/MW report per categorical sensitive
 	// attribute plus the "mean" aggregate, as metrics.FairnessAll.

@@ -191,6 +191,14 @@ func TestSummarizerValidation(t *testing.T) {
 	if _, err := NewSummarizer(Config{K: 2, CoresetSize: 10, BlockSize: 5}); err == nil {
 		t.Error("block < m accepted")
 	}
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSummarizer(Config{K: 2, Lambda: bad}); err == nil {
+			t.Errorf("lambda %v accepted", bad)
+		}
+		if _, err := NewSummarizer(Config{K: 2, Tol: bad}); err == nil {
+			t.Errorf("tol %v accepted", bad)
+		}
+	}
 
 	// Numeric sensitive attributes are not streamable.
 	mixed := testfix.Synth(3, 50, 3, 1, 1)

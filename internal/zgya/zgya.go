@@ -75,12 +75,6 @@ type Config struct {
 	// Init selects the initial clustering (default k-means++ hard
 	// assignment).
 	Init kmeans.InitMethod
-	// MiniBatch, when m > 0, scores the SSE term against cluster
-	// prototypes frozen once per batch of m assignment decisions (the
-	// same Section 6.1 heuristic FairKM supports) instead of live
-	// statistics. Under a parallel sweep it instead sets the
-	// frozen-statistics batch size.
-	MiniBatch int
 	// Parallelism selects the sweep execution mode, with exactly
 	// FairKM's semantics: 0 (the default) is the strictly sequential
 	// round-robin sweep; a positive value scores candidate moves with
@@ -138,14 +132,11 @@ func Run(ds *dataset.Dataset, attr string, cfg Config) (*Result, error) {
 	if cfg.K < 1 || cfg.K > n {
 		return nil, fmt.Errorf("zgya: K=%d out of range [1,%d]", cfg.K, n)
 	}
-	if cfg.Lambda < 0 {
-		return nil, fmt.Errorf("zgya: negative lambda %v", cfg.Lambda)
+	if cfg.Lambda < 0 || math.IsNaN(cfg.Lambda) || math.IsInf(cfg.Lambda, 0) {
+		return nil, fmt.Errorf("zgya: lambda %v must be finite and non-negative", cfg.Lambda)
 	}
-	if cfg.Tol < 0 {
-		return nil, fmt.Errorf("zgya: negative tolerance %v", cfg.Tol)
-	}
-	if cfg.MiniBatch < 0 {
-		return nil, fmt.Errorf("zgya: negative mini-batch size %d", cfg.MiniBatch)
+	if cfg.Tol < 0 || math.IsNaN(cfg.Tol) || math.IsInf(cfg.Tol, 0) {
+		return nil, fmt.Errorf("zgya: tolerance %v must be finite and non-negative", cfg.Tol)
 	}
 	maxIter := cfg.MaxIter
 	if maxIter <= 0 {
@@ -159,16 +150,9 @@ func Run(ds *dataset.Dataset, attr string, cfg Config) (*Result, error) {
 	st := newSolver(ds, s, cfg)
 
 	var sw engine.Sweeper
-	switch {
-	case workers >= 1:
-		sw = engine.NewFrozenSweep(st, engine.FrozenOpts{
-			Workers:    workers,
-			Batch:      cfg.MiniBatch,
-			Revalidate: true,
-		})
-	case cfg.MiniBatch > 0:
-		sw = engine.NewMiniBatchSweep(st, cfg.MiniBatch)
-	default:
+	if workers >= 1 {
+		sw = engine.NewFrozenSweep(st, engine.FrozenOpts{Workers: workers, Revalidate: true})
+	} else {
 		sw = engine.NewFullSweep(st)
 	}
 
@@ -209,10 +193,6 @@ type solver struct {
 	ssqs      []float64
 	valCounts [][]int
 	klCache   []float64
-
-	// batchProtos are the frozen prototypes mini-batch sweeps score
-	// the SSE term against, re-materialized by RefreshBatchView.
-	batchProtos [][]float64
 }
 
 func newSolver(ds *dataset.Dataset, s *dataset.SensitiveAttr, cfg Config) *solver {
@@ -388,7 +368,7 @@ func (st *solver) K() int { return st.k }
 func (st *solver) Current(i int) int { return st.assign[i] }
 
 // BestMove scores row i against live statistics.
-func (st *solver) BestMove(i, from int) int { return st.bestMoveAgainst(i, from, nil) }
+func (st *solver) BestMove(i, from int) int { return st.bestMove(i, from) }
 
 // Delta returns the exact objective change of moving row i, against
 // live statistics.
@@ -417,19 +397,6 @@ func (st *solver) Move(i, from, to int) {
 
 // Value returns the current objective E = SSE + λ·Σ_C KL(U‖P_C).
 func (st *solver) Value() float64 { return st.sseTotal() + st.lambda*st.klTotal() }
-
-// ---- engine.BatchObjective (mini-batch heuristic) ----
-
-// RefreshBatchView re-materializes the frozen prototypes the
-// mini-batch sweep scores the SSE term against; the KL statistics stay
-// live.
-func (st *solver) RefreshBatchView() { st.batchProtos = st.centroids() }
-
-// BestMoveBatch scores row i with the SSE term against the frozen
-// prototypes.
-func (st *solver) BestMoveBatch(i, from int) int {
-	return st.bestMoveAgainst(i, from, st.batchProtos)
-}
 
 // ---- engine.SnapshotObjective (frozen-statistics parallel sweeps) ----
 
@@ -482,46 +449,29 @@ func (s *solverSnap) Freeze() {
 // BestMove scores row i against the frozen statistics; safe for
 // concurrent calls because the frozen solver is read-only between
 // freezes.
-func (s *solverSnap) BestMove(i, from int) int { return s.frozen.bestMoveAgainst(i, from, nil) }
+func (s *solverSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from) }
 
-// bestMoveAgainst is the single scoring kernel behind every sweep
-// strategy: with frozen == nil the SSE term uses the live sufficient
-// statistics; with a frozen prototype matrix it is the classic
-// nearest-centroid comparison against those prototypes, while the KL
-// term always stays live.
-func (st *solver) bestMoveAgainst(i, from int, frozen [][]float64) int {
+// bestMove is the single scoring kernel behind every sweep strategy:
+// the full sweep calls it on the live solver, the frozen sweep on a
+// snapshot.
+func (st *solver) bestMove(i, from int) int {
 	x := st.features[i]
 	klFromAfter := st.klWithDelta(from, i, -1)
+	var sseOut float64
+	if m := st.counts[from]; m > 1 {
+		sseOut = -float64(m) / float64(m-1) * sqDistToMean(x, st.sums[from], m)
+	}
 
 	best := from
 	bestDelta := 0.0
-	if frozen == nil {
-		var sseOut float64
-		if m := st.counts[from]; m > 1 {
-			sseOut = -float64(m) / float64(m-1) * sqDistToMean(x, st.sums[from], m)
-		}
-		for c := 0; c < st.k; c++ {
-			if c == from {
-				continue
-			}
-			dSSE := sseOut
-			if m := st.counts[c]; m > 0 {
-				dSSE += float64(m) / float64(m+1) * sqDistToMean(x, st.sums[c], m)
-			}
-			dKL := (klFromAfter - st.klCache[from]) + (st.klWithDelta(c, i, +1) - st.klCache[c])
-			if delta := dSSE + st.lambda*dKL; delta < bestDelta {
-				bestDelta = delta
-				best = c
-			}
-		}
-		return best
-	}
-	dFrom := stats.SqDist(x, frozen[from])
 	for c := 0; c < st.k; c++ {
 		if c == from {
 			continue
 		}
-		dSSE := stats.SqDist(x, frozen[c]) - dFrom
+		dSSE := sseOut
+		if m := st.counts[c]; m > 0 {
+			dSSE += float64(m) / float64(m+1) * sqDistToMean(x, st.sums[c], m)
+		}
 		dKL := (klFromAfter - st.klCache[from]) + (st.klWithDelta(c, i, +1) - st.klCache[c])
 		if delta := dSSE + st.lambda*dKL; delta < bestDelta {
 			bestDelta = delta

@@ -1,6 +1,7 @@
 package zgya
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -113,6 +114,14 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Run(ds, "g", Config{K: 2, Lambda: -1}); err == nil {
 		t.Error("negative lambda accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(ds, "g", Config{K: 2, Lambda: bad}); err == nil {
+			t.Errorf("lambda %v accepted", bad)
+		}
+		if _, err := Run(ds, "g", Config{K: 2, Tol: bad}); err == nil {
+			t.Errorf("tol %v accepted", bad)
+		}
 	}
 	// Numeric attribute must be rejected.
 	b := dataset.NewBuilder("x")
