@@ -24,11 +24,13 @@ func parityAdult(t testing.TB) *dataset.Dataset {
 }
 
 // parityConfigs enumerates the kernel-relevant configuration corners:
-// plain and per-attribute weights, each run on datasets with and
-// without numeric sensitive attributes.
+// auto-λ, a small fixed λ with few clusters, and per-attribute
+// weights, each run on datasets with and without numeric sensitive
+// attributes.
 func parityConfigs(attrWeights map[string]float64) []Config {
 	return []Config{
 		{K: 7, AutoLambda: true, Seed: 3},
+		{K: 4, Lambda: 7, Seed: 1},
 		{K: 5, Lambda: 40, Seed: 9, Weights: attrWeights},
 	}
 }
