@@ -100,6 +100,7 @@ bench-check:
 bench-smoke:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweep|BenchmarkBestMove' -benchtime 1x
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkRunAdult/sequential' -benchtime 1x
+	$(GO) test . -run '^$$' -bench 'BenchmarkZGYAAdult' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream/stream' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard/shards=2/adult6500' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/workers=1/batch=64' -benchtime 1x

@@ -16,8 +16,8 @@ import (
 // into two events at any byte leaves the result unchanged — test2json
 // splits benchmark output across events wherever the test binary's
 // writes happened to land. The seeds are the TestParseStream* streams;
-// testdata/fuzz adds the head of a real recording and a 0 ns/op
-// sample.
+// testdata/fuzz adds the head of a real recording, a 0 ns/op sample
+// and an untagged result line whose name holds a non-ASCII byte.
 func FuzzBenchguardParse(f *testing.F) {
 	for _, s := range []string{
 		stream(
@@ -30,6 +30,10 @@ func FuzzBenchguardParse(f *testing.F) {
 			[3]string{"BenchmarkLloyd/kernel=pruned/k=50", "520", ""},
 		),
 		`{"Action":"start","Package":"p"}` + "\n",
+		// A second -count run, printed with no Test field.
+		stream([3]string{"BenchmarkLloyd/kernel=pruned/k=50", "500", ""}) +
+			`{"Action":"output","Package":"repro/internal/x","Output":"BenchmarkLloyd/kernel=pruned/k=50-2   \t"}` + "\n" +
+			`{"Action":"output","Package":"repro/internal/x","Output":"     307\t   450 ns/op\n"}` + "\n",
 	} {
 		f.Add([]byte(s), uint16(0), uint16(0))
 	}

@@ -66,6 +66,37 @@ func TestParseStreamMinOfCount(t *testing.T) {
 	}
 }
 
+// TestParseStreamUntaggedRuns: `go test -json -count N` emits the
+// result lines of runs 2..N with no Test field. The committed
+// BENCH_kernels.json recorded BenchmarkServe/kernel=indexed/k=150 at
+// 1647016, 1750119 and 1622825 ns/op, only the first tagged; the
+// floor is the third. Its BenchmarkServe/single runs print the
+// GOMAXPROCS suffix (single-2), which must not become a separate key.
+func TestParseStreamUntaggedRuns(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_kernels.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"repro/internal/serve:BenchmarkServe/kernel=indexed/k=150": 1622825,
+		"repro/internal/serve:BenchmarkServe/single":               481.1,
+	}
+	for key, v := range want {
+		if got[key] != v {
+			t.Errorf("%s = %v, want %v", key, got[key], v)
+		}
+	}
+	for key := range got {
+		if strings.HasSuffix(key, "-2") {
+			t.Errorf("GOMAXPROCS-suffixed key %s", key)
+		}
+	}
+}
+
 func TestParseStreamEmpty(t *testing.T) {
 	if _, err := parseStream(strings.NewReader(`{"Action":"start","Package":"p"}` + "\n")); err == nil {
 		t.Fatal("want error on stream with no benchmark results")

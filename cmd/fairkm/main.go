@@ -108,6 +108,11 @@ func run(args []string, out io.Writer) (err error) {
 		Seed: *seed, MaxIter: *maxIter, Tol: *tol, Budget: *budget,
 		Parallelism: *parallel,
 	}
+	// Reject a bad configuration before -telemetry creates its journal,
+	// so a refused run leaves no file behind.
+	if err := cfg.Validate(ds); err != nil {
+		return err
+	}
 	var traceObs engine.Observer
 	if *trace {
 		traceObs = engine.TraceObserver(out, "fairkm")

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -117,9 +119,15 @@ func TestValidationAudit(t *testing.T) {
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {
+			// A rejected run must not leave a -telemetry journal behind.
+			journal := filepath.Join(t.TempDir(), "run.jsonl")
+			args = append(args, "-telemetry", journal)
 			var buf bytes.Buffer
 			if err := run(args, &buf); err == nil {
 				t.Errorf("run(%v) accepted a bad invocation", args)
+			}
+			if _, err := os.Stat(journal); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("run(%v) left a journal behind (stat: %v)", args, err)
 			}
 		})
 	}

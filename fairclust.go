@@ -142,8 +142,9 @@ type Observer = engine.Observer
 type IterEvent = engine.IterEvent
 
 // InitMethod selects the shared initializer (k-means++ by default,
-// random partition with empty-cluster repair, or random points) used
-// identically by FairKM, K-Means and ZGYA.
+// random partition with empty-cluster repair, or random points) of
+// FairKM, K-Means and ZGYA. ZGYA runs RandomPartition as RandomPoints,
+// because its λ heuristic needs initial centroids.
 type InitMethod = engine.InitMethod
 
 // NewBuilder creates a Builder for the given feature column names.

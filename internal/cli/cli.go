@@ -25,7 +25,8 @@ const ExitInternal = 3
 
 // Main runs a command body and applies the failure contract. The body
 // gets os.Args[1:] and os.Stdout; on error, the first line of the
-// error is printed as "name: message" to stderr and the process exits
+// error is printed as "name: message" to stderr (a message that
+// already starts with "name: " is printed as is) and the process exits
 // with ExitUsage. A panicking body is recovered into the same one-line
 // shape ("name: internal error: ...") with exit code ExitInternal.
 func Main(name string, run func(args []string, out io.Writer) error) {
@@ -36,7 +37,11 @@ func Main(name string, run func(args []string, out io.Writer) error) {
 		}
 	}()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", name, FirstLine(err))
+		msg := FirstLine(err)
+		if !strings.HasPrefix(msg, name+": ") {
+			msg = name + ": " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(ExitUsage)
 	}
 }

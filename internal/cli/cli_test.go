@@ -34,6 +34,11 @@ func TestMainExitCode(t *testing.T) {
 			return fmt.Errorf("kaput: bad input\nsecond line that must not print")
 		})
 		return
+	case "prefixed":
+		Main("fairkm", func([]string, io.Writer) error {
+			return fmt.Errorf("fairkm: lambda NaN must be finite and non-negative")
+		})
+		return
 	case "ok":
 		Main("oktool", func([]string, io.Writer) error { return nil })
 		return
@@ -65,6 +70,15 @@ func TestMainExitCode(t *testing.T) {
 		t.Errorf("failing tool exited %d, want %d", code, ExitUsage)
 	}
 	if want := "boomtool: kaput: bad input\n"; stderr != want {
+		t.Errorf("stderr = %q, want %q", stderr, want)
+	}
+
+	// A message that already names the tool is not prefixed twice.
+	code, stderr = run("prefixed")
+	if code != ExitUsage {
+		t.Errorf("prefixed tool exited %d, want %d", code, ExitUsage)
+	}
+	if want := "fairkm: lambda NaN must be finite and non-negative\n"; stderr != want {
 		t.Errorf("stderr = %q, want %q", stderr, want)
 	}
 

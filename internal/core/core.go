@@ -228,7 +228,10 @@ func (r *Result) Predict(x []float64) int {
 	return best
 }
 
-func validate(ds *dataset.Dataset, cfg *Config) error {
+// Validate reports the first reason Run (or RunWeighted, whose weights
+// it does not check) would reject cfg on ds, so a caller can refuse a
+// bad invocation before it creates any output.
+func (cfg Config) Validate(ds *dataset.Dataset) error {
 	if ds == nil {
 		return errors.New("fairkm: nil dataset")
 	}

@@ -91,7 +91,7 @@ func TestDeltaMatchesNaiveObjective(t *testing.T) {
 				continue
 			}
 			// Incremental delta, exactly as bestMove computes it.
-			dKM := st.kmeansOutDelta(i, from) + st.kmeansInDelta(i, to)
+			dKM := st.km.OutDelta(i, from) + st.km.InDelta(i, to)
 			dFair := (st.deviationWithDelta(from, i, -1) - st.devCache[from]) +
 				(st.deviationWithDelta(to, i, +1) - st.devCache[to])
 			incr := dKM + lambda*dFair

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -15,7 +13,7 @@ import (
 // internal/engine; this package contributes the FairKM objective
 // (state) and assembles the Result.
 func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
-	if err := validate(ds, &cfg); err != nil {
+	if err := cfg.Validate(ds); err != nil {
 		return nil, err
 	}
 	return runWith(ds, cfg, nil)
@@ -41,10 +39,6 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	workers := cfg.Parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var assign []int
 	if cfg.InitAssign != nil {
 		assign = append([]int(nil), cfg.InitAssign...)
@@ -53,19 +47,12 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 	}
 	st := newState(ds, &cfg, lambda, assign, rowW)
 
-	var sw engine.Sweeper
-	if workers >= 1 {
-		sw = engine.NewFrozenSweep(st, engine.FrozenOpts{Workers: workers, Revalidate: true})
-	} else {
-		sw = engine.NewFullSweep(st)
-	}
-
 	res := &Result{Lambda: lambda}
 	var observer engine.Observer
 	if cfg.RecordHistory || cfg.Observer != nil {
 		observer = func(ev engine.IterEvent) {
 			if cfg.RecordHistory {
-				km := st.sseTotal()
+				km := st.km.SSE()
 				fair := st.fairnessTotal()
 				res.History = append(res.History, IterStats{
 					Iteration:    ev.Iteration,
@@ -81,7 +68,7 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 		}
 	}
 
-	er := engine.Solve(st, sw, engine.Config{
+	er := engine.Solve(st, engine.NewSweep(st, cfg.Parallelism), engine.Config{
 		MaxIter:  maxIter,
 		Tol:      cfg.Tol,
 		Budget:   cfg.Budget,
@@ -92,12 +79,12 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 	res.TotalMoves = er.TotalMoves
 	res.Converged = er.Converged
 	res.Assign = st.assign
-	res.Centroids = st.centroids()
-	res.Sizes = append([]int(nil), st.counts...)
+	res.Centroids = st.km.Centroids()
+	res.Sizes = append([]int(nil), st.km.Counts...)
 	if rowW != nil {
-		res.Masses = append([]float64(nil), st.mass...)
+		res.Masses = append([]float64(nil), st.km.Mass...)
 	}
-	res.KMeansTerm = st.sseTotal()
+	res.KMeansTerm = st.km.SSE()
 	res.FairnessTerm = st.fairnessTotal()
 	res.Objective = res.KMeansTerm + lambda*res.FairnessTerm
 	return res, nil
@@ -125,7 +112,7 @@ func (st *state) Delta(i, from, to int) float64 { return st.moveDelta(i, from, t
 func (st *state) Move(i, from, to int) { st.move(i, from, to) }
 
 // Value returns the current objective O = SSE + λ·deviation.
-func (st *state) Value() float64 { return st.sseTotal() + st.lambda*st.fairnessTotal() }
+func (st *state) Value() float64 { return st.km.SSE() + st.lambda*st.fairnessTotal() }
 
 // ---- engine.SnapshotObjective (frozen-statistics parallel sweeps) ----
 
@@ -160,7 +147,7 @@ func (st *state) bestMove(i, from int) int {
 	// Leaving `from` costs the same regardless of destination; compute
 	// those pieces once.
 	dDevOut := st.deviationWithDelta(from, i, -1) - st.devCache[from]
-	kmOut := st.kmeansOutDelta(i, from)
+	kmOut := st.km.OutDelta(i, from)
 
 	best := from
 	bestDelta := 0.0
@@ -168,7 +155,7 @@ func (st *state) bestMove(i, from int) int {
 		if c == from {
 			continue
 		}
-		dKM := kmOut + st.kmeansInDelta(i, c)
+		dKM := kmOut + st.km.InDelta(i, c)
 		dFair := dDevOut + (st.deviationWithDelta(c, i, +1) - st.devCache[c])
 		delta := dKM + st.lambda*dFair
 		if delta < bestDelta {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/dataset"
+	"repro/internal/kmeans"
 	"repro/internal/stats"
 )
 
@@ -11,12 +12,11 @@ import (
 // attribute domains (the optimization Section 4.2.1 motivates, taken
 // one step further than the paper's O(Σ_S |Values(S)|) bookkeeping).
 //
-// Per cluster c it tracks:
-//   - counts[c]: cardinality |c|
-//   - sums[c]: per-feature sums, and the cached prototype
-//     mu[c] = sums[c]·(1/mass[c]), refreshed by every move that changes
-//     the cluster, which the K-Means deltas and centroids read
-//   - ssqs[c]: Σ_{x∈c} ‖x‖², giving SSE_c = ssqs[c] − ‖sums[c]‖²/|c|
+// The K-Means term's statistics — per-cluster row counts, masses,
+// feature sums, cached prototypes and Σw‖x‖², with their move deltas,
+// SSE and centroids — are a kmeans.Stats (km), the same type ZGYA
+// scores its K-Means term with. Beside it, per cluster c, state tracks
+// the fairness term:
 //   - numSums[a][c]: sum of numeric sensitive attr a over members
 //   - devCache[c]: the cluster's current fairness deviation
 //     contribution (the (|c|/n)²·ND_C term of Eq. 7 plus Eq. 22 terms)
@@ -60,40 +60,35 @@ import (
 // # Weighted points
 //
 // Every sufficient statistic is a weighted mass: row i carries weight
-// rowW[i] (rowW == nil means unit weights), cluster "size" is the mass
-// Σ_{i∈c} w_i, the cc value counts, numeric sums, feature sums and the
-// SSE term all accumulate w_i-scaled contributions, and the Eq. 7
-// fractions compare weighted cluster masses against weighted dataset
-// masses. This is what lets a coreset row standing for w original
-// points (internal/coreset) reproduce the objective those w points
-// would have contributed — the summarize-then-solve pipeline's
-// substrate. The unweighted solver is exactly the w ≡ 1 special case,
-// and every weighted expression is arranged so that multiplying by a
-// unit weight is an IEEE-754 no-op: the unit-weight trajectory is
-// bit-identical to the historical unweighted kernel (pinned by the
-// goldencase suite and TestWeightedUnitParity).
+// rowW[i] (rowW == nil means unit weights; km.Weight reads it),
+// cluster "size" is the mass Σ_{i∈c} w_i, the cc value counts, numeric
+// sums, feature sums and the SSE term all accumulate w_i-scaled
+// contributions, and the Eq. 7 fractions compare weighted cluster
+// masses against weighted dataset masses. This is what lets a coreset
+// row standing for w original points (internal/coreset) reproduce the
+// objective those w points would have contributed — the
+// summarize-then-solve pipeline's substrate. The unweighted solver is
+// exactly the w ≡ 1 special case, and every weighted expression is
+// arranged so that multiplying by a unit weight is an IEEE-754 no-op:
+// the unit-weight trajectory is bit-identical to the historical
+// unweighted kernel (pinned by the goldencase suite and
+// TestWeightedUnitParity).
 //
-// counts keeps the plain row cardinality alongside mass: emptiness and
-// singleton guards are structural (row-count) questions, while all
-// arithmetic uses mass.
+// km.Counts keeps the plain row cardinality alongside km.Mass:
+// emptiness and singleton guards are structural (row-count) questions,
+// while all arithmetic uses mass.
 type state struct {
 	ds      *dataset.Dataset
 	k       int
 	lambda  float64
 	n       int
-	dim     int
 	weights []float64 // per sensitive attribute, aligned with ds.Sensitive
 	naive   bool      // score with the per-value reference kernel
 
-	rowW      []float64 // per-row weights; nil means unit weights
-	totalMass float64   // Σ rowW (float64(n) when rowW == nil)
+	totalMass float64 // Σ rowW (float64(n) when rowW == nil)
 
 	assign []int
-	counts []int     // per-cluster row counts (structural guards only)
-	mass   []float64 // per-cluster weighted masses (all arithmetic)
-	sums   [][]float64
-	mu     []float64 // [c·dim+j] cached prototypes sums[c][j]·(1/mass[c])
-	ssqs   []float64
+	km     kmeans.Stats // the K-Means term
 
 	catAttrs []int // indexes into ds.Sensitive with Kind == Categorical
 	numAttrs []int // indexes into ds.Sensitive with Kind == Numeric
@@ -135,10 +130,9 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 		k:      cfg.K,
 		lambda: lambda,
 		n:      n,
-		dim:    ds.Dim(),
-		rowW:   rowW,
 		assign: assign,
 		naive:  cfg.naiveKernel,
+		km:     kmeans.NewStats(ds.Features, rowW, cfg.K, assign),
 	}
 	if rowW == nil {
 		st.totalMass = float64(n)
@@ -153,14 +147,6 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 		}
 		st.weights[i] = w
 	}
-	st.counts = make([]int, st.k)
-	st.mass = make([]float64, st.k)
-	st.sums = make([][]float64, st.k)
-	for c := range st.sums {
-		st.sums[c] = make([]float64, st.dim)
-	}
-	st.mu = make([]float64, st.k*st.dim)
-	st.ssqs = make([]float64, st.k)
 	st.frX = make([][]float64, len(ds.Sensitive))
 	st.meanX = make([]float64, len(ds.Sensitive))
 	st.numSums = make([][]float64, len(ds.Sensitive))
@@ -210,11 +196,10 @@ func newState(ds *dataset.Dataset, cfg *Config, lambda float64, assign []int, ro
 	st.catCounts = st.countViews(st.cat)
 
 	for i := 0; i < n; i++ {
-		st.add(i, assign[i], +1)
+		st.addFair(i, assign[i], st.km.Weight(i))
 	}
 	st.devCache = make([]float64, st.k)
 	for c := 0; c < st.k; c++ {
-		st.refreshMean(c)
 		st.devCache[c] = st.clusterDeviation(c)
 	}
 	return st
@@ -246,45 +231,12 @@ func (st *state) rowOffsets(i int) []int32 {
 	return st.rowOff[i*st.nCat : (i+1)*st.nCat]
 }
 
-// mean returns cluster c's cached prototype.
-func (st *state) mean(c int) []float64 {
-	return st.mu[c*st.dim : (c+1)*st.dim]
-}
-
-// refreshMean recomputes cluster c's cached prototype from its sums;
-// an empty cluster keeps a stale one that nothing reads.
-func (st *state) refreshMean(c int) {
-	if st.counts[c] == 0 {
-		return
-	}
-	inv := 1.0 / st.mass[c]
-	mu := st.mean(c)
-	for j, s := range st.sums[c] {
-		mu[j] = s * inv
-	}
-}
-
-// wOf returns row i's weight (1 under unit weights).
-func (st *state) wOf(i int) float64 {
-	if st.rowW == nil {
-		return 1
-	}
-	return st.rowW[i]
-}
-
-// add adds (sign=+1) or subtracts (sign=-1) row i's mass-w
-// contribution to cluster c's statistics (assignment bookkeeping only;
-// the cached prototype and devCache are managed by callers). The
-// quadratic aggregates absorb (cc+sw)² − cc² = sw·(2·cc + sw) with
-// sw = sign·w; negating w is exact, so subtracting through sw rounds
-// exactly as subtracting w·(2·cc − w) would.
-func (st *state) add(i, c, sign int) {
-	sw := float64(sign) * st.wOf(i)
-	st.counts[c] += sign
-	st.mass[c] += sw
-	x := st.ds.Features[i]
-	stats.AddScaledTo(st.sums[c], x, sw)
-	st.ssqs[c] += sw * stats.Dot(x, x)
+// addFair adds row i's fairness-term contribution, scaled by sw (its
+// weight, negated to subtract), to cluster c's statistics; devCache is
+// managed by callers. The quadratic aggregates absorb
+// (cc+sw)² − cc² = sw·(2·cc + sw); negating w is exact, so subtracting
+// through sw rounds exactly as subtracting w·(2·cc − w) would.
+func (st *state) addFair(i, c int, sw float64) {
 	rec := st.record(c)
 	for j, off := range st.rowOffsets(i) {
 		old := rec[off]
@@ -300,35 +252,13 @@ func (st *state) add(i, c, sign int) {
 // move transfers row i from cluster from to cluster to, refreshing the
 // cached prototype and deviation of both clusters.
 func (st *state) move(i, from, to int) {
-	st.add(i, from, -1)
-	st.add(i, to, +1)
+	w := st.km.Weight(i)
+	st.km.Move(i, from, to)
+	st.addFair(i, from, -w)
+	st.addFair(i, to, w)
 	st.assign[i] = to
-	st.refreshMean(from)
-	st.refreshMean(to)
 	st.devCache[from] = st.clusterDeviation(from)
 	st.devCache[to] = st.clusterDeviation(to)
-}
-
-// sseCluster returns the K-Means SSE contribution of cluster c from its
-// sufficient statistics: Σw‖x‖² − ‖Σwx‖²/mass.
-func (st *state) sseCluster(c int) float64 {
-	if st.counts[c] == 0 {
-		return 0
-	}
-	s := st.ssqs[c] - stats.Dot(st.sums[c], st.sums[c])/st.mass[c]
-	if s < 0 {
-		s = 0 // floating-point cancellation guard
-	}
-	return s
-}
-
-// sseTotal returns the full K-Means term.
-func (st *state) sseTotal() float64 {
-	total := 0.0
-	for c := 0; c < st.k; c++ {
-		total += st.sseCluster(c)
-	}
-	return total
 }
 
 // clusterDeviation returns cluster c's fairness contribution:
@@ -342,10 +272,10 @@ func (st *state) clusterDeviation(c int) float64 {
 	if st.naive {
 		return st.clusterDeviationNaive(c)
 	}
-	if st.counts[c] == 0 {
+	if st.km.Counts[c] == 0 {
 		return 0
 	}
-	inv := 1.0 / st.mass[c]
+	inv := 1.0 / st.km.Mass[c]
 	rec := st.record(c)
 	nd := 0.0
 	for j := 0; j < st.nCat; j++ {
@@ -359,17 +289,17 @@ func (st *state) clusterDeviation(c int) float64 {
 		d := st.numSums[ai][c]*inv - st.meanX[ai]
 		nd += st.weights[ai] * d * d
 	}
-	return st.clusterWeight(st.mass[c]) * nd
+	return st.clusterWeight(st.km.Mass[c]) * nd
 }
 
 // clusterDeviationNaive is the per-value reference form of
 // clusterDeviation — a direct transcription of Eqs. 3–7 that rescans
 // every value of every categorical attribute. O(Σ_S |Values(S)|).
 func (st *state) clusterDeviationNaive(c int) float64 {
-	if st.counts[c] == 0 {
+	if st.km.Counts[c] == 0 {
 		return 0
 	}
-	inv := 1.0 / st.mass[c]
+	inv := 1.0 / st.km.Mass[c]
 	nd := 0.0
 	for _, ai := range st.catAttrs {
 		frX := st.frX[ai]
@@ -386,7 +316,7 @@ func (st *state) clusterDeviationNaive(c int) float64 {
 		d := st.numSums[ai][c]*inv - st.meanX[ai]
 		nd += st.weights[ai] * d * d
 	}
-	return st.clusterWeight(st.mass[c]) * nd
+	return st.clusterWeight(st.km.Mass[c]) * nd
 }
 
 // clusterWeight returns (mass_C/mass_X)². Under unit weights this is
@@ -422,11 +352,11 @@ func (st *state) deviationWithDelta(c, i, sign int) float64 {
 	if st.naive {
 		return st.deviationWithDeltaNaive(c, i, sign)
 	}
-	if st.counts[c]+sign == 0 {
+	if st.km.Counts[c]+sign == 0 {
 		return 0
 	}
-	sw := float64(sign) * st.wOf(i)
-	m := st.mass[c] + sw
+	sw := float64(sign) * st.km.Weight(i)
+	m := st.km.Mass[c] + sw
 	inv := 1.0 / m
 	rec := st.record(c)
 	nd := 0.0
@@ -450,11 +380,11 @@ func (st *state) deviationWithDelta(c, i, sign int) float64 {
 // deviationWithDeltaNaive is the per-value reference form of
 // deviationWithDelta. O(Σ_S |Values(S)|).
 func (st *state) deviationWithDeltaNaive(c, i, sign int) float64 {
-	if st.counts[c]+sign == 0 {
+	if st.km.Counts[c]+sign == 0 {
 		return 0
 	}
-	sw := float64(sign) * st.wOf(i)
-	m := st.mass[c] + sw
+	sw := float64(sign) * st.km.Weight(i)
+	m := st.km.Mass[c] + sw
 	inv := 1.0 / m
 	nd := 0.0
 	for _, ai := range st.catAttrs {
@@ -481,71 +411,13 @@ func (st *state) deviationWithDeltaNaive(c, i, sign int) float64 {
 	return st.clusterWeight(m) * nd
 }
 
-// kmeansOutDelta returns the change in the K-Means term from removing
-// row i (mass w) from its cluster c (Eq. 12 in closed sufficient-
-// statistic form: −m·w/(m−w)·‖x−μ‖², 0 when the cluster is a
-// singleton row).
-//
-//fairvet:hotpath
-func (st *state) kmeansOutDelta(i, c int) float64 {
-	if st.counts[c] <= 1 {
-		return 0
-	}
-	m := st.mass[c]
-	w := st.wOf(i)
-	return -m * w / (m - w) * st.distToMean(i, c)
-}
-
-// kmeansInDelta returns the change in the K-Means term from adding row
-// i (mass w) to cluster c (Eq. 14 in closed form: +m·w/(m+w)·‖x−μ‖²,
-// 0 for an empty cluster).
-//
-//fairvet:hotpath
-func (st *state) kmeansInDelta(i, c int) float64 {
-	if st.counts[c] == 0 {
-		return 0
-	}
-	m := st.mass[c]
-	w := st.wOf(i)
-	return m * w / (m + w) * st.distToMean(i, c)
-}
-
-// distToMean returns ‖x_i − μ_c‖² against the cached prototype, summed
-// in index order (stats.SqDist's four-lane sum would round
-// differently).
-//
-//fairvet:hotpath
-func (st *state) distToMean(i, c int) float64 {
-	x := st.ds.Features[i]
-	mu := st.mean(c)[:len(x)] // one bounds check instead of one per feature
-	s := 0.0
-	for j, xj := range x {
-		d := xj - mu[j]
-		s += d * d
-	}
-	return s
-}
-
 // moveDelta returns the exact objective change δ(O) of moving row i
 // from cluster from to cluster to against the live statistics.
 func (st *state) moveDelta(i, from, to int) float64 {
-	dKM := st.kmeansOutDelta(i, from) + st.kmeansInDelta(i, to)
+	dKM := st.km.OutDelta(i, from) + st.km.InDelta(i, to)
 	dFair := (st.deviationWithDelta(from, i, -1) - st.devCache[from]) +
 		(st.deviationWithDelta(to, i, +1) - st.devCache[to])
 	return dKM + st.lambda*dFair
-}
-
-// centroids materializes the cluster prototypes (weighted means; zero
-// for an empty cluster).
-func (st *state) centroids() [][]float64 {
-	out := make([][]float64, st.k)
-	for c := 0; c < st.k; c++ {
-		out[c] = make([]float64, st.dim)
-		if st.counts[c] > 0 {
-			copy(out[c], st.mean(c))
-		}
-	}
-	return out
 }
 
 // weightedFractions is ds.Fractions under per-row masses: Fr_X(v) =
@@ -574,9 +446,7 @@ func weightedMean(xs, rowW []float64, totalMass float64) float64 {
 // across freezeInto calls.
 func (st *state) newFrozen() *state {
 	fz := &state{ds: st.ds, k: st.k, catAttrs: st.catAttrs, stride: st.stride, ccOff: st.ccOff}
-	fz.counts = make([]int, st.k)
-	fz.mass = make([]float64, st.k)
-	fz.mu = make([]float64, len(st.mu))
+	fz.km = st.km.NewFrozen()
 	fz.cat = make([]float64, len(st.cat))
 	fz.catCounts = fz.countViews(fz.cat)
 	fz.numSums = make([][]float64, len(st.numSums))
@@ -590,17 +460,14 @@ func (st *state) newFrozen() *state {
 // freezeInto copies st's mutable statistics into the snapshot buffer fz
 // (allocated by newFrozen) and shares the immutable ones, yielding a
 // read-only view safe for concurrent scoring while st keeps mutating.
-// fz.assign, fz.sums and fz.ssqs stay nil: scoring reads the cached
-// prototypes instead of the sums, and never touches the others.
+// fz.assign stays nil: scoring never reads it.
 func (st *state) freezeInto(fz *state) {
 	fz.ds = st.ds
 	fz.k = st.k
 	fz.lambda = st.lambda
 	fz.n = st.n
-	fz.dim = st.dim
 	fz.weights = st.weights
 	fz.naive = st.naive
-	fz.rowW = st.rowW
 	fz.totalMass = st.totalMass
 	fz.catAttrs = st.catAttrs
 	fz.numAttrs = st.numAttrs
@@ -615,9 +482,7 @@ func (st *state) freezeInto(fz *state) {
 	fz.catScale = st.catScale
 	fz.numReals = st.numReals
 
-	copy(fz.counts, st.counts)
-	copy(fz.mass, st.mass)
-	copy(fz.mu, st.mu)
+	st.km.FreezeInto(&fz.km)
 	copy(fz.cat, st.cat)
 	for _, ai := range st.numAttrs {
 		copy(fz.numSums[ai], st.numSums[ai])

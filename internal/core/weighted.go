@@ -37,7 +37,7 @@ import (
 // weighted rows; for stream summaries, report full-data metrics with a
 // second pass (internal/pipeline.Evaluate) rather than on the summary.
 func RunWeighted(ds *dataset.Dataset, weights []float64, cfg Config) (*Result, error) {
-	if err := validate(ds, &cfg); err != nil {
+	if err := cfg.Validate(ds); err != nil {
 		return nil, err
 	}
 	if len(weights) != ds.N() {

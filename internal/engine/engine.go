@@ -19,7 +19,8 @@
 // wall-clock-budget stopping rules, per-iteration observer hooks, and
 // the frozen-statistics parallel sweep contract described below. There
 // are three sweepers: the sequential full sweep (the paper's Algorithm
-// 1), the frozen-statistics sweep, and Lloyd iteration.
+// 1), the frozen-statistics sweep, and Lloyd iteration. NewSweep and
+// NewLloydSweep turn a solver's Parallelism setting into one of them.
 //
 // # Parallelism contract
 //

@@ -10,7 +10,9 @@ import (
 // lives in the engine so FairKM, K-Means and ZGYA share one
 // implementation (and therefore start from comparable configurations,
 // the premise of the paper's evaluation); internal/kmeans re-exports
-// the type and constants for its public API.
+// the type and constants for its public API. ZGYA takes its initial
+// centroids from InitCentroids and runs RandomPartition as
+// RandomPoints, because its λ heuristic needs centroids.
 type InitMethod int
 
 const (
@@ -53,26 +55,34 @@ func (m InitMethod) String() string {
 // identically to nil weights, so the two are bit-identical — the
 // property the weighted solvers' unit-parity contract rests on.
 func InitAssignmentWeighted(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) []int {
-	n := len(features)
-	assign := make([]int, n)
-	var centroids [][]float64
-	switch method {
-	case KMeansPlusPlus:
-		centroids = PlusPlusCentroidsWeighted(features, weights, k, rng)
-	case RandomPoints:
-		pts := rng.SampleWithoutReplacement(n, k)
-		centroids = make([][]float64, k)
-		for c, p := range pts {
-			centroids[c] = features[p]
-		}
-	default: // RandomPartition — Algorithm 1 step 1
-		RandomPartitionAssign(rng, assign, k)
+	assign := make([]int, len(features))
+	if method != KMeansPlusPlus && method != RandomPoints {
+		RandomPartitionAssign(rng, assign, k) // Algorithm 1 step 1
 		return assign
 	}
+	centroids := InitCentroids(features, weights, k, method, rng)
 	for i, x := range features {
 		assign[i], _ = stats.NearestCentroidScan(x, centroids)
 	}
 	return assign
+}
+
+// InitCentroids returns the k starting centroids of a centroid-seeded
+// method: k distinct rows for RandomPoints, the k-means++ D² sample
+// (weights as in PlusPlusCentroidsWeighted) for any other method.
+// RandomPartition seeds no centroids; InitAssignmentWeighted handles it
+// without calling here. The returned centroids may alias rows of
+// features.
+func InitCentroids(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) [][]float64 {
+	if method != RandomPoints {
+		return PlusPlusCentroidsWeighted(features, weights, k, rng)
+	}
+	pts := rng.SampleWithoutReplacement(len(features), k)
+	centroids := make([][]float64, k)
+	for c, p := range pts {
+		centroids[c] = features[p]
+	}
+	return centroids
 }
 
 // RandomPartitionAssign fills assign uniformly at random, then repairs
@@ -100,20 +110,14 @@ func RandomPartitionAssign(rng *stats.RNG, assign []int, k int) {
 	}
 }
 
-// PlusPlusCentroids returns k centroids chosen by the k-means++
-// D²-sampling procedure (Arthur & Vassilvitskii 2007). It is
-// PlusPlusCentroidsWeighted with nil weights.
-func PlusPlusCentroids(features [][]float64, k int, rng *stats.RNG) [][]float64 {
-	return PlusPlusCentroidsWeighted(features, nil, k, rng)
-}
-
-// PlusPlusCentroidsWeighted is the one k-means++ sampler, with
-// mass-scaled D² sampling: candidate probabilities are w_i·d(x_i)²
-// (weights == nil means unit weights and uses d(x_i)² unscaled). The
-// first centroid is drawn uniformly over rows whatever the weights, so
-// unit weights replay the unweighted RNG stream bit-for-bit (w·d² with
-// w = 1 is an IEEE no-op); for genuinely weighted rows the subsequent
-// D² draws carry all the mass sensitivity that matters.
+// PlusPlusCentroidsWeighted is the one k-means++ sampler (Arthur &
+// Vassilvitskii 2007), with mass-scaled D² sampling: candidate
+// probabilities are w_i·d(x_i)² (weights == nil means unit weights and
+// uses d(x_i)² unscaled). The first centroid is drawn uniformly over
+// rows whatever the weights, so unit weights replay the unweighted RNG
+// stream bit-for-bit (w·d² with w = 1 is an IEEE no-op); for genuinely
+// weighted rows the subsequent D² draws carry all the mass sensitivity
+// that matters.
 func PlusPlusCentroidsWeighted(features [][]float64, weights []float64, k int, rng *stats.RNG) [][]float64 {
 	n := len(features)
 	centroids := make([][]float64, 0, k)

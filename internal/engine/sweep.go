@@ -1,6 +1,9 @@
 package engine
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // Sweeper performs one full pass over the rows of its objective,
 // applying improving moves, and returns how many rows changed cluster.
@@ -8,6 +11,27 @@ import "sync"
 // reusable buffers (snapshots, proposal slices) across sweeps.
 type Sweeper interface {
 	Sweep() int
+}
+
+// NewSweep maps a descent solver's Parallelism setting to its sweeper,
+// the one place FairKM and ZGYA make that choice: 0 is the strictly
+// sequential full sweep (Algorithm 1), n >= 1 the frozen-statistics
+// sweep with n workers and revalidated moves, and any negative value
+// the same frozen sweep with GOMAXPROCS workers.
+func NewSweep(obj SnapshotObjective, parallelism int) Sweeper {
+	if parallelism == 0 {
+		return NewFullSweep(obj)
+	}
+	return NewFrozenSweep(obj, FrozenOpts{Workers: workers(parallelism), Revalidate: true})
+}
+
+// workers resolves a Parallelism setting to a worker count: a
+// negative value means GOMAXPROCS, anything else is returned as is.
+func workers(parallelism int) int {
+	if parallelism < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return parallelism
 }
 
 // NewFullSweep returns the paper's strictly sequential round-robin
@@ -87,9 +111,11 @@ func NewFrozenSweep(obj SnapshotObjective, opts FrozenOpts) Sweeper {
 // with every proposal applied unconditionally. This is exactly the
 // assign-then-recompute loop of textbook K-Means, and it parallelizes
 // over workers with bit-identical results because scoring against a
-// frozen view is pure.
-func NewLloydSweep(obj SnapshotObjective, workers int) Sweeper {
-	return NewFrozenSweep(obj, FrozenOpts{Workers: workers, Batch: obj.N(), Revalidate: false})
+// frozen view is pure. parallelism is K-Means' Parallelism setting: 0
+// or 1 scores on one goroutine, n > 1 on n, and any negative value on
+// GOMAXPROCS.
+func NewLloydSweep(obj SnapshotObjective, parallelism int) Sweeper {
+	return NewFrozenSweep(obj, FrozenOpts{Workers: workers(parallelism), Batch: obj.N(), Revalidate: false})
 }
 
 type frozenSweep struct {

@@ -2,9 +2,13 @@
 // algorithm) with k-means++ and random initialization.
 //
 // In this repository it plays two roles: it is the S-blind baseline
-// "K-Means(N)" from the paper's evaluation (Section 5.3), and its
-// initialization routines seed FairKM and ZGYA so all methods start from
-// comparable configurations.
+// "K-Means(N)" from the paper's evaluation (Section 5.3), and Stats
+// holds the K-Means term's sufficient statistics (counts, masses,
+// feature sums, cached means, Σw‖x‖²) with their closed-form move
+// deltas, SSE, centroids and frozen copies, which FairKM
+// (internal/core) and ZGYA (internal/zgya) both score that term with.
+// Initialization lives in the engine and is shared by all three
+// solvers.
 //
 // Since the descent-engine refactor the package is a thin objective
 // over internal/engine: Lloyd iteration is the engine's frozen sweep
@@ -25,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/engine"
@@ -214,11 +217,6 @@ func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	workers := cfg.Parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	obj := &lloyd{
 		features: features,
 		weights:  weights,
@@ -229,7 +227,7 @@ func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 		obj.prune = newPruner(features)
 	}
 
-	er := engine.Solve(obj, engine.NewLloydSweep(obj, workers), engine.Config{
+	er := engine.Solve(obj, engine.NewLloydSweep(obj, cfg.Parallelism), engine.Config{
 		MaxIter:  maxIter,
 		Tol:      cfg.Tol,
 		Budget:   cfg.Budget,
@@ -245,12 +243,6 @@ func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 	res.Sizes = Sizes(obj.assign, cfg.K)
 	res.Objective = WeightedSSE(features, weights, obj.assign, res.Centroids)
 	return res, nil
-}
-
-// PlusPlusCentroids returns k centroids chosen by the k-means++
-// D²-sampling procedure (shared engine implementation).
-func PlusPlusCentroids(features [][]float64, k int, rng *stats.RNG) [][]float64 {
-	return engine.PlusPlusCentroids(features, k, rng)
 }
 
 // validateInitCentroids checks the InitCentroids override shape.

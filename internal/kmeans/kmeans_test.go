@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -139,7 +140,7 @@ func TestSSEMatchesDefinition(t *testing.T) {
 func TestPlusPlusSpreadsCentroids(t *testing.T) {
 	features, _ := blobs(7, 4, 25, 2, 50)
 	rng := stats.NewRNG(11)
-	cents := PlusPlusCentroids(features, 4, rng)
+	cents := engine.PlusPlusCentroidsWeighted(features, nil, 4, rng)
 	if len(cents) != 4 {
 		t.Fatalf("got %d centroids", len(cents))
 	}
@@ -158,7 +159,7 @@ func TestPlusPlusDegenerateData(t *testing.T) {
 	// All points identical: D² weights collapse to zero; must not panic.
 	features := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	rng := stats.NewRNG(1)
-	cents := PlusPlusCentroids(features, 3, rng)
+	cents := engine.PlusPlusCentroidsWeighted(features, nil, 3, rng)
 	if len(cents) != 3 {
 		t.Fatalf("got %d centroids", len(cents))
 	}

@@ -59,8 +59,9 @@ func naiveObjective(ds *dataset.Dataset, s *dataset.SensitiveAttr, assign []int,
 	return sse + lambda*kl
 }
 
-// TestMoveDeltaMatchesNaive verifies that the incremental move deltas
-// the solver uses equal full objective recomputation.
+// TestMoveDeltaMatchesNaive verifies that the solver's Delta — the
+// exact move delta frozen-sweep revalidation applies — equals full
+// objective recomputation, with every move applied through Move.
 func TestMoveDeltaMatchesNaive(t *testing.T) {
 	rng := stats.NewRNG(77)
 	for trial := 0; trial < 25; trial++ {
@@ -89,18 +90,7 @@ func TestMoveDeltaMatchesNaive(t *testing.T) {
 			if to == from {
 				continue
 			}
-			// Incremental delta exactly as bestMove computes it.
-			x := st.features[i]
-			var dSSE float64
-			if m := st.counts[from]; m > 1 {
-				dSSE -= float64(m) / float64(m-1) * sqDistToMean(x, st.sums[from], m)
-			}
-			if m := st.counts[to]; m > 0 {
-				dSSE += float64(m) / float64(m+1) * sqDistToMean(x, st.sums[to], m)
-			}
-			dKL := (st.klWithDelta(from, i, -1) - st.klCache[from]) +
-				(st.klWithDelta(to, i, +1) - st.klCache[to])
-			incr := dSSE + lambda*dKL
+			incr := st.Delta(i, from, to)
 
 			moved := append([]int(nil), st.assign...)
 			moved[i] = to
@@ -110,11 +100,7 @@ func TestMoveDeltaMatchesNaive(t *testing.T) {
 				t.Fatalf("trial %d probe %d: delta %v, naive %v (λ=%v)", trial, probe, incr, naive, lambda)
 			}
 			// Apply and continue from the new state.
-			st.del(i, from)
-			st.add(i, to)
-			st.assign[i] = to
-			st.klCache[from] = st.klCluster(from)
-			st.klCache[to] = st.klCluster(to)
+			st.Move(i, from, to)
 			base += naive
 		}
 	}

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/dataset"
@@ -72,8 +71,10 @@ type Config struct {
 	Budget time.Duration
 	// Seed drives initialization.
 	Seed int64
-	// Init selects the initial clustering (default k-means++ hard
-	// assignment).
+	// Init selects the initial centroids (default k-means++), taken
+	// from the engine's shared initializer; every row starts at its
+	// nearest one. RandomPartition seeds no centroids, and the λ
+	// heuristic needs them, so ZGYA runs it as RandomPoints.
 	Init kmeans.InitMethod
 	// Parallelism selects the sweep execution mode, with exactly
 	// FairKM's semantics: 0 (the default) is the strictly sequential
@@ -142,21 +143,9 @@ func Run(ds *dataset.Dataset, attr string, cfg Config) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	workers := cfg.Parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	st := newSolver(ds, s, cfg)
-
-	var sw engine.Sweeper
-	if workers >= 1 {
-		sw = engine.NewFrozenSweep(st, engine.FrozenOpts{Workers: workers, Revalidate: true})
-	} else {
-		sw = engine.NewFullSweep(st)
-	}
-
-	er := engine.Solve(st, sw, engine.Config{
+	er := engine.Solve(st, engine.NewSweep(st, cfg.Parallelism), engine.Config{
 		MaxIter:  maxIter,
 		Tol:      cfg.Tol,
 		Budget:   cfg.Budget,
@@ -167,30 +156,27 @@ func Run(ds *dataset.Dataset, attr string, cfg Config) (*Result, error) {
 	res.Iterations = er.Iterations
 	res.Converged = er.Converged
 	res.Assign = st.assign
-	res.Centroids = st.centroids()
-	res.Sizes = append([]int(nil), st.counts...)
-	res.SSE = st.sseTotal()
+	res.Centroids = st.km.Centroids()
+	res.Sizes = append([]int(nil), st.km.Counts...)
+	res.SSE = st.km.SSE()
 	res.KLPenalty = st.klTotal()
 	res.Objective = res.SSE + st.lambda*res.KLPenalty
 	return res, nil
 }
 
 // solver carries the sufficient statistics for coordinate descent on
-// the ZGYA objective: per-cluster counts, feature sums, squared norms,
-// and per-value counts for the sensitive attribute.
+// the ZGYA objective: the K-Means term's kmeans.Stats (the type FairKM
+// scores the same term with) and per-value counts for the sensitive
+// attribute.
 type solver struct {
-	features [][]float64
-	groups   []int
-	u        []float64
-	k        int
-	n        int
-	dim      int
-	lambda   float64
+	groups []int
+	u      []float64
+	k      int
+	n      int
+	lambda float64
 
 	assign    []int
-	counts    []int
-	sums      [][]float64
-	ssqs      []float64
+	km        kmeans.Stats
 	valCounts [][]int
 	klCache   []float64
 }
@@ -198,30 +184,22 @@ type solver struct {
 func newSolver(ds *dataset.Dataset, s *dataset.SensitiveAttr, cfg Config) *solver {
 	n := ds.N()
 	st := &solver{
-		features: ds.Features,
-		groups:   s.Codes,
-		u:        ds.Fractions(s),
-		k:        cfg.K,
-		n:        n,
-		dim:      ds.Dim(),
+		groups: s.Codes,
+		u:      ds.Fractions(s),
+		k:      cfg.K,
+		n:      n,
 	}
-	rng := stats.NewRNG(cfg.Seed)
 
-	// Initial hard assignment from centroids (k-means++ by default).
-	var centroids [][]float64
-	switch cfg.Init {
-	case kmeans.RandomPoints, kmeans.RandomPartition:
-		pts := rng.SampleWithoutReplacement(n, st.k)
-		centroids = make([][]float64, st.k)
-		for i, p := range pts {
-			centroids[i] = stats.Clone(st.features[p])
-		}
-	default:
-		centroids = kmeans.PlusPlusCentroids(st.features, st.k, rng)
+	// Initial hard assignment from the engine's centroids; see
+	// Config.Init for RandomPartition.
+	init := cfg.Init
+	if init == engine.RandomPartition {
+		init = engine.RandomPoints
 	}
+	centroids := engine.InitCentroids(ds.Features, nil, st.k, init, stats.NewRNG(cfg.Seed))
 	st.assign = make([]int, n)
 	meanD := 0.0
-	for i, x := range st.features {
+	for i, x := range ds.Features {
 		best, bestD, sumD := 0, math.Inf(1), 0.0
 		for c, cen := range centroids {
 			d := stats.SqDist(x, cen)
@@ -240,18 +218,13 @@ func newSolver(ds *dataset.Dataset, s *dataset.SensitiveAttr, cfg Config) *solve
 		st.lambda = 0.25 * (meanD + 1) * float64(n) / float64(st.k)
 	}
 
-	st.counts = make([]int, st.k)
-	st.sums = make([][]float64, st.k)
-	for c := range st.sums {
-		st.sums[c] = make([]float64, st.dim)
-	}
-	st.ssqs = make([]float64, st.k)
+	st.km = kmeans.NewStats(ds.Features, nil, st.k, st.assign)
 	st.valCounts = make([][]int, st.k)
 	for c := range st.valCounts {
 		st.valCounts[c] = make([]int, len(st.u))
 	}
-	for i := range st.features {
-		st.add(i, st.assign[i])
+	for i, c := range st.assign {
+		st.valCounts[c][st.groups[i]]++
 	}
 	st.klCache = make([]float64, st.k)
 	for c := 0; c < st.k; c++ {
@@ -260,27 +233,11 @@ func newSolver(ds *dataset.Dataset, s *dataset.SensitiveAttr, cfg Config) *solve
 	return st
 }
 
-func (st *solver) add(i, c int) {
-	x := st.features[i]
-	st.counts[c]++
-	stats.AddTo(st.sums[c], x)
-	st.ssqs[c] += stats.Dot(x, x)
-	st.valCounts[c][st.groups[i]]++
-}
-
-func (st *solver) del(i, c int) {
-	x := st.features[i]
-	st.counts[c]--
-	stats.SubFrom(st.sums[c], x)
-	st.ssqs[c] -= stats.Dot(x, x)
-	st.valCounts[c][st.groups[i]]--
-}
-
 // klCluster returns KL(U ‖ P_c) with proportions floored at epsilon. An
 // empty cluster is treated as all-floor (maximally unfair), so the
 // penalty cannot be reduced by emptying clusters.
 func (st *solver) klCluster(c int) float64 {
-	return st.klOf(st.valCounts[c], st.counts[c])
+	return st.klOf(st.valCounts[c], st.km.Counts[c])
 }
 
 func (st *solver) klOf(valCounts []int, count int) float64 {
@@ -304,7 +261,7 @@ func (st *solver) klOf(valCounts []int, count int) float64 {
 // klWithDelta returns what KL(U‖P_c) becomes if point i is added
 // (sign=+1) or removed (sign=-1), without mutating state.
 func (st *solver) klWithDelta(c, i, sign int) float64 {
-	count := st.counts[c] + sign
+	count := st.km.Counts[c] + sign
 	if count == 0 {
 		return st.klOf(nil, 0)
 	}
@@ -324,26 +281,6 @@ func (st *solver) klWithDelta(c, i, sign int) float64 {
 			p = epsilon
 		}
 		total += uj * math.Log(uj/p)
-	}
-	return total
-}
-
-func (st *solver) sseCluster(c int) float64 {
-	m := st.counts[c]
-	if m == 0 {
-		return 0
-	}
-	s := st.ssqs[c] - stats.Dot(st.sums[c], st.sums[c])/float64(m)
-	if s < 0 {
-		s = 0
-	}
-	return s
-}
-
-func (st *solver) sseTotal() float64 {
-	total := 0.0
-	for c := 0; c < st.k; c++ {
-		total += st.sseCluster(c)
 	}
 	return total
 }
@@ -373,14 +310,7 @@ func (st *solver) BestMove(i, from int) int { return st.bestMove(i, from) }
 // Delta returns the exact objective change of moving row i, against
 // live statistics.
 func (st *solver) Delta(i, from, to int) float64 {
-	x := st.features[i]
-	dSSE := 0.0
-	if m := st.counts[from]; m > 1 {
-		dSSE -= float64(m) / float64(m-1) * sqDistToMean(x, st.sums[from], m)
-	}
-	if m := st.counts[to]; m > 0 {
-		dSSE += float64(m) / float64(m+1) * sqDistToMean(x, st.sums[to], m)
-	}
+	dSSE := st.km.OutDelta(i, from) + st.km.InDelta(i, to)
 	dKL := (st.klWithDelta(from, i, -1) - st.klCache[from]) +
 		(st.klWithDelta(to, i, +1) - st.klCache[to])
 	return dSSE + st.lambda*dKL
@@ -388,15 +318,17 @@ func (st *solver) Delta(i, from, to int) float64 {
 
 // Move applies the move, refreshing the KL cache of both clusters.
 func (st *solver) Move(i, from, to int) {
-	st.del(i, from)
-	st.add(i, to)
+	st.km.Move(i, from, to)
+	g := st.groups[i]
+	st.valCounts[from][g]--
+	st.valCounts[to][g]++
 	st.assign[i] = to
 	st.klCache[from] = st.klCluster(from)
 	st.klCache[to] = st.klCluster(to)
 }
 
 // Value returns the current objective E = SSE + λ·Σ_C KL(U‖P_C).
-func (st *solver) Value() float64 { return st.sseTotal() + st.lambda*st.klTotal() }
+func (st *solver) Value() float64 { return st.km.SSE() + st.lambda*st.klTotal() }
 
 // ---- engine.SnapshotObjective (frozen-statistics parallel sweeps) ----
 
@@ -408,14 +340,7 @@ type solverSnap struct {
 
 // NewSnapshot allocates the snapshot buffer.
 func (st *solver) NewSnapshot() engine.Snapshot {
-	fz := &solver{
-		counts: make([]int, st.k),
-		sums:   make([][]float64, st.k),
-		ssqs:   make([]float64, st.k),
-	}
-	for c := range fz.sums {
-		fz.sums[c] = make([]float64, st.dim)
-	}
+	fz := &solver{km: st.km.NewFrozen()}
 	fz.valCounts = make([][]int, st.k)
 	for c := range fz.valCounts {
 		fz.valCounts[c] = make([]int, len(st.u))
@@ -428,18 +353,12 @@ func (st *solver) NewSnapshot() engine.Snapshot {
 // immutable ones.
 func (s *solverSnap) Freeze() {
 	st, fz := s.live, s.frozen
-	fz.features = st.features
 	fz.groups = st.groups
 	fz.u = st.u
 	fz.k = st.k
 	fz.n = st.n
-	fz.dim = st.dim
 	fz.lambda = st.lambda
-	copy(fz.counts, st.counts)
-	for c := range st.sums {
-		copy(fz.sums[c], st.sums[c])
-	}
-	copy(fz.ssqs, st.ssqs)
+	st.km.FreezeInto(&fz.km)
 	for c := range st.valCounts {
 		copy(fz.valCounts[c], st.valCounts[c])
 	}
@@ -455,12 +374,8 @@ func (s *solverSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, fro
 // the full sweep calls it on the live solver, the frozen sweep on a
 // snapshot.
 func (st *solver) bestMove(i, from int) int {
-	x := st.features[i]
 	klFromAfter := st.klWithDelta(from, i, -1)
-	var sseOut float64
-	if m := st.counts[from]; m > 1 {
-		sseOut = -float64(m) / float64(m-1) * sqDistToMean(x, st.sums[from], m)
-	}
+	sseOut := st.km.OutDelta(i, from)
 
 	best := from
 	bestDelta := 0.0
@@ -468,10 +383,7 @@ func (st *solver) bestMove(i, from int) int {
 		if c == from {
 			continue
 		}
-		dSSE := sseOut
-		if m := st.counts[c]; m > 0 {
-			dSSE += float64(m) / float64(m+1) * sqDistToMean(x, st.sums[c], m)
-		}
+		dSSE := sseOut + st.km.InDelta(i, c)
 		dKL := (klFromAfter - st.klCache[from]) + (st.klWithDelta(c, i, +1) - st.klCache[c])
 		if delta := dSSE + st.lambda*dKL; delta < bestDelta {
 			bestDelta = delta
@@ -479,28 +391,4 @@ func (st *solver) bestMove(i, from int) int {
 		}
 	}
 	return best
-}
-
-func sqDistToMean(x, sum []float64, m int) float64 {
-	inv := 1.0 / float64(m)
-	s := 0.0
-	for j := range x {
-		d := x[j] - sum[j]*inv
-		s += d * d
-	}
-	return s
-}
-
-func (st *solver) centroids() [][]float64 {
-	out := make([][]float64, st.k)
-	for c := 0; c < st.k; c++ {
-		out[c] = make([]float64, st.dim)
-		if st.counts[c] > 0 {
-			inv := 1.0 / float64(st.counts[c])
-			for j := 0; j < st.dim; j++ {
-				out[c][j] = st.sums[c][j] * inv
-			}
-		}
-	}
-	return out
 }
