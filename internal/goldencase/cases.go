@@ -6,9 +6,10 @@
 // aggregate kernel before it moved to the cluster-major slab; then two
 // weighted K-Means runs (kmeans.RunWeighted on fractional weights),
 // recorded while the weighted Lloyd objective still had an unweighted
-// twin; and last a weighted parallel FairKM solve and a parallel ZGYA
+// twin; then a weighted parallel FairKM solve and a parallel ZGYA
 // solve, recorded while both frozen scorers still carried a
-// frozen-prototype branch. The golden test re-runs every case against
+// frozen-prototype branch; and last a fixed-λ ZGYA solve from the
+// default start. The golden test re-runs every case against
 // the current solvers and requires bit-identical assignments and
 // objectives. This is the contract that the internal/engine port — and
 // any future orchestration or kernel change — is a pure refactor of the
@@ -201,6 +202,10 @@ func All() ([]Record, error) {
 		func() error {
 			return zgyaRun("par2", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2, Parallelism: 2})
 		},
+
+		// Appended after the 25 records above: ZGYA at a fixed λ from
+		// the default k-means++ start.
+		func() error { return zgyaRun("lambda10", "synthA", "cat0", zgya.Config{K: 5, Lambda: 10, Seed: 4}) },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
