@@ -56,6 +56,7 @@ race:
 	$(GO) test -race ./internal/load
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/cli ./cmd/benchguard ./cmd/fairserved
+	$(GO) test -race ./internal/experiments -run 'TestRunSuiteShapes|TestLoadAdultCached'
 
 # bench records the sweep/kernel perf trajectory for this checkout as a
 # raw `go test -bench -json` event stream, so future PRs can diff

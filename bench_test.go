@@ -17,6 +17,7 @@ import (
 	"repro/internal/data/kinematics"
 	"repro/internal/dataset"
 	"repro/internal/doc2vec"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/hungarian"
 	"repro/internal/kmeans"
@@ -232,7 +233,7 @@ func ablationDataset(b *testing.B) *dataset.Dataset {
 // partition initialization against k-means++ seeding.
 func BenchmarkAblationInit(b *testing.B) {
 	ds := ablationDataset(b)
-	for _, init := range []kmeans.InitMethod{kmeans.RandomPartition, kmeans.KMeansPlusPlus} {
+	for _, init := range []InitMethod{engine.RandomPartition, engine.KMeansPlusPlus} {
 		b.Run(init.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(ds, core.Config{K: 5, Lambda: 1e6, Seed: 1, Init: init})

@@ -178,11 +178,9 @@ func run(args []string, out io.Writer) (err error) {
 	return nil
 }
 
-// selectExperiments resolves the -exp flag value to a run list.
+// selectExperiments resolves the -exp flag value, a comma list in
+// which "all" stands for the paper experiments, to a run list.
 func selectExperiments(spec string) ([]runnable, error) {
-	if spec == "all" {
-		return paperExperiments, nil
-	}
 	known := map[string]runnable{}
 	for _, r := range append(append([]runnable{}, paperExperiments...), extensionExperiments...) {
 		known[r.name] = r
@@ -190,6 +188,10 @@ func selectExperiments(spec string) ([]runnable, error) {
 	var selected []runnable
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
+		if name == "all" {
+			selected = append(selected, paperExperiments...)
+			continue
+		}
 		r, ok := known[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %q (known: all, table5..table8, fig1..fig7, baselines, scaling, numeric, ksweep, convergence, attrsweep, stream, shardsweep)", name)

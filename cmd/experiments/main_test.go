@@ -24,6 +24,13 @@ func TestSelectExperiments(t *testing.T) {
 	if len(some) != 3 || some[0].name != "table7" || some[2].name != "baselines" {
 		t.Errorf("selection = %v", names(some))
 	}
+	mixed, err := selectExperiments("all, baselines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mixed) != 12 || mixed[0].name != all[0].name || mixed[11].name != "baselines" {
+		t.Errorf("all,baselines selection = %v", names(mixed))
+	}
 	if _, err := selectExperiments("table9"); err == nil {
 		t.Error("unknown experiment accepted")
 	}

@@ -141,10 +141,11 @@ type Observer = engine.Observer
 // IterEvent is the per-iteration record passed to an Observer.
 type IterEvent = engine.IterEvent
 
-// InitMethod selects the shared initializer (k-means++ by default,
-// random partition with empty-cluster repair, or random points) of
-// FairKM, K-Means and ZGYA. ZGYA runs RandomPartition as RandomPoints,
-// because its λ heuristic needs initial centroids.
+// InitMethod selects FairKM's initial clustering (Config.Init):
+// k-means++ (0, the default), the paper's random partition with
+// empty-cluster repair (1), or random points (2). Run rejects any
+// other value. The K-Means and ZGYA baselines always start from
+// k-means++.
 type InitMethod = engine.InitMethod
 
 // NewBuilder creates a Builder for the given feature column names.

@@ -81,7 +81,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/kmeans"
 	"repro/internal/stats"
 )
 
@@ -112,17 +111,12 @@ type Config struct {
 	Budget time.Duration
 	// Seed drives the random initialization.
 	Seed int64
-	// Init selects the initial clustering. The zero value is k-means++
-	// (the repository-wide default, so FairKM and the K-Means baseline
-	// start from comparable configurations); the paper's Algorithm 1
-	// random partition is kmeans.RandomPartition.
-	Init kmeans.InitMethod
-	// InitAssign, when non-nil, overrides Init with an explicit initial
-	// assignment (length n, clusters in [0, K)); the Seed is then not
-	// consumed for initialization. Used for warm starts — e.g. refining
-	// a streaming summary solve on fresh data — and by parity tests
-	// that need both of two runs to start from the same partition.
-	InitAssign []int
+	// Init selects the initial clustering. The zero value is k-means++,
+	// the start the K-Means and ZGYA baselines always use, so all three
+	// begin from comparable configurations; the paper's Algorithm 1
+	// random partition is engine.RandomPartition. Any value other than
+	// the three engine methods is an error.
+	Init engine.InitMethod
 	// Weights optionally assigns per-attribute fairness weights w_S
 	// (Eq. 23), keyed by sensitive attribute name. Attributes absent
 	// from the map get weight 1. Negative or non-finite weights are an
@@ -149,6 +143,10 @@ type Config struct {
 	// kernel instead of the O(1) aggregate closed forms. Test-only:
 	// parity tests and benchmarks in this package compare the two.
 	naiveKernel bool
+	// initAssign, when non-nil, replaces Init with this starting
+	// assignment (length n, clusters in [0, K)). Test-only: parity
+	// tests need two runs to start from the same partition.
+	initAssign []int
 }
 
 // ParallelismAuto is a Config.Parallelism value selecting GOMAXPROCS
@@ -251,15 +249,8 @@ func (cfg Config) Validate(ds *dataset.Dataset) error {
 	if cfg.Tol < 0 || !finite(cfg.Tol) {
 		return fmt.Errorf("fairkm: tolerance %v must be finite and non-negative", cfg.Tol)
 	}
-	if cfg.InitAssign != nil {
-		if len(cfg.InitAssign) != n {
-			return fmt.Errorf("fairkm: InitAssign has %d entries, want %d", len(cfg.InitAssign), n)
-		}
-		for i, c := range cfg.InitAssign {
-			if c < 0 || c >= cfg.K {
-				return fmt.Errorf("fairkm: InitAssign[%d] = %d outside [0,%d)", i, c, cfg.K)
-			}
-		}
+	if cfg.Init < engine.KMeansPlusPlus || cfg.Init > engine.RandomPoints {
+		return fmt.Errorf("fairkm: unknown initializer %v", cfg.Init)
 	}
 	for name, w := range cfg.Weights {
 		if w < 0 || !finite(w) {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/kmeans"
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -301,6 +301,8 @@ func TestValidateErrors(t *testing.T) {
 		{"NaN weight", Config{K: 2, Weights: map[string]float64{"cat0": math.NaN()}}},
 		{"infinite weight", Config{K: 2, Weights: map[string]float64{"cat0": math.Inf(1)}}},
 		{"unknown weight attr", Config{K: 2, Weights: map[string]float64{"nope": 1}}},
+		{"unknown initializer", Config{K: 2, Init: engine.InitMethod(7)}},
+		{"negative initializer", Config{K: 2, Init: engine.InitMethod(-1)}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(ds, tc.cfg); err == nil {
@@ -469,7 +471,7 @@ func TestSingleCluster(t *testing.T) {
 func TestInitMethods(t *testing.T) {
 	rng := stats.NewRNG(53)
 	ds := randomDataset(t, rng, 30, 3, 1, 0)
-	for _, init := range []kmeans.InitMethod{kmeans.RandomPartition, kmeans.KMeansPlusPlus, kmeans.RandomPoints} {
+	for _, init := range []engine.InitMethod{engine.RandomPartition, engine.KMeansPlusPlus, engine.RandomPoints} {
 		res, err := Run(ds, Config{K: 3, Lambda: 1, Seed: 9, Init: init})
 		if err != nil {
 			t.Fatalf("init %v: %v", init, err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/kmeans"
 	"repro/internal/stats"
 )
 
@@ -65,7 +64,7 @@ func TestEmptyClusterRepairThroughSweepPaths(t *testing.T) {
 			cfg.K = k
 			cfg.Seed = seed
 			cfg.AutoLambda = true
-			cfg.Init = kmeans.RandomPartition
+			cfg.Init = engine.RandomPartition
 			res, err := Run(ds, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -40,8 +40,8 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 		maxIter = DefaultMaxIter
 	}
 	var assign []int
-	if cfg.InitAssign != nil {
-		assign = append([]int(nil), cfg.InitAssign...)
+	if cfg.initAssign != nil {
+		assign = append([]int(nil), cfg.initAssign...)
 	} else {
 		assign = engine.InitAssignmentWeighted(ds.Features, rowW, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
 	}

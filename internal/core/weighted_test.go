@@ -138,11 +138,11 @@ func TestWeightedDuplicationParity(t *testing.T) {
 		initD[j] = initW[i]
 	}
 
-	wres, err := RunWeighted(ds, wf, Config{K: k, Lambda: lambda, InitAssign: initW})
+	wres, err := RunWeighted(ds, wf, Config{K: k, Lambda: lambda, initAssign: initW})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := Run(dup, Config{K: k, Lambda: lambda, InitAssign: initD})
+	dres, err := Run(dup, Config{K: k, Lambda: lambda, initAssign: initD})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,16 +316,5 @@ func TestRunWeightedValidationCore(t *testing.T) {
 	bad[4] = math.NaN()
 	if _, err := RunWeighted(ds, bad, Config{K: 3}); err == nil {
 		t.Error("NaN weight accepted")
-	}
-	if _, err := Run(ds, Config{K: 3, InitAssign: []int{0}}); err == nil {
-		t.Error("short InitAssign accepted")
-	}
-	if _, err := Run(ds, Config{K: 3, InitAssign: make([]int, ds.N()-1)}); err == nil {
-		t.Error("short InitAssign accepted")
-	}
-	badAssign := make([]int, ds.N())
-	badAssign[7] = 3
-	if _, err := Run(ds, Config{K: 3, InitAssign: badAssign}); err == nil {
-		t.Error("out-of-range InitAssign accepted")
 	}
 }

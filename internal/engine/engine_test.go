@@ -383,3 +383,37 @@ func TestInitAssignmentDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomPartitionNoEmptyClusters: the RandomPartition start FairKM
+// takes from InitAssignmentWeighted leaves no cluster empty, with k
+// close enough to n that the raw uniform draw often does.
+func TestRandomPartitionNoEmptyClusters(t *testing.T) {
+	rngData := stats.NewRNG(8)
+	features := make([][]float64, 30)
+	for i := range features {
+		features[i] = []float64{rngData.Gaussian(0, 0.3), rngData.Gaussian(0, 0.3)}
+	}
+	const k = 7
+	for seed := int64(0); seed < 20; seed++ {
+		sizes := make([]int, k)
+		for _, c := range InitAssignmentWeighted(features, nil, k, RandomPartition, stats.NewRNG(seed)) {
+			sizes[c]++
+		}
+		for c, s := range sizes {
+			if s == 0 {
+				t.Fatalf("seed %d: cluster %d empty", seed, c)
+			}
+		}
+	}
+}
+
+func TestInitMethodString(t *testing.T) {
+	if KMeansPlusPlus.String() != "kmeans++" ||
+		RandomPartition.String() != "random-partition" ||
+		RandomPoints.String() != "random-points" {
+		t.Error("InitMethod String values changed")
+	}
+	if InitMethod(99).String() == "" {
+		t.Error("unknown method should still stringify")
+	}
+}

@@ -7,12 +7,11 @@ import (
 )
 
 // InitMethod selects how a solver's initial clustering is chosen. It
-// lives in the engine so FairKM, K-Means and ZGYA share one
-// implementation (and therefore start from comparable configurations,
-// the premise of the paper's evaluation); internal/kmeans re-exports
-// the type and constants for its public API. ZGYA takes its initial
-// centroids from InitCentroids and runs RandomPartition as
-// RandomPoints, because its λ heuristic needs centroids.
+// lives in the engine so every solver seeds through one
+// implementation. Only FairKM lets a caller choose (core.Config.Init);
+// the K-Means and ZGYA baselines always start from k-means++, FairKM's
+// default, so the three begin from comparable configurations, the
+// premise of the paper's evaluation.
 type InitMethod int
 
 const (
@@ -46,7 +45,9 @@ func (m InitMethod) String() string {
 // rows into k clusters: nearest-centroid assignment for the centroid-
 // seeded methods, a repaired random partition for RandomPartition. The
 // RNG stream is consumed in a fixed order per method, so (features,
-// weights, k, method, seed) fully determines the result.
+// weights, k, method, seed) fully determines the result. A method
+// outside the three constants runs as RandomPartition; callers that
+// accept a method from outside validate it first.
 //
 // weights == nil means unit weights. The k-means++ D² sampling scales
 // each candidate's distance by its mass (a row standing for w points is
@@ -56,33 +57,23 @@ func (m InitMethod) String() string {
 // property the weighted solvers' unit-parity contract rests on.
 func InitAssignmentWeighted(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) []int {
 	assign := make([]int, len(features))
-	if method != KMeansPlusPlus && method != RandomPoints {
+	var centroids [][]float64
+	switch method {
+	case KMeansPlusPlus:
+		centroids = PlusPlusCentroidsWeighted(features, weights, k, rng)
+	case RandomPoints:
+		centroids = make([][]float64, k)
+		for c, p := range rng.SampleWithoutReplacement(len(features), k) {
+			centroids[c] = features[p]
+		}
+	default:
 		RandomPartitionAssign(rng, assign, k) // Algorithm 1 step 1
 		return assign
 	}
-	centroids := InitCentroids(features, weights, k, method, rng)
 	for i, x := range features {
 		assign[i], _ = stats.NearestCentroidScan(x, centroids)
 	}
 	return assign
-}
-
-// InitCentroids returns the k starting centroids of a centroid-seeded
-// method: k distinct rows for RandomPoints, the k-means++ D² sample
-// (weights as in PlusPlusCentroidsWeighted) for any other method.
-// RandomPartition seeds no centroids; InitAssignmentWeighted handles it
-// without calling here. The returned centroids may alias rows of
-// features.
-func InitCentroids(features [][]float64, weights []float64, k int, method InitMethod, rng *stats.RNG) [][]float64 {
-	if method != RandomPoints {
-		return PlusPlusCentroidsWeighted(features, weights, k, rng)
-	}
-	pts := rng.SampleWithoutReplacement(len(features), k)
-	centroids := make([][]float64, k)
-	for c, p := range pts {
-		centroids[c] = features[p]
-	}
-	return centroids
 }
 
 // RandomPartitionAssign fills assign uniformly at random, then repairs

@@ -32,6 +32,17 @@ import (
 	"repro/internal/zgya"
 )
 
+const (
+	// adultLambda is FairKM's λ for Adult, the paper's 10⁶ (Section 5.4).
+	adultLambda = 1e6
+	// kinLambda is FairKM's λ for Kinematics: 4·10³, the operating
+	// point equivalent to the paper's 10³ on our (smaller-scale)
+	// synthetic embeddings; see EXPERIMENTS.md.
+	kinLambda = 4e3
+	// maxIter bounds every solver's iterations, the paper's 30.
+	maxIter = 30
+)
+
 // Options control experiment scale. The zero value is NOT runnable; use
 // DefaultOptions as a base.
 type Options struct {
@@ -49,15 +60,6 @@ type Options struct {
 	// coefficients are averaged (each against the full dataset); zero
 	// means 2000. The 161-point Kinematics dataset is always exact.
 	SilhouetteSample int
-	// AdultLambda is FairKM's λ for Adult; zero means the paper's 10⁶
-	// (Section 5.4).
-	AdultLambda float64
-	// KinLambda is FairKM's λ for Kinematics; zero means 4·10³ — the
-	// operating point equivalent to the paper's 10³ on our (smaller-
-	// scale) synthetic embeddings; see EXPERIMENTS.md.
-	KinLambda float64
-	// MaxIter bounds FairKM/ZGYA iterations; zero means the paper's 30.
-	MaxIter int
 	// Parallelism is passed through to every solver's
 	// Config.Parallelism: 0 reproduces the paper's sequential sweeps,
 	// core.ParallelismAuto (-1) uses GOMAXPROCS workers. Since the
@@ -85,9 +87,6 @@ func DefaultOptions() Options {
 		Reps:             10,
 		Seed:             1,
 		SilhouetteSample: 2000,
-		AdultLambda:      1e6,
-		KinLambda:        4e3,
-		MaxIter:          30,
 	}
 }
 
@@ -97,15 +96,6 @@ func (o *Options) normalize() {
 	}
 	if o.SilhouetteSample <= 0 {
 		o.SilhouetteSample = 2000
-	}
-	if o.AdultLambda <= 0 {
-		o.AdultLambda = 1e6
-	}
-	if o.KinLambda <= 0 {
-		o.KinLambda = 4e3
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 30
 	}
 }
 
@@ -125,11 +115,11 @@ func (o Options) observer(label string) engine.Observer {
 }
 
 // FairKMConfig returns a core.Config carrying the orchestration
-// options (MaxIter, Parallelism, Budget, trace observer) every
+// options (maxIter, Parallelism, Budget, trace observer) every
 // experiment threads into FairKM runs.
 func (o Options) FairKMConfig(k int, seed int64) core.Config {
 	return core.Config{
-		K: k, Seed: seed, MaxIter: o.MaxIter,
+		K: k, Seed: seed, MaxIter: maxIter,
 		Parallelism: o.Parallelism, Budget: o.Budget,
 		Observer: o.observer(fmt.Sprintf("FairKM[k=%d seed=%d]", k, seed)),
 	}
@@ -138,7 +128,7 @@ func (o Options) FairKMConfig(k int, seed int64) core.Config {
 // KMeansConfig is FairKMConfig's counterpart for the S-blind baseline.
 func (o Options) KMeansConfig(k int, seed int64) kmeans.Config {
 	return kmeans.Config{
-		K: k, Seed: seed, MaxIter: o.MaxIter,
+		K: k, Seed: seed, MaxIter: maxIter,
 		Parallelism: o.Parallelism, Budget: o.Budget,
 		Observer: o.observer(fmt.Sprintf("K-Means[k=%d seed=%d]", k, seed)),
 	}
@@ -148,7 +138,7 @@ func (o Options) KMeansConfig(k int, seed int64) kmeans.Config {
 // dedicated to one sensitive attribute.
 func (o Options) ZGYAConfig(attr string, k int, seed int64) zgya.Config {
 	return zgya.Config{
-		K: k, Seed: seed, MaxIter: o.MaxIter,
+		K: k, Seed: seed, MaxIter: maxIter,
 		Parallelism: o.Parallelism, Budget: o.Budget,
 		Observer: o.observer(fmt.Sprintf("ZGYA(%s)[k=%d seed=%d]", attr, k, seed)),
 	}

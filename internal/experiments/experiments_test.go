@@ -244,7 +244,7 @@ func TestLambdaSweep(t *testing.T) {
 func TestOptionsNormalize(t *testing.T) {
 	var o Options
 	o.normalize()
-	if o.Reps != 10 || o.SilhouetteSample != 2000 || o.AdultLambda != 1e6 || o.KinLambda != 4e3 || o.MaxIter != 30 {
+	if o.Reps != 10 || o.SilhouetteSample != 2000 {
 		t.Errorf("normalized zero options = %+v", o)
 	}
 }

@@ -90,7 +90,7 @@ func RunBaselines(opts Options) (*BaselineComparison, error) {
 	}
 	if err := add("FairKM(all)", "all 5 attrs", func() ([]int, error) {
 		cfg := opts.FairKMConfig(k, opts.Seed)
-		cfg.Lambda = opts.KinLambda
+		cfg.Lambda = kinLambda
 		r, err := core.Run(ds, cfg)
 		if err != nil {
 			return nil, err
@@ -222,7 +222,7 @@ func RunScalability(opts Options) (*Scalability, error) {
 
 		start = time.Now()
 		fkmCfg := opts.FairKMConfig(k, opts.Seed)
-		fkmCfg.Lambda = 1e6
+		fkmCfg.Lambda = adultLambda
 		if _, err := core.Run(ds, fkmCfg); err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func ms(start time.Time) float64 {
 
 // Render prints the scaling table.
 func (s *Scalability) Render() string {
-	tt := newTextTable(fmt.Sprintf("Wall-clock per run vs dataset size (k=%d, 30 iterations)", s.K))
+	tt := newTextTable(fmt.Sprintf("Wall-clock per run vs dataset size (k=%d, %d iterations)", s.K, maxIter))
 	tt.row("n", "K-Means ms", "FairKM ms", "ZGYA(gender) ms")
 	tt.rule()
 	for _, p := range s.Points {
@@ -293,7 +293,7 @@ func RunNumericSensitive(opts Options) (*NumericSensitive, error) {
 		return nil, err
 	}
 	fkmCfg := opts.FairKMConfig(k, opts.Seed)
-	fkmCfg.Lambda = opts.AdultLambda
+	fkmCfg.Lambda = adultLambda
 	fkm, err := core.Run(ds, fkmCfg)
 	if err != nil {
 		return nil, err

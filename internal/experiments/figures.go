@@ -27,7 +27,7 @@ var (
 	figCache = map[string]*Suite{}
 )
 
-func comparisonSuite(name string, load func(Options) (*dataset.Dataset, error), lambda func(Options) float64, opts Options) (*Suite, error) {
+func comparisonSuite(name string, load func(Options) (*dataset.Dataset, error), lambda float64, opts Options) (*Suite, error) {
 	opts.normalize()
 	key := fmt.Sprintf("%s/%d/%d/%d", name, opts.Seed, opts.Reps, opts.AdultRows)
 	figMu.Lock()
@@ -39,7 +39,7 @@ func comparisonSuite(name string, load func(Options) (*dataset.Dataset, error), 
 	if err != nil {
 		return nil, err
 	}
-	s, err := RunSuite(ds, 5, lambda(opts), opts, true)
+	s, err := RunSuite(ds, 5, lambda, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func comparisonSuite(name string, load func(Options) (*dataset.Dataset, error), 
 
 // RunFig1 reproduces Figure 1: Adult AW comparison.
 func RunFig1(opts Options) (*ComparisonFigure, error) {
-	s, err := comparisonSuite("adult", LoadAdult, func(o Options) float64 { return o.AdultLambda }, opts)
+	s, err := comparisonSuite("adult", LoadAdult, adultLambda, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func RunFig1(opts Options) (*ComparisonFigure, error) {
 
 // RunFig2 reproduces Figure 2: Adult MW comparison.
 func RunFig2(opts Options) (*ComparisonFigure, error) {
-	s, err := comparisonSuite("adult", LoadAdult, func(o Options) float64 { return o.AdultLambda }, opts)
+	s, err := comparisonSuite("adult", LoadAdult, adultLambda, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func RunFig2(opts Options) (*ComparisonFigure, error) {
 
 // RunFig3 reproduces Figure 3: Kinematics AW comparison.
 func RunFig3(opts Options) (*ComparisonFigure, error) {
-	s, err := comparisonSuite("kin", LoadKinematics, func(o Options) float64 { return o.KinLambda }, opts)
+	s, err := comparisonSuite("kin", LoadKinematics, kinLambda, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func RunFig3(opts Options) (*ComparisonFigure, error) {
 
 // RunFig4 reproduces Figure 4: Kinematics MW comparison.
 func RunFig4(opts Options) (*ComparisonFigure, error) {
-	s, err := comparisonSuite("kin", LoadKinematics, func(o Options) float64 { return o.KinLambda }, opts)
+	s, err := comparisonSuite("kin", LoadKinematics, kinLambda, opts)
 	if err != nil {
 		return nil, err
 	}

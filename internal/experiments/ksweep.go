@@ -58,7 +58,7 @@ func RunKSweep(opts Options) (*KSweep, error) {
 				return nil, err
 			}
 			fkmCfg := opts.FairKMConfig(k, seed)
-			fkmCfg.Lambda = opts.AdultLambda
+			fkmCfg.Lambda = adultLambda
 			fkm, err := core.Run(ds, fkmCfg)
 			if err != nil {
 				return nil, err
@@ -170,7 +170,7 @@ func RunConvergence(opts Options) (*Convergence, error) {
 // Render prints the convergence table.
 func (c *Convergence) Render() string {
 	tt := newTextTable(fmt.Sprintf("FairKM convergence on Kinematics, k=5 (mean of %d restarts, cap %d iterations)",
-		c.Reps, 30))
+		c.Reps, maxIter))
 	tt.row("lambda", "iterations", "converged%", "obj@iter1", "obj final", "total moves")
 	tt.rule()
 	for _, p := range c.Points {

@@ -75,7 +75,7 @@ func RunShardStudy(opts Options) (*ShardStudy, error) {
 func (s *ShardStudy) sweep(name string, ds *dataset.Dataset, k, chunk, m int, opts Options) error {
 	full, err := core.Run(ds, core.Config{
 		K: k, AutoLambda: true,
-		Seed: opts.Seed, MaxIter: opts.MaxIter, Parallelism: opts.Parallelism,
+		Seed: opts.Seed, MaxIter: maxIter, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return fmt.Errorf("experiments: shardsweep full %s: %w", name, err)
@@ -86,7 +86,7 @@ func (s *ShardStudy) sweep(name string, ds *dataset.Dataset, k, chunk, m int, op
 		res, err := pipeline.FitSharded(pipeline.SliceShards(ds, shards, chunk), pipeline.ShardedConfig{
 			Config: pipeline.Config{
 				K: k, AutoLambda: true, CoresetSize: m,
-				Seed: opts.Seed, MaxIter: opts.MaxIter, Parallelism: opts.Parallelism,
+				Seed: opts.Seed, MaxIter: maxIter, Parallelism: opts.Parallelism,
 			},
 		})
 		if err != nil {

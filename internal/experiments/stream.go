@@ -112,7 +112,7 @@ func (s *StreamStudy) measure(name string, ds *dataset.Dataset, k, chunk, m int,
 	src := pipeline.NewSliceSource(ds, chunk)
 	res, err := pipeline.FitStream(src, pipeline.Config{
 		K: k, AutoLambda: true, CoresetSize: m,
-		Seed: opts.Seed, MaxIter: opts.MaxIter, Parallelism: opts.Parallelism,
+		Seed: opts.Seed, MaxIter: maxIter, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return fmt.Errorf("experiments: stream %s: %w", name, err)
@@ -125,7 +125,7 @@ func (s *StreamStudy) measure(name string, ds *dataset.Dataset, k, chunk, m int,
 	start = time.Now()
 	full, err := core.Run(ds, core.Config{
 		K: k, AutoLambda: true,
-		Seed: opts.Seed, MaxIter: opts.MaxIter, Parallelism: opts.Parallelism,
+		Seed: opts.Seed, MaxIter: maxIter, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return fmt.Errorf("experiments: full %s: %w", name, err)

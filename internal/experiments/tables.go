@@ -29,7 +29,7 @@ func RunTable5(opts Options) (*QualityTable, error) {
 	}
 	t := &QualityTable{Dataset: "Adult"}
 	for _, k := range []int{5, 15} {
-		s, err := RunSuite(ds, k, opts.AdultLambda, opts, false)
+		s, err := RunSuite(ds, k, adultLambda, opts, false)
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +47,7 @@ func RunTable6(opts Options) (*FairnessTable, error) {
 	}
 	t := &FairnessTable{Dataset: "Adult"}
 	for _, k := range []int{5, 15} {
-		s, err := RunSuite(ds, k, opts.AdultLambda, opts, false)
+		s, err := RunSuite(ds, k, adultLambda, opts, false)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func RunTable7(opts Options) (*QualityTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := RunSuite(ds, 5, opts.KinLambda, opts, false)
+	s, err := RunSuite(ds, 5, kinLambda, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func RunTable8(opts Options) (*FairnessTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := RunSuite(ds, 5, opts.KinLambda, opts, false)
+	s, err := RunSuite(ds, 5, kinLambda, opts, false)
 	if err != nil {
 		return nil, err
 	}

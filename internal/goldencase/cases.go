@@ -1,5 +1,5 @@
 // Package goldencase enumerates the frozen solver configurations whose
-// trajectories are pinned by testdata/golden.json. The first 20 goldens
+// trajectories are pinned by testdata/golden.json. The first 16 goldens
 // were recorded against the pre-engine solvers (the hand-rolled loops of
 // commit 9c464aa) on the internal/testfix fixtures. A non-unit-weight
 // FairKM solve was appended later, recorded on the per-attribute
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/kmeans"
 	"repro/internal/testfix"
 	"repro/internal/zgya"
@@ -133,10 +134,10 @@ func All() ([]Record, error) {
 			return fairKM("par1", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Parallelism: 1})
 		},
 		func() error {
-			return fairKM("init-partition", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Init: kmeans.RandomPartition})
+			return fairKM("init-partition", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Init: engine.RandomPartition})
 		},
 		func() error {
-			return fairKM("init-points", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Init: kmeans.RandomPoints})
+			return fairKM("init-points", "synthA", core.Config{K: 7, AutoLambda: true, Seed: 3, Init: engine.RandomPoints})
 		},
 		func() error { return fairKM("seq", "synthB", core.Config{K: 5, AutoLambda: true, Seed: 2}) },
 		func() error {
@@ -150,29 +151,17 @@ func All() ([]Record, error) {
 			return fairKM("par4", "adult", core.Config{K: 7, AutoLambda: true, Seed: 3, Parallelism: 4})
 		},
 
-		// K-Means: every initializer, Tol stop, MaxIter stop.
+		// K-Means: k-means++ start, Tol stop, MaxIter stop.
 		func() error { return kMeans("kmpp", "synthA", kmeans.Config{K: 6, Seed: 5}) },
-		func() error {
-			return kMeans("partition", "synthA", kmeans.Config{K: 6, Seed: 5, Init: kmeans.RandomPartition})
-		},
-		func() error {
-			return kMeans("points", "synthA", kmeans.Config{K: 6, Seed: 5, Init: kmeans.RandomPoints})
-		},
 		func() error { return kMeans("tol", "synthA", kmeans.Config{K: 6, Seed: 5, Tol: 1e-4}) },
 		func() error { return kMeans("kmpp", "adult", kmeans.Config{K: 8, Seed: 2}) },
 		func() error { return kMeans("maxiter", "adult", kmeans.Config{K: 8, Seed: 2, MaxIter: 5}) },
 
-		// ZGYA: auto-λ heuristic, fixed λ, both centroid initializers.
+		// ZGYA: the auto-λ heuristic.
 		func() error { return zgyaRun("auto", "synthA", "cat0", zgya.Config{K: 5, AutoLambda: true, Seed: 4}) },
-		func() error {
-			return zgyaRun("points", "synthA", "cat0", zgya.Config{K: 5, Lambda: 10, Seed: 4, Init: kmeans.RandomPoints})
-		},
 		func() error { return zgyaRun("auto", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2}) },
-		func() error {
-			return zgyaRun("partition", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2, Init: kmeans.RandomPartition})
-		},
 
-		// Recorded after the first 20 (appended so the earlier records
+		// Recorded after the first 16 (appended so the earlier records
 		// keep their positions): the weighted solve the
 		// summarize-then-solve pipeline runs.
 		func() error {
@@ -180,7 +169,7 @@ func All() ([]Record, error) {
 				core.Config{K: 7, AutoLambda: true, Seed: 3})
 		},
 
-		// Weighted K-Means, appended after the 21 records above: the
+		// Weighted K-Means, appended after the 17 records above: the
 		// non-unit-weight Lloyd trajectory, sequential and with a
 		// parallel sweep under the Tol stop.
 		func() error {
@@ -192,7 +181,7 @@ func All() ([]Record, error) {
 				kmeans.Config{K: 6, Seed: 5, Parallelism: 3, Tol: 1e-4})
 		},
 
-		// Frozen-statistics solves appended after the 23 records above:
+		// Frozen-statistics solves appended after the 19 records above:
 		// the weighted FairKM parallel sweep behind the pipeline's
 		// summary solve, and a parallel ZGYA sweep.
 		func() error {
@@ -203,8 +192,7 @@ func All() ([]Record, error) {
 			return zgyaRun("par2", "adult", "", zgya.Config{K: 6, AutoLambda: true, Seed: 2, Parallelism: 2})
 		},
 
-		// Appended after the 25 records above: ZGYA at a fixed λ from
-		// the default k-means++ start.
+		// Appended after the 21 records above: ZGYA at a fixed λ.
 		func() error { return zgyaRun("lambda10", "synthA", "cat0", zgya.Config{K: 5, Lambda: 10, Seed: 4}) },
 	}
 	for _, step := range steps {

@@ -1,5 +1,5 @@
 // Package kmeans implements classical K-Means clustering (Lloyd's
-// algorithm) with k-means++ and random initialization.
+// algorithm) from a k-means++ start.
 //
 // In this repository it plays two roles: it is the S-blind baseline
 // "K-Means(N)" from the paper's evaluation (Section 5.3), and Stats
@@ -7,8 +7,8 @@
 // feature sums, cached means, Σw‖x‖²) with their closed-form move
 // deltas, SSE, centroids and frozen copies, which FairKM
 // (internal/core) and ZGYA (internal/zgya) both score that term with.
-// Initialization lives in the engine and is shared by all three
-// solvers.
+// Every run starts from the engine's k-means++ seeding, FairKM's
+// default start.
 //
 // Since the descent-engine refactor the package is a thin objective
 // over internal/engine: Lloyd iteration is the engine's frozen sweep
@@ -35,40 +35,14 @@ import (
 	"repro/internal/stats"
 )
 
-// InitMethod selects how initial clusters are chosen. It is the
-// engine's shared initializer selector; the constants re-export
-// engine's so existing call sites keep working.
-type InitMethod = engine.InitMethod
-
-const (
-	// KMeansPlusPlus picks initial centroids with the k-means++
-	// D²-weighting scheme (Arthur & Vassilvitskii 2007). Zero value:
-	// the default for every solver in this repository.
-	KMeansPlusPlus = engine.KMeansPlusPlus
-	// RandomPartition assigns every point to a uniformly random cluster
-	// (with empty-cluster repair), matching "Initialize k clusters
-	// randomly" in FairKM's Algorithm 1.
-	RandomPartition = engine.RandomPartition
-	// RandomPoints picks k distinct data points as initial centroids.
-	RandomPoints = engine.RandomPoints
-)
-
 // Config parameterizes a K-Means run.
 type Config struct {
 	// K is the number of clusters; required, 1 <= K <= n.
 	K int
 	// MaxIter bounds Lloyd iterations. Zero means the default of 100.
 	MaxIter int
-	// Seed drives initialization.
+	// Seed drives the k-means++ initialization.
 	Seed int64
-	// Init selects the initialization method.
-	Init InitMethod
-	// InitCentroids, when non-nil, overrides Init with explicit initial
-	// centroids (length K); the Seed is then not consumed. Used for
-	// warm starts (e.g. refining a streaming solve) and by the
-	// weighted/duplicated parity tests, which need both runs to start
-	// from the same configuration.
-	InitCentroids [][]float64
 	// Tol stops iteration when the objective improves by less than Tol
 	// between iterations. Zero — the default — means exact convergence
 	// (no change in assignments), the same policy FairKM and ZGYA
@@ -94,6 +68,11 @@ type Config struct {
 	// it exists as the test/benchmark reference, not as a correctness
 	// knob.
 	fullScan bool
+	// initCentroids, when non-nil, replaces the k-means++ start with
+	// these K centroids of the features' dimension; the Seed is then
+	// not consumed. Test-only: the weighted/duplicated parity tests
+	// need both runs to start from the same configuration.
+	initCentroids [][]float64
 }
 
 // DefaultMaxIter is used when Config.MaxIter is zero.
@@ -210,9 +189,6 @@ func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 	if cfg.K < 1 || cfg.K > n {
 		return nil, fmt.Errorf("kmeans: K=%d out of range [1,%d]", cfg.K, n)
 	}
-	if err := validateInitCentroids(&cfg, dim); err != nil {
-		return nil, err
-	}
 	maxIter := cfg.MaxIter
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
@@ -245,46 +221,18 @@ func run(features [][]float64, weights []float64, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// validateInitCentroids checks the InitCentroids override shape.
-func validateInitCentroids(cfg *Config, dim int) error {
-	if cfg.InitCentroids == nil {
-		return nil
-	}
-	if len(cfg.InitCentroids) != cfg.K {
-		return fmt.Errorf("kmeans: %d initial centroids for K=%d", len(cfg.InitCentroids), cfg.K)
-	}
-	for c, cen := range cfg.InitCentroids {
-		if len(cen) != dim {
-			return fmt.Errorf("kmeans: initial centroid %d has %d features, want %d", c, len(cen), dim)
-		}
-	}
-	return nil
-}
-
 // initialAssign produces the starting partition (weights nil = unit
-// weights): nearest-centroid against the InitCentroids override when
-// present, otherwise the engine's initializer.
+// weights): nearest-centroid against the initCentroids override when
+// present, otherwise the engine's k-means++ start.
 func initialAssign(features [][]float64, weights []float64, cfg *Config) []int {
-	if cfg.InitCentroids != nil {
-		assign := make([]int, len(features))
-		assignAll(features, cfg.InitCentroids, assign)
-		return assign
+	if cfg.initCentroids == nil {
+		return engine.InitAssignmentWeighted(features, weights, cfg.K, engine.KMeansPlusPlus, stats.NewRNG(cfg.Seed))
 	}
-	return engine.InitAssignmentWeighted(features, weights, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
-}
-
-// assignAll reassigns every point to its nearest centroid, returning how
-// many assignments changed.
-func assignAll(features [][]float64, centroids [][]float64, assign []int) int {
-	changed := 0
+	assign := make([]int, len(features))
 	for i, x := range features {
-		best, _ := stats.NearestCentroidScan(x, centroids)
-		if assign[i] != best {
-			assign[i] = best
-			changed++
-		}
+		assign[i], _ = stats.NearestCentroidScan(x, cfg.initCentroids)
 	}
-	return changed
+	return assign
 }
 
 // Sizes returns per-cluster cardinalities for an assignment.

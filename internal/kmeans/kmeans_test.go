@@ -32,10 +32,10 @@ func blobs(seed int64, g, m, dim int, sep float64) ([][]float64, []int) {
 
 func TestRecoverSeparatedBlobs(t *testing.T) {
 	features, labels := blobs(1, 3, 40, 4, 20)
-	for _, init := range []InitMethod{KMeansPlusPlus, RandomPartition, RandomPoints} {
-		res, err := Run(features, Config{K: 3, Seed: 5, Init: init})
+	for seed := int64(5); seed < 8; seed++ {
+		res, err := Run(features, Config{K: 3, Seed: seed})
 		if err != nil {
-			t.Fatalf("init %v: %v", init, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Every true blob must map to exactly one cluster.
 		seen := map[int]map[int]bool{}
@@ -47,11 +47,11 @@ func TestRecoverSeparatedBlobs(t *testing.T) {
 		}
 		for lab, cs := range seen {
 			if len(cs) != 1 {
-				t.Errorf("init %v: blob %d split across clusters %v", init, lab, cs)
+				t.Errorf("seed %d: blob %d split across clusters %v", seed, lab, cs)
 			}
 		}
 		if !res.Converged {
-			t.Errorf("init %v: did not converge", init)
+			t.Errorf("seed %d: did not converge", seed)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestKEqualsN(t *testing.T) {
 	features, _ := blobs(4, 1, 5, 2, 0)
-	res, err := Run(features, Config{K: 5, Seed: 1, Init: RandomPoints})
+	res, err := Run(features, Config{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +165,6 @@ func TestPlusPlusDegenerateData(t *testing.T) {
 	}
 }
 
-func TestRandomPartitionNoEmptyClusters(t *testing.T) {
-	features, _ := blobs(8, 1, 30, 2, 0)
-	for seed := int64(0); seed < 20; seed++ {
-		res, err := Run(features, Config{K: 7, Seed: seed, Init: RandomPartition, MaxIter: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = res
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	features, _ := blobs(9, 3, 20, 3, 4)
 	a, _ := Run(features, Config{K: 3, Seed: 21})
@@ -187,16 +176,5 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatalf("assignment %d differs", i)
 		}
-	}
-}
-
-func TestInitMethodString(t *testing.T) {
-	if KMeansPlusPlus.String() != "kmeans++" ||
-		RandomPartition.String() != "random-partition" ||
-		RandomPoints.String() != "random-points" {
-		t.Error("InitMethod String values changed")
-	}
-	if InitMethod(99).String() == "" {
-		t.Error("unknown method should still stringify")
 	}
 }

@@ -101,7 +101,7 @@ func TestPrunedParityAdversarial(t *testing.T) {
 		// zero-vector centroid — itself a duplicate of any other empty.
 		dup := [][]float64{{1, 1}, {1, 1}, {4, 0}, {0, 4}}
 		comparePrunedFull(t, fmt.Sprintf("dupinit_p%d", par), lattice, nil,
-			Config{K: 4, InitCentroids: dup, Parallelism: par, MaxIter: 30})
+			Config{K: 4, initCentroids: dup, Parallelism: par, MaxIter: 30})
 	}
 	// Weighted lattice with integer weights (still heavy with ties).
 	w := make([]float64, len(lattice))

@@ -20,7 +20,7 @@ import (
 //   - unit weights reproduce Run bit-for-bit (assignments, iteration
 //     count and objective bits), because every w·x with w = 1 is an
 //     IEEE-754 no-op and the RNG stream is consumed identically;
-//   - integer weights with Config.InitCentroids fixed match running
+//   - integer weights from fixed initial centroids match running
 //     Run on the explicitly duplicated dataset from the same centroids
 //     (Lloyd's assign and update steps are oblivious to whether mass
 //     arrives as one weighted row or w duplicate rows).

@@ -22,8 +22,8 @@ func blobFeatures(seed int64, n, blobs, dim int) [][]float64 {
 
 // TestRunWeightedUnitParity: RunWeighted with all-1 weights must
 // reproduce Run exactly — assignments, iterations, centroid and
-// objective bits — for every initializer and under Tol/parallel
-// variants. The weighted solver is a strict generalization, not a
+// objective bits — from the k-means++ start and under Tol, parallel
+// and MaxIter variants. The weighted solver is a strict generalization, not a
 // second implementation.
 func TestRunWeightedUnitParity(t *testing.T) {
 	features := blobFeatures(3, 300, 4, 3)
@@ -32,12 +32,10 @@ func TestRunWeightedUnitParity(t *testing.T) {
 		ones[i] = 1
 	}
 	configs := map[string]Config{
-		"kmpp":      {K: 4, Seed: 5},
-		"partition": {K: 4, Seed: 5, Init: RandomPartition},
-		"points":    {K: 4, Seed: 5, Init: RandomPoints},
-		"tol":       {K: 4, Seed: 5, Tol: 1e-4},
-		"par3":      {K: 4, Seed: 5, Parallelism: 3},
-		"maxiter":   {K: 5, Seed: 2, MaxIter: 4},
+		"kmpp":    {K: 4, Seed: 5},
+		"tol":     {K: 4, Seed: 5, Tol: 1e-4},
+		"par3":    {K: 4, Seed: 5, Parallelism: 3},
+		"maxiter": {K: 5, Seed: 2, MaxIter: 4},
 	}
 	for name, cfg := range configs {
 		ref, err := Run(features, cfg)
@@ -73,7 +71,7 @@ func TestRunWeightedUnitParity(t *testing.T) {
 // the plain solver on the explicitly duplicated dataset. Lloyd's
 // assign and update steps cannot tell whether mass arrives as one
 // weighted row or w duplicate rows, so from a shared set of initial
-// centroids (Config.InitCentroids) the two runs are the same descent.
+// centroids (Config.initCentroids) the two runs are the same descent.
 func TestRunWeightedDuplicationParity(t *testing.T) {
 	features := blobFeatures(9, 180, 3, 2)
 	rng := stats.NewRNG(31)
@@ -93,11 +91,11 @@ func TestRunWeightedDuplicationParity(t *testing.T) {
 	// Arbitrary-but-fixed initial centroids shared by both runs.
 	init := [][]float64{features[0], features[1], features[2]}
 
-	wres, err := RunWeighted(features, wf, Config{K: k, InitCentroids: init})
+	wres, err := RunWeighted(features, wf, Config{K: k, initCentroids: init})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := Run(dup, Config{K: k, InitCentroids: init})
+	dres, err := Run(dup, Config{K: k, initCentroids: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,24 +116,6 @@ func TestRunWeightedDuplicationParity(t *testing.T) {
 				t.Fatalf("centroid [%d][%d] %v vs %v", c, j, wres.Centroids[c][j], dres.Centroids[c][j])
 			}
 		}
-	}
-}
-
-// TestInitCentroidsValidation: the override must be shape-checked.
-func TestInitCentroidsValidation(t *testing.T) {
-	features := blobFeatures(1, 20, 2, 2)
-	if _, err := Run(features, Config{K: 3, InitCentroids: [][]float64{{0, 0}}}); err == nil {
-		t.Error("wrong centroid count accepted")
-	}
-	if _, err := Run(features, Config{K: 2, InitCentroids: [][]float64{{0, 0}, {1}}}); err == nil {
-		t.Error("ragged centroid accepted")
-	}
-	ones := make([]float64, len(features))
-	for i := range ones {
-		ones[i] = 1
-	}
-	if _, err := RunWeighted(features, ones, Config{K: 2, InitCentroids: [][]float64{{0}, {1}}}); err == nil {
-		t.Error("wrong-dim centroids accepted by RunWeighted")
 	}
 }
 

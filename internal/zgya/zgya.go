@@ -21,7 +21,8 @@
 // convergent by construction. Cluster proportions are floored at a
 // small epsilon inside the KL (the standard smoothing), and an empty
 // cluster is scored as maximally unfair so the penalty cannot be gamed
-// by collapsing clusters.
+// by collapsing clusters. Every run starts from the engine's k-means++
+// centroids, FairKM's default start, as the K-Means baseline does.
 //
 // Because the formulation admits exactly one sensitive attribute, the
 // FairKM evaluation invokes ZGYA once per attribute (ZGYA(S)).
@@ -69,13 +70,9 @@ type Config struct {
 	// Budget, when positive, stops the run at the first iteration
 	// boundary after the wall-clock budget is spent.
 	Budget time.Duration
-	// Seed drives initialization.
+	// Seed drives the k-means++ initialization (FairKM's default
+	// start); every row starts at its nearest initial centroid.
 	Seed int64
-	// Init selects the initial centroids (default k-means++), taken
-	// from the engine's shared initializer; every row starts at its
-	// nearest one. RandomPartition seeds no centroids, and the λ
-	// heuristic needs them, so ZGYA runs it as RandomPoints.
-	Init kmeans.InitMethod
 	// Parallelism selects the sweep execution mode, with exactly
 	// FairKM's semantics: 0 (the default) is the strictly sequential
 	// round-robin sweep; a positive value scores candidate moves with
@@ -190,13 +187,9 @@ func newSolver(ds *dataset.Dataset, s *dataset.SensitiveAttr, cfg Config) *solve
 		n:      n,
 	}
 
-	// Initial hard assignment from the engine's centroids; see
-	// Config.Init for RandomPartition.
-	init := cfg.Init
-	if init == engine.RandomPartition {
-		init = engine.RandomPoints
-	}
-	centroids := engine.InitCentroids(ds.Features, nil, st.k, init, stats.NewRNG(cfg.Seed))
+	// Initial hard assignment from the k-means++ centroids, which the
+	// λ heuristic also measures distances to.
+	centroids := engine.PlusPlusCentroidsWeighted(ds.Features, nil, st.k, stats.NewRNG(cfg.Seed))
 	st.assign = make([]int, n)
 	meanD := 0.0
 	for i, x := range ds.Features {
