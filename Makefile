@@ -47,7 +47,7 @@ fairvet-selfcheck:
 # filters keep the expensive packages scoped to their concurrent paths.
 race:
 	$(GO) test -race ./internal/engine ./internal/goldencase
-	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair'
+	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair|TestDeltaMemo|FuzzFitContracts'
 	$(GO) test -race ./internal/kmeans ./internal/zgya
 	$(GO) test -race ./internal/stats
 	$(GO) test -race ./internal/coreset ./internal/pipeline ./internal/dataset
@@ -127,9 +127,12 @@ bench-smoke:
 # panics, Validate on every accepted input and an Encode∘Decode byte
 # fixpoint, and FuzzBenchguardParse holds benchguard's `go test -json`
 # stream parser to package:Benchmark keys, finite positive ns/op and
-# invariance under splitting an output event; a crasher any of them
-# finds is written under the package's testdata/fuzz and must be
-# committed as a regression input.
+# invariance under splitting an output event. FuzzFitContracts holds
+# FairKM on small decoded problems to its bit-exact contracts:
+# Parallelism 1, 2 and 3 agree, RunWeighted with unit weights equals
+# Run, and the fairness-delta memo forced on or off changes nothing.
+# A crasher any of them finds is written under the package's
+# testdata/fuzz and must be committed as a regression input.
 # FuzzTokenize otherwise only runs its seeds in go test.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
@@ -139,6 +142,7 @@ fuzz-smoke:
 	$(GO) test ./cmd/fairserved -run '^$$' -fuzz '^FuzzReloadBody$$' -fuzztime 10s
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 10s
 	$(GO) test ./cmd/benchguard -run '^$$' -fuzz '^FuzzBenchguardParse$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzFitContracts$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 
 # bench-e2e-smoke runs the end-to-end benchmark module's own tests

@@ -142,11 +142,23 @@ type Observer = engine.Observer
 type IterEvent = engine.IterEvent
 
 // InitMethod selects FairKM's initial clustering (Config.Init):
-// k-means++ (0, the default), the paper's random partition with
-// empty-cluster repair (1), or random points (2). Run rejects any
-// other value. The K-Means and ZGYA baselines always start from
-// k-means++.
+// KMeansPlusPlus (the default), the paper's RandomPartition with
+// empty-cluster repair, or RandomPoints. Run rejects any other value.
+// The K-Means and ZGYA baselines always start from k-means++.
 type InitMethod = engine.InitMethod
+
+// The initializers Config.Init accepts.
+const (
+	// KMeansPlusPlus seeds k-means++ centroids and assigns each row to
+	// its nearest one; it is the zero value.
+	KMeansPlusPlus = engine.KMeansPlusPlus
+	// RandomPartition assigns every row to a uniformly random cluster,
+	// then repairs empty clusters: Algorithm 1's start.
+	RandomPartition = engine.RandomPartition
+	// RandomPoints picks k distinct rows as centroids and assigns each
+	// row to its nearest one.
+	RandomPoints = engine.RandomPoints
+)
 
 // NewBuilder creates a Builder for the given feature column names.
 func NewBuilder(featureNames ...string) *Builder {

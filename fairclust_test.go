@@ -225,6 +225,36 @@ func TestPublicCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInitConstants: the exported initializer constants name the same
+// methods as their numbers, so Config{Init: RandomPartition} runs
+// Algorithm 1's random partition exactly as InitMethod(1) does.
+func TestInitConstants(t *testing.T) {
+	ds := buildDataset(t)
+	ds.MinMaxNormalize()
+	for want, m := range []fairclust.InitMethod{fairclust.KMeansPlusPlus, fairclust.RandomPartition, fairclust.RandomPoints} {
+		if int(m) != want {
+			t.Errorf("%v = %d, want %d", m, int(m), want)
+		}
+	}
+	named, err := fairclust.Run(ds, fairclust.Config{K: 3, AutoLambda: true, Seed: 4, Init: fairclust.RandomPartition})
+	if err != nil {
+		t.Fatalf("Run with RandomPartition: %v", err)
+	}
+	numbered, err := fairclust.Run(ds, fairclust.Config{K: 3, AutoLambda: true, Seed: 4, Init: fairclust.InitMethod(1)})
+	if err != nil {
+		t.Fatalf("Run with InitMethod(1): %v", err)
+	}
+	for i := range named.Assign {
+		if named.Assign[i] != numbered.Assign[i] {
+			t.Fatalf("assign[%d] = %d with RandomPartition, %d with InitMethod(1)", i, named.Assign[i], numbered.Assign[i])
+		}
+	}
+	if math.Float64bits(named.Objective) != math.Float64bits(numbered.Objective) || named.Iterations != numbered.Iterations {
+		t.Errorf("RandomPartition run (objective %v, %d iterations) differs from InitMethod(1) (%v, %d)",
+			named.Objective, named.Iterations, numbered.Objective, numbered.Iterations)
+	}
+}
+
 func TestDefaultLambda(t *testing.T) {
 	if got := fairclust.DefaultLambda(100, 10); got != 100 {
 		t.Errorf("DefaultLambda(100,10) = %v, want 100", got)

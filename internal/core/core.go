@@ -50,7 +50,11 @@
 // candidate cluster thus reads one record, the row's offsets and one
 // cached centroid — no per-attribute slice walks, no allocation — with
 // every floating-point expression in the order that keeps trajectories
-// bit-identical to the golden recordings.
+// bit-identical to the golden recordings. Rows that share their
+// sensitive values get the same fairness delta from a cluster until a
+// move touches it, so the live state memoizes the delta per (cluster,
+// sensitive profile), stamped with the cluster's move generation (see
+// state, "Delta memo").
 //
 // # Parallel sweeps
 //
@@ -143,11 +147,26 @@ type Config struct {
 	// kernel instead of the O(1) aggregate closed forms. Test-only:
 	// parity tests and benchmarks in this package compare the two.
 	naiveKernel bool
+	// memo overrides the delta memo's cut-off (see state): memoOff
+	// never memoizes, memoOn memoizes whenever the kernel allows.
+	// Test-only: the memo tests and FuzzFitContracts compare the two,
+	// and BenchmarkBestMove times the kernel rather than memo hits.
+	memo memoPolicy
 	// initAssign, when non-nil, replaces Init with this starting
 	// assignment (length n, clusters in [0, K)). Test-only: parity
 	// tests need two runs to start from the same partition.
 	initAssign []int
 }
+
+// memoPolicy is Config.memo's type; the zero value applies the
+// measured cut-off.
+type memoPolicy int8
+
+const (
+	memoAuto memoPolicy = iota
+	memoOff
+	memoOn
+)
 
 // ParallelismAuto is a Config.Parallelism value selecting GOMAXPROCS
 // worker goroutines.

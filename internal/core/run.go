@@ -146,7 +146,7 @@ func (s *stateSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from
 func (st *state) bestMove(i, from int) int {
 	// Leaving `from` costs the same regardless of destination; compute
 	// those pieces once.
-	dDevOut := st.deviationWithDelta(from, i, -1) - st.devCache[from]
+	dDevOut := st.fairDelta(from, i, -1) - st.devCache[from]
 	kmOut := st.km.OutDelta(i, from)
 
 	best := from
@@ -156,7 +156,7 @@ func (st *state) bestMove(i, from int) int {
 			continue
 		}
 		dKM := kmOut + st.km.InDelta(i, c)
-		dFair := dDevOut + (st.deviationWithDelta(c, i, +1) - st.devCache[c])
+		dFair := dDevOut + (st.fairDelta(c, i, +1) - st.devCache[c])
 		delta := dKM + st.lambda*dFair
 		if delta < bestDelta {
 			bestDelta = delta

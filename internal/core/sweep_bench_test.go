@@ -35,9 +35,13 @@ func benchAdultDataset(b *testing.B) *dataset.Dataset {
 	return benchAdultDS
 }
 
+// benchState builds the kernel benchmarks' state with the delta memo
+// off: BenchmarkBestMove scores the same state again and again, so with
+// the memo on it would time table hits rather than the kernel.
+// BenchmarkRunAdult shows the memo.
 func benchState(b *testing.B, ds *dataset.Dataset, naive bool) *state {
 	b.Helper()
-	cfg := Config{K: benchK, AutoLambda: true, Seed: 5, naiveKernel: naive}
+	cfg := Config{K: benchK, AutoLambda: true, Seed: 5, naiveKernel: naive, memo: memoOff}
 	lambda := DefaultLambda(ds.N(), cfg.K)
 	assign := engine.InitAssignmentWeighted(ds.Features, nil, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
 	return newState(ds, &cfg, lambda, assign, nil)
