@@ -21,9 +21,10 @@
 // # Architecture
 //
 // This package is the FairKM *objective* for the shared descent engine
-// (internal/engine): state holds the sufficient statistics and scores/
-// applies single-point moves, while initialization, sweep scheduling
-// (full, frozen-parallel), convergence policies
+// (internal/engine): state scores and applies single-point moves
+// through two sufficient-statistics types, kmeans.Stats for the
+// K-Means term and fairStats for the fairness term. Initialization,
+// sweep scheduling (full, frozen-parallel), convergence policies
 // (zero-moves, Tol, MaxIter, wall-clock Budget) and the per-iteration
 // Observer hook are the engine's, shared bit-for-bit with the K-Means
 // and ZGYA solvers. See DESIGN.md for the layering and the parallelism
@@ -37,24 +38,24 @@
 // round-robin sweep costs O(n·k·(|N| + Σ_S |Values(S)|)). This package
 // instead maintains, per (attribute, cluster) pair, the quadratic
 // aggregates Σ_v cc², Σ_v cc·Fr_X and the constant Σ_v Fr_X² (see
-// state), which turn each candidate evaluation into an
+// fairStats), which turn each candidate evaluation into an
 // O(1)-per-attribute closed form; a sweep is O(n·k·(|N| + #attrs)),
 // independent of the attribute domain sizes — the Σ_S |Values(S)|
 // factor Section 6.1's scalability discussion worries about is gone
 // (41 values of native-country cost the same as 2 of gender).
 //
-// The aggregates and value masses live in one flat slab with one
-// contiguous record per cluster, each row's value codes are resolved
-// once per run into record offsets (the row-offset table), and each
-// cluster's prototype is cached and refreshed per move. Scoring a
-// candidate cluster thus reads one record, the row's offsets and one
-// cached centroid — no per-attribute slice walks, no allocation — with
-// every floating-point expression in the order that keeps trajectories
-// bit-identical to the golden recordings. Rows that share their
-// sensitive values get the same fairness delta from a cluster until a
-// move touches it, so the live state memoizes the delta per (cluster,
-// sensitive profile), stamped with the cluster's move generation (see
-// state, "Delta memo").
+// The aggregates, value masses and numeric sums live in one flat slab
+// with one contiguous record per cluster, each row's value codes are
+// resolved once per run into record offsets (the row-offset table),
+// and each cluster's prototype is cached and refreshed per move.
+// Scoring a candidate cluster thus reads one record, the row's offsets
+// and one cached centroid — no per-attribute slice walks, no
+// allocation — with every floating-point expression in the order that
+// keeps trajectories bit-identical to the golden recordings. Rows that
+// share their sensitive values get the same fairness delta from a
+// cluster until a move touches it, so the live statistics memoize the
+// delta per (cluster, sensitive profile), stamped with the cluster's
+// move generation (see fairStats, "Delta memo").
 //
 // # Parallel sweeps
 //
@@ -147,7 +148,7 @@ type Config struct {
 	// kernel instead of the O(1) aggregate closed forms. Test-only:
 	// parity tests and benchmarks in this package compare the two.
 	naiveKernel bool
-	// memo overrides the delta memo's cut-off (see state): memoOff
+	// memo overrides the delta memo's cut-off (see fairStats): memoOff
 	// never memoizes, memoOn memoizes whenever the kernel allows.
 	// Test-only: the memo tests and FuzzFitContracts compare the two,
 	// and BenchmarkBestMove times the kernel rather than memo hits.
@@ -228,12 +229,12 @@ type Result struct {
 // K returns the number of clusters in the result.
 func (r *Result) K() int { return len(r.Centroids) }
 
-// Predict assigns a new feature vector to the nearest cluster centroid
-// (the fairness term has no per-point form for unseen data, so
-// prediction is distance-only — the standard deployment rule for
-// K-Means-family models), scored by stats.NearestCentroidScan exactly
-// as model.Model.Assign scores a served row. It panics if x's
-// dimensionality differs from the training features.
+// Predict assigns a new feature vector to the nearest cluster centroid,
+// the standard deployment rule for K-Means-family models: it is
+// distance-only and ignores the fairness term. It scores with
+// stats.NearestCentroidScan exactly as model.Model.Assign scores a
+// served row, and panics if x's dimensionality differs from the
+// training features.
 func (r *Result) Predict(x []float64) int {
 	if len(r.Centroids) == 0 {
 		panic("fairkm: Predict on an empty result")

@@ -92,8 +92,8 @@ func TestDeltaMatchesNaiveObjective(t *testing.T) {
 			}
 			// Incremental delta, exactly as bestMove computes it.
 			dKM := st.km.OutDelta(i, from) + st.km.InDelta(i, to)
-			dFair := (st.deviationWithDelta(from, i, -1) - st.devCache[from]) +
-				(st.deviationWithDelta(to, i, +1) - st.devCache[to])
+			dFair := (st.fair.deviationWithDelta(&st.km, from, i, -1) - st.fair.devCache[from]) +
+				(st.fair.deviationWithDelta(&st.km, to, i, +1) - st.fair.devCache[to])
 			incr := dKM + lambda*dFair
 
 			moved := append([]int(nil), st.assign...)
@@ -150,8 +150,8 @@ func TestDeltaMatchesNaiveUnderAttrWeights(t *testing.T) {
 			if to == from {
 				continue
 			}
-			dFair := (st.deviationWithDelta(from, i, -1) - st.devCache[from]) +
-				(st.deviationWithDelta(to, i, +1) - st.devCache[to])
+			dFair := (st.fair.deviationWithDelta(&st.km, from, i, -1) - st.fair.devCache[from]) +
+				(st.fair.deviationWithDelta(&st.km, to, i, +1) - st.fair.devCache[to])
 
 			moved := append([]int(nil), st.assign...)
 			moved[i] = to

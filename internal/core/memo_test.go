@@ -15,17 +15,17 @@ import (
 // without the delta memo.
 func direct(st *state) *state {
 	d := *st
-	d.rowProf, d.memoFull = nil, false
+	d.fair.rowProf, d.fair.memoFull = nil, false
 	return &d
 }
 
 // memoFresh reports, per slot of both memo tables, whether it holds a
 // value stored at its cluster's current generation.
 func memoFresh(st *state) []bool {
-	fresh := make([]bool, 0, 2*len(st.memoIn))
-	for _, tab := range [][]memoEntry{st.memoIn, st.memoOut} {
+	fresh := make([]bool, 0, 2*len(st.fair.memoIn))
+	for _, tab := range [][]memoEntry{st.fair.memoIn, st.fair.memoOut} {
 		for s, e := range tab {
-			fresh = append(fresh, e.gen == st.gen[s/st.nProf])
+			fresh = append(fresh, e.gen == st.fair.gen[s/st.fair.nProf])
 		}
 	}
 	return fresh
@@ -41,14 +41,14 @@ func checkMemoDeltas(t *testing.T, st *state, step int) int {
 	for c := 0; c < st.k; c++ {
 		for i := 0; i < st.n; i++ {
 			for _, sign := range []int{+1, -1} {
-				tab := st.memoIn
+				tab := st.fair.memoIn
 				if sign < 0 {
-					tab = st.memoOut
+					tab = st.fair.memoOut
 				}
-				if tab[c*st.nProf+int(st.rowProf[i])].gen == st.gen[c] {
+				if tab[c*st.fair.nProf+int(st.fair.rowProf[i])].gen == st.fair.gen[c] {
 					hits++
 				}
-				got, want := st.fairDelta(c, i, sign), ref.deviationWithDelta(c, i, sign)
+				got, want := st.fair.fairDelta(&st.km, c, i, sign), ref.fair.deviationWithDelta(&ref.km, c, i, sign)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("step %d: delta(c=%d, i=%d, sign=%+d) = %v through the memo, %v direct",
 						step, c, i, sign, got, want)
@@ -86,11 +86,11 @@ func TestDeltaMemoInvalidation(t *testing.T) {
 				assign[i] = i % k
 			}
 			st := newState(p.ds, &cfg, 3, assign, p.rowW)
-			if st.rowProf == nil || st.nProf >= st.n {
-				t.Fatalf("memo off or no shared profile: %d profiles for %d rows", st.nProf, st.n)
+			if st.fair.rowProf == nil || st.fair.nProf >= st.n {
+				t.Fatalf("memo off or no shared profile: %d profiles for %d rows", st.fair.nProf, st.n)
 			}
-			if st.memoFull != (len(st.numAttrs) == 0) {
-				t.Fatalf("memoFull = %v with %d numeric attributes", st.memoFull, len(st.numAttrs))
+			if st.fair.memoFull != (len(st.fair.numReals) == 0) {
+				t.Fatalf("memoFull = %v with %d numeric attributes", st.fair.memoFull, len(st.fair.numReals))
 			}
 			rng := stats.NewRNG(9)
 			hits := checkMemoDeltas(t, st, 0)
@@ -101,7 +101,7 @@ func TestDeltaMemoInvalidation(t *testing.T) {
 				before := memoFresh(st)
 				st.move(i, from, to)
 				for s, fresh := range memoFresh(st) {
-					c := (s % len(st.memoIn)) / st.nProf
+					c := (s % len(st.fair.memoIn)) / st.fair.nProf
 					if want := before[s] && c != from && c != to; fresh != want {
 						t.Fatalf("step %d (row %d: %d→%d): slot %d of cluster %d fresh=%v, want %v",
 							step, i, from, to, s, c, fresh, want)
@@ -115,11 +115,11 @@ func TestDeltaMemoInvalidation(t *testing.T) {
 
 			// A generation that wraps must not revive a slot stored
 			// 2³² bumps earlier.
-			st.memoIn[0] = memoEntry{gen: 1, val: 42}
-			st.gen[0] = math.MaxUint32
-			st.bump(0)
-			if st.memoIn[0].gen == st.gen[0] {
-				t.Fatalf("slot stamped 1 is fresh after the generation wrapped to %d", st.gen[0])
+			st.fair.memoIn[0] = memoEntry{gen: 1, val: 42}
+			st.fair.gen[0] = math.MaxUint32
+			st.fair.bump(0)
+			if st.fair.memoIn[0].gen == st.fair.gen[0] {
+				t.Fatalf("slot stamped 1 is fresh after the generation wrapped to %d", st.fair.gen[0])
 			}
 			checkMemoDeltas(t, st, -1)
 		})
@@ -151,15 +151,15 @@ func TestDeltaMemoCutoff(t *testing.T) {
 		{"off", ds, Config{K: 3, memo: memoOff}, nil, false},
 	} {
 		st := newState(tc.ds, &tc.cfg, 1, assign, tc.rowW)
-		if on := st.rowProf != nil; on != tc.on {
-			t.Errorf("%s: memo on = %v (%d profiles, %d rows), want %v", tc.name, on, st.nProf, st.n, tc.on)
+		if on := st.fair.rowProf != nil; on != tc.on {
+			t.Errorf("%s: memo on = %v (%d profiles, %d rows), want %v", tc.name, on, st.fair.nProf, st.n, tc.on)
 		}
-		if tc.on && len(st.memoIn) != st.k*st.nProf {
-			t.Errorf("%s: table of %d slots for k=%d × %d profiles", tc.name, len(st.memoIn), st.k, st.nProf)
+		if tc.on && len(st.fair.memoIn) != st.k*st.fair.nProf {
+			t.Errorf("%s: table of %d slots for k=%d × %d profiles", tc.name, len(st.fair.memoIn), st.k, st.fair.nProf)
 		}
 		fz := st.newFrozen()
 		st.freezeInto(fz)
-		if fz.rowProf != nil || fz.memoFull {
+		if fz.fair.rowProf != nil || fz.fair.memoFull {
 			t.Errorf("%s: frozen snapshot carries the memo", tc.name)
 		}
 	}
@@ -287,11 +287,22 @@ func sameResult(a, b *Result) string {
 	return ""
 }
 
+// within1e9 reports whether a and b agree within 1e-9 relative to
+// max(1, |a|, |b|).
+func within1e9(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
 // FuzzFitContracts holds FairKM to its exactness contracts on small
 // decoded problems (decodeFitProblem), each checked bit for bit:
 // Parallelism 1, 2 and 3 give the same Result; RunWeighted with
 // all-ones weights equals Run; and the delta memo, forced on or off,
-// changes nothing, sequentially or in the parallel sweep.
+// changes nothing, sequentially or in the parallel sweep. Two
+// tolerance contracts hold the incremental statistics to the paper's
+// objective: the sequential run's final Objective equals
+// EvaluateObjectiveWeighted on its assignment, and no sequential sweep
+// raises the recorded objective (Algorithm 1 takes only improving
+// moves), each within 1e-9 relative to max(1, |value|).
 func FuzzFitContracts(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{39, 2, 3, 1, 0x04, 0, 1, 2, 3})
@@ -301,6 +312,7 @@ func FuzzFitContracts(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
+		cfg.RecordHistory = true
 		run := func(label string, cfg Config, w []float64) *Result {
 			var res *Result
 			var err error
@@ -326,6 +338,19 @@ func FuzzFitContracts(f *testing.F) {
 		}
 
 		seq := run("sequential", cfg, rowW)
+		want, err := EvaluateObjectiveWeighted(ds, rowW, seq.Assign, cfg.K, seq.Lambda, cfg.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !within1e9(seq.Objective, want.Objective) {
+			t.Fatalf("final objective %v = %v + λ%v·%v, from scratch %v = %v + λ·%v", seq.Objective,
+				seq.KMeansTerm, seq.Lambda, seq.FairnessTerm, want.Objective, want.KMeansTerm, want.FairnessTerm)
+		}
+		for it := 1; it < len(seq.History); it++ {
+			if prev, cur := seq.History[it-1].Objective, seq.History[it].Objective; cur > prev && !within1e9(cur, prev) {
+				t.Fatalf("sweep %d raised the objective %v → %v", it+1, prev, cur)
+			}
+		}
 		check("sequential, memo on", run("memo on", with(0, memoOn), rowW), seq)
 		check("sequential, memo off", run("memo off", with(0, memoOff), rowW), seq)
 

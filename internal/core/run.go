@@ -53,7 +53,7 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 		observer = func(ev engine.IterEvent) {
 			if cfg.RecordHistory {
 				km := st.km.SSE()
-				fair := st.fairnessTotal()
+				fair := st.fair.total()
 				res.History = append(res.History, IterStats{
 					Iteration:    ev.Iteration,
 					Moves:        ev.Moves,
@@ -85,7 +85,7 @@ func runWith(ds *dataset.Dataset, cfg Config, rowW []float64) (*Result, error) {
 		res.Masses = append([]float64(nil), st.km.Mass...)
 	}
 	res.KMeansTerm = st.km.SSE()
-	res.FairnessTerm = st.fairnessTotal()
+	res.FairnessTerm = st.fair.total()
 	res.Objective = res.KMeansTerm + lambda*res.FairnessTerm
 	return res, nil
 }
@@ -112,7 +112,7 @@ func (st *state) Delta(i, from, to int) float64 { return st.moveDelta(i, from, t
 func (st *state) Move(i, from, to int) { st.move(i, from, to) }
 
 // Value returns the current objective O = SSE + λ·deviation.
-func (st *state) Value() float64 { return st.km.SSE() + st.lambda*st.fairnessTotal() }
+func (st *state) Value() float64 { return st.km.SSE() + st.lambda*st.fair.total() }
 
 // ---- engine.SnapshotObjective (frozen-statistics parallel sweeps) ----
 
@@ -144,10 +144,11 @@ func (s *stateSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from
 //
 //fairvet:hotpath
 func (st *state) bestMove(i, from int) int {
+	km, fair := &st.km, &st.fair
 	// Leaving `from` costs the same regardless of destination; compute
 	// those pieces once.
-	dDevOut := st.fairDelta(from, i, -1) - st.devCache[from]
-	kmOut := st.km.OutDelta(i, from)
+	dDevOut := fair.fairDelta(km, from, i, -1) - fair.devCache[from]
+	kmOut := km.OutDelta(i, from)
 
 	best := from
 	bestDelta := 0.0
@@ -155,8 +156,8 @@ func (st *state) bestMove(i, from int) int {
 		if c == from {
 			continue
 		}
-		dKM := kmOut + st.km.InDelta(i, c)
-		dFair := dDevOut + (st.fairDelta(c, i, +1) - st.devCache[c])
+		dKM := kmOut + km.InDelta(i, c)
+		dFair := dDevOut + (fair.fairDelta(km, c, i, +1) - fair.devCache[c])
 		delta := dKM + st.lambda*dFair
 		if delta < bestDelta {
 			bestDelta = delta

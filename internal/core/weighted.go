@@ -71,12 +71,6 @@ func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 			return ObjectiveValue{}, fmt.Errorf("fairkm: row %d assigned to cluster %d outside [0,%d)", i, c, k)
 		}
 	}
-	wOf := func(i int) float64 {
-		if rowW == nil {
-			return 1
-		}
-		return rowW[i]
-	}
 
 	// Weighted K-Means term: Σ_C Σ_{X∈C} w_X·‖X − μ_C‖² with μ_C the
 	// weighted mean.
@@ -92,12 +86,12 @@ func EvaluateObjectiveWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 		mu := make([]float64, ds.Dim())
 		mass := 0.0
 		for _, i := range members[c] {
-			stats.AddScaledTo(mu, ds.Features[i], wOf(i))
-			mass += wOf(i)
+			stats.AddScaledTo(mu, ds.Features[i], weightOf(rowW, i))
+			mass += weightOf(rowW, i)
 		}
 		stats.Scale(mu, 1/mass)
 		for _, i := range members[c] {
-			km += wOf(i) * stats.SqDist(ds.Features[i], mu)
+			km += weightOf(rowW, i) * stats.SqDist(ds.Features[i], mu)
 		}
 	}
 
@@ -126,17 +120,11 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 	if rowW != nil && len(rowW) != n {
 		return 0, fmt.Errorf("fairkm: %d weights for %d rows", len(rowW), n)
 	}
-	wOf := func(i int) float64 {
-		if rowW == nil {
-			return 1
-		}
-		return rowW[i]
-	}
 	mass := make([]float64, k)
 	totalMass := 0.0
 	for i, c := range assign {
-		mass[c] += wOf(i)
-		totalMass += wOf(i)
+		mass[c] += weightOf(rowW, i)
+		totalMass += weightOf(rowW, i)
 	}
 	weight := func(c int) float64 {
 		frac := mass[c] / totalMass
@@ -150,18 +138,13 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 		}
 		switch s.Kind {
 		case dataset.Categorical:
-			var frX []float64
-			if rowW == nil {
-				frX = ds.Fractions(s)
-			} else {
-				frX = weightedFractions(s, rowW, totalMass)
-			}
+			frX := weightedFractions(s, rowW, totalMass)
 			clusterMass := make([][]float64, k)
 			for c := range clusterMass {
 				clusterMass[c] = make([]float64, len(s.Values))
 			}
 			for i, c := range assign {
-				clusterMass[c][s.Codes[i]] += wOf(i)
+				clusterMass[c][s.Codes[i]] += weightOf(rowW, i)
 			}
 			for c := 0; c < k; c++ {
 				if mass[c] == 0 {
@@ -176,15 +159,10 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 				total += weight(c) * w * sum
 			}
 		case dataset.Numeric:
-			var meanX float64
-			if rowW == nil {
-				meanX = stats.Mean(s.Reals)
-			} else {
-				meanX = weightedMean(s.Reals, rowW, totalMass)
-			}
+			meanX := weightedMean(s.Reals, rowW, totalMass)
 			sums := make([]float64, k)
 			for i, c := range assign {
-				sums[c] += wOf(i) * s.Reals[i]
+				sums[c] += weightOf(rowW, i) * s.Reals[i]
 			}
 			for c := 0; c < k; c++ {
 				if mass[c] == 0 {
@@ -196,4 +174,38 @@ func FairnessDeviationWeighted(ds *dataset.Dataset, rowW []float64, assign []int
 		}
 	}
 	return total, nil
+}
+
+// weightOf returns row i's weight, 1 when rowW == nil (unit weights).
+func weightOf(rowW []float64, i int) float64 {
+	if rowW == nil {
+		return 1
+	}
+	return rowW[i]
+}
+
+// weightedFractions is ds.Fractions under per-row masses: Fr_X(v) =
+// Σ_{i: code_i = v} w_i / Σ w. Under unit weights (rowW == nil,
+// totalMass = n) it rounds exactly as ds.Fractions: adding 1.0 is
+// incrementing, and both divide by float64(n).
+func weightedFractions(s *dataset.SensitiveAttr, rowW []float64, totalMass float64) []float64 {
+	fr := make([]float64, len(s.Values))
+	for i, c := range s.Codes {
+		fr[c] += weightOf(rowW, i)
+	}
+	for i := range fr {
+		fr[i] /= totalMass
+	}
+	return fr
+}
+
+// weightedMean is stats.Mean under per-row masses, and exactly
+// stats.Mean under unit weights (rowW == nil, totalMass = n), where
+// 1·x is x.
+func weightedMean(xs, rowW []float64, totalMass float64) float64 {
+	s := 0.0
+	for i, x := range xs {
+		s += weightOf(rowW, i) * x
+	}
+	return s / totalMass
 }

@@ -389,8 +389,8 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Assign returns the nearest centroid for a feature vector already in
 // the trained space (Scaling, if any, must have been applied). It is
-// the deployment rule of core.Result.Predict: the fairness term has no
-// per-point form for unseen data, so assignment is distance-only.
+// the deployment rule of core.Result.Predict: distance-only, ignoring
+// the fairness term.
 func (m *Model) Assign(x []float64) int {
 	c, _ := m.AssignDist(x)
 	return c
