@@ -131,9 +131,13 @@ bench-smoke:
 # FairKM on small decoded problems to its bit-exact contracts:
 # Parallelism 1, 2 and 3 agree, RunWeighted with unit weights equals
 # Run, and the fairness-delta memo forced on or off changes nothing.
+# FuzzFitShardedWorkers holds pipeline.FitSharded on small decoded
+# problems split by SliceShards to its determinism contract: Workers 1,
+# 2, 3 and -1 give bit-identical summaries, assignments, centroids and
+# objectives. FuzzTokenize holds the doc2vec tokenizer to no panics
+# and lowercase alphanumeric or <num> tokens.
 # A crasher any of them finds is written under the package's
 # testdata/fuzz and must be committed as a regression input.
-# FuzzTokenize otherwise only runs its seeds in go test.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
@@ -143,6 +147,7 @@ fuzz-smoke:
 	$(GO) test ./internal/model -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 10s
 	$(GO) test ./cmd/benchguard -run '^$$' -fuzz '^FuzzBenchguardParse$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzFitContracts$$' -fuzztime 10s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzFitShardedWorkers$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 
 # bench-e2e-smoke runs the end-to-end benchmark module's own tests

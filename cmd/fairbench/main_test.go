@@ -41,9 +41,9 @@ func TestFairbenchEndToEnd(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"K-Means (blind)", "FairKM (all attrs)", "ZGYA(grp)",
-		"Fairlet(grp)", "Bera (all attrs)", "FairSC (all attrs)",
-		"FairKCenter(grp)", "GreedyCapture", "FairProj + K-Means",
+		"K-Means(N)", "FairKM(all)", "ZGYA(grp)",
+		"Fairlet(grp)", "Bera(all)", "FairSC(all)",
+		"FairKCenter(grp)", "GreedyCapture", "FairProj+KM(all)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -78,11 +78,13 @@ func TestFairbenchValidation(t *testing.T) {
 
 // TestValidationAudit pins the CLI failure contract for fairbench.
 func TestValidationAudit(t *testing.T) {
+	csv := writeCSV(t, true)
 	cases := map[string][]string{
 		"missing -in":       {"-features", "x", "-sensitive", "g"},
 		"nonexistent input": {"-in", "definitely/not/here.csv", "-features", "x", "-sensitive", "g"},
 		"k zero":            {"-in", "x.csv", "-features", "x", "-sensitive", "g", "-k", "0"},
 		"unknown flag":      {"-in", "x.csv", "-features", "x", "-sensitive", "g", "-zap"},
+		"k above rows":      {"-in", csv, "-features", "x,y", "-sensitive", "grp", "-k", "91"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {

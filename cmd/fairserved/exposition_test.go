@@ -230,7 +230,7 @@ func TestMetricsExposition(t *testing.T) {
 		{"fairserved_inflight", "gauge", "Admitted requests currently scoring per model."},
 		{"fairserved_model_generation", "gauge", "Hot-swap generation per model name."},
 		{"fairserved_queue_depth", "gauge", "Requests waiting for an admission slot per model."},
-		{"fairserved_request_latency_seconds", "histogram", "Accepted-request latency since model install."},
+		{"fairserved_request_latency_seconds", "histogram", "Accepted-request latency since the model name was first installed."},
 		{"fairserved_request_stage_seconds", "histogram", "Per-stage request latency (admission wait, queue residency, micro-batch scoring, total), OK requests only."},
 		{"fairserved_requests_total", "counter", "Assignment requests served per model."},
 		{"fairserved_rows_total", "counter", "Feature vectors labelled per model."},

@@ -4,184 +4,19 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bera"
 	"repro/internal/core"
 	"repro/internal/data/adult"
 	"repro/internal/dataset"
-	"repro/internal/fairlet"
-	"repro/internal/fairproj"
-	"repro/internal/kcenter"
 	"repro/internal/kmeans"
 	"repro/internal/metrics"
-	"repro/internal/proportional"
-	"repro/internal/spectral"
 	"repro/internal/zgya"
 )
 
-// The experiments in this file go beyond the paper's evaluation: a
-// cross-method comparison against every baseline family surveyed in
-// the paper's Table 1 that this repository implements, a scalability
+// The experiments in this file go beyond the paper's evaluation, as
+// does the method comparison in methods.go: a scalability
 // measurement backing the Section 4.3.1 complexity discussion, and an
 // exercise of the numeric-sensitive-attribute extension (Section
 // 4.4.1).
-
-// MethodRow is one method's measurements in the baseline comparison.
-type MethodRow struct {
-	Method  string
-	CO      float64
-	SH      float64
-	MeanAE  float64
-	MeanMW  float64
-	Millis  float64
-	Remarks string
-}
-
-// BaselineComparison compares every implemented clustering method on
-// one dataset.
-type BaselineComparison struct {
-	Dataset string
-	K       int
-	Rows    []MethodRow
-}
-
-// RunBaselines runs the full method zoo on the Kinematics dataset
-// (its 161 points are within reach of even the O(n³)+LP methods) at
-// k=5. Single-attribute methods target Type-1, the largest type.
-func RunBaselines(opts Options) (*BaselineComparison, error) {
-	opts.normalize()
-	ds, err := LoadKinematics(opts)
-	if err != nil {
-		return nil, err
-	}
-	const k = 5
-	const attr = "Type-1"
-	cmp := &BaselineComparison{Dataset: "Kinematics", K: k}
-
-	ref, err := kmeans.Run(ds.Features, opts.KMeansConfig(k, opts.Seed))
-	if err != nil {
-		return nil, err
-	}
-
-	add := func(name, remarks string, run func() ([]int, error)) error {
-		start := time.Now()
-		assign, err := run()
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		elapsed := time.Since(start)
-		reps := metrics.FairnessAll(ds, assign, k)
-		mean := reps[len(reps)-1]
-		cmp.Rows = append(cmp.Rows, MethodRow{
-			Method:  name,
-			CO:      metrics.CO(ds.Features, assign, k),
-			SH:      metrics.Silhouette(ds.Features, assign, k),
-			MeanAE:  mean.AE,
-			MeanMW:  mean.MW,
-			Millis:  float64(elapsed.Microseconds()) / 1000,
-			Remarks: remarks,
-		})
-		return nil
-	}
-
-	if err := add("K-Means(N)", "S-blind", func() ([]int, error) {
-		return ref.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("FairKM(all)", "all 5 attrs", func() ([]int, error) {
-		cfg := opts.FairKMConfig(k, opts.Seed)
-		cfg.Lambda = kinLambda
-		r, err := core.Run(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("ZGYA("+attr+")", "single attr", func() ([]int, error) {
-		cfg := opts.ZGYAConfig(attr, k, opts.Seed)
-		cfg.AutoLambda = true
-		r, err := zgya.Run(ds, attr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("Fairlet("+attr+")", "single binary attr", func() ([]int, error) {
-		r, err := fairlet.Run(ds, attr, fairlet.Config{K: k, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("Bera(all)", "LP + rounding", func() ([]int, error) {
-		r, err := bera.Run(ds, bera.Config{K: k, Delta: 0.4, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("FairSC(all)", "spectral, constrained", func() ([]int, error) {
-		r, err := spectral.Run(ds, spectral.Config{K: k, Fair: true, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("FairKCenter("+attr+")", "center quotas", func() ([]int, error) {
-		r, err := kcenter.Run(ds, kcenter.Config{K: k, Attr: attr, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("GreedyCapture", "attribute-agnostic", func() ([]int, error) {
-		r, err := proportional.GreedyCapture(ds.Features, k)
-		if err != nil {
-			return nil, err
-		}
-		// Pad the assignment space to k clusters for metric helpers.
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("FairProj+KM(all)", "space transformation", func() ([]int, error) {
-		proj, err := fairproj.MeanDifferenceProjection(ds)
-		if err != nil {
-			return nil, err
-		}
-		r, err := kmeans.Run(proj.Features, opts.KMeansConfig(k, opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		return r.Assign, nil
-	}); err != nil {
-		return nil, err
-	}
-	return cmp, nil
-}
-
-// Render prints the comparison table.
-func (c *BaselineComparison) Render() string {
-	tt := newTextTable(fmt.Sprintf("Baseline zoo on %s (k=%d): fair-clustering families from the paper's Table 1", c.Dataset, c.K))
-	tt.row("Method", "CO ↓", "SH ↑", "meanAE ↓", "meanMW ↓", "ms", "notes")
-	tt.rule()
-	for _, r := range c.Rows {
-		tt.row(r.Method, f4(r.CO), f4(r.SH), f4(r.MeanAE), f4(r.MeanMW), f2(r.Millis), r.Remarks)
-	}
-	return tt.String()
-}
 
 // ScalePoint is one dataset size in the scalability experiment.
 type ScalePoint struct {

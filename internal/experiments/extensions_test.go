@@ -17,7 +17,7 @@ func TestRunBaselinesCoversMethodZoo(t *testing.T) {
 	var kmRow, fkmRow *MethodRow
 	for i := range cmp.Rows {
 		r := &cmp.Rows[i]
-		if r.MeanAE < 0 || r.CO <= 0 {
+		if r.MeanAE < 0 || r.CO <= 0 || r.Millis <= 0 {
 			t.Errorf("%s: implausible measurements %+v", r.Method, r)
 		}
 		switch r.Method {

@@ -47,7 +47,7 @@ var (
 	rowsFamily       = metricFamily{"fairserved_rows_total", "Feature vectors labelled per model."}
 	shedFamily       = metricFamily{"fairserved_shed_total", "Requests rejected by admission control per model."}
 	deadlineFamily   = metricFamily{"fairserved_deadline_total", "Requests failed by their deadline per model."}
-	latencyFamily    = metricFamily{"fairserved_request_latency_seconds", "Accepted-request latency since model install."}
+	latencyFamily    = metricFamily{"fairserved_request_latency_seconds", "Accepted-request latency since the model name was first installed."}
 	stageFamily      = metricFamily{"fairserved_request_stage_seconds", "Per-stage request latency (admission wait, queue residency, micro-batch scoring, total), OK requests only."}
 	generationFamily = metricFamily{"fairserved_model_generation", "Hot-swap generation per model name."}
 	inflightFamily   = metricFamily{"fairserved_inflight", "Admitted requests currently scoring per model."}
