@@ -111,7 +111,7 @@ bench-smoke:
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x
 	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad/rate=500' -benchtime 1x
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1x
-	$(GO) test ./internal/dataset -run 'TestCSVStreamAllocs' -bench 'BenchmarkCSVStream/workers=' -benchtime 1x
+	$(GO) test ./internal/dataset -run 'TestCSVStreamAllocs' -bench 'BenchmarkCSVStream/workers=|BenchmarkSpillReplay' -benchtime 1x
 	$(GO) test ./cmd/fairserved -run 'TestAssignHandlerAllocs' -bench 'BenchmarkHTTPAssign' -benchtime 1x
 
 # fuzz-smoke runs each fuzz target on a short fixed budget.
@@ -134,7 +134,13 @@ bench-smoke:
 # FuzzFitShardedWorkers holds pipeline.FitSharded on small decoded
 # problems split by SliceShards to its determinism contract: Workers 1,
 # 2, 3 and -1 give bit-identical summaries, assignments, centroids and
-# objectives. FuzzTokenize holds the doc2vec tokenizer to no panics
+# objectives, and a reduced summary holds at most MergeBudget + Groups
+# rows. FuzzSpillReplay holds pipeline.Spill to CSVStream on arbitrary
+# CSV bytes and chunk sizes: the tee hands the chunks on unchanged, a
+# replay yields them bit for bit and then the stream's first error, and
+# for quote-free bytes the spilled SplitCSV ranges read back through
+# pipeline.Concat carry one whole-file stream's rows, codes and domains.
+# FuzzTokenize holds the doc2vec tokenizer to no panics
 # and lowercase alphanumeric or <num> tokens.
 # A crasher any of them finds is written under the package's
 # testdata/fuzz and must be committed as a regression input.
@@ -148,6 +154,7 @@ fuzz-smoke:
 	$(GO) test ./cmd/benchguard -run '^$$' -fuzz '^FuzzBenchguardParse$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzFitContracts$$' -fuzztime 10s
 	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzFitShardedWorkers$$' -fuzztime 10s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzSpillReplay$$' -fuzztime 10s
 	$(GO) test ./internal/doc2vec -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 
 # bench-e2e-smoke runs the end-to-end benchmark module's own tests

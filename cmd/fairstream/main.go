@@ -20,12 +20,25 @@
 // with a fixed -seed every field is reproducible except elapsed_ns.
 //
 // With -minmax an extra leading pass computes per-column minima and
-// ranges (pipeline.ScanMinMax), and the later passes read the file
-// through pipeline.Scaled so features arrive scaled to [0,1] — three
-// passes over the file, one after the other. Each pass holds one chunk
-// plus the stream's read-ahead window in memory, and decodes that
-// window on GOMAXPROCS goroutines without changing a single output
-// byte.
+// maxima (pipeline.ScanMinMaxSharded), and the later passes read the
+// rows through pipeline.Scaled so features arrive scaled to [0,1] —
+// three passes, one after the other.
+//
+// The CSV is parsed once per run. The first pass that reads it — the
+// min-max pass, or else the summarize pass — also writes every decoded
+// chunk to a pipeline.Spill, one per byte range: an unlinked file in
+// the temp directory (TMPDIR), about 8 bytes per feature and 4 per
+// sensitive column of each row. The later passes replay the spills;
+// the evaluate pass reads the ranges in file order through
+// pipeline.Concat, so it sees the codes one whole-file stream assigns.
+// A -skip-eval run without -minmax has no later pass and spills
+// nothing. Since the spill's name is removed when it is created, a run
+// that ends in any way, killed included, leaves no file behind. If a
+// spill cannot be written, the later passes read the CSV again and a
+// note on stderr says so; the report is the same either way. The
+// parsing pass holds one chunk plus the stream's read-ahead window in
+// memory, and decodes that window on GOMAXPROCS goroutines without
+// changing a single output byte; a replay holds one chunk.
 //
 // Every run ingests the same way: the file is split on row boundaries
 // into -shards byte ranges (dataset.SplitCSV; one range by default),
@@ -34,7 +47,9 @@
 // -shards S > 1 the memory is fixed per shard and the wall-clock is
 // bounded by the slowest shard instead of one sequential reader.
 // Results are bit-identical for every -shard-workers value;
-// -merge-budget caps the merged summary with one extra reduce pass.
+// -merge-budget bounds the merged summary with one extra reduce pass,
+// which keeps at least one row per stratum: at most B rows plus one
+// per stratum remain.
 package main
 
 import (
@@ -63,7 +78,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("fairstream", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		in           = fs.String("in", "", "input CSV path (required; read up to three times, streaming)")
+		in           = fs.String("in", "", "input CSV path (required; streamed and decoded once: later passes replay a binary spill of the decoded rows in the temp directory)")
 		features     = fs.String("features", "", "comma-separated numeric feature columns (required)")
 		sensitive    = fs.String("sensitive", "", "comma-separated categorical sensitive columns (required; these stratify the coreset)")
 		k            = fs.Int("k", 5, "number of clusters")
@@ -79,8 +94,8 @@ func run(args []string, out io.Writer) (retErr error) {
 		parallel     = fs.Int("parallel", 0, "sweep workers for the summary solve: 0 sequential, -1 GOMAXPROCS, n workers")
 		shards       = fs.Int("shards", 1, "split ingestion across this many independent summarizer shards (byte-range parallel file reads)")
 		shardWorkers = fs.Int("shard-workers", 0, "concurrent shard ingest workers: 0 one per shard, -1 GOMAXPROCS, n workers (results are identical for every value)")
-		mergeBudget  = fs.Int("merge-budget", 0, "cap the merged summary's row count; a larger union is reduced by one extra coreset pass (0 = never reduce)")
-		minmax       = fs.Bool("minmax", false, "min-max scale features to [0,1] via an extra leading pass")
+		mergeBudget  = fs.Int("merge-budget", 0, "bound the merged summary's row count: a larger union is reduced by one extra coreset pass to at most this many rows plus one per stratum (0 = never reduce)")
+		minmax       = fs.Bool("minmax", false, "min-max scale features to [0,1], measured by an extra leading pass (the pass that decodes the CSV; the later passes replay its spill)")
 		skipEval     = fs.Bool("skip-eval", false, "skip the second full-data metrics pass")
 		telem        = fs.String("telemetry", "", "write a JSONL run journal of the summary solve to this path")
 		saveOut      = fs.String("save", "", "write the trained model artifact (centroids, λ, domains, scaling, provenance) to this path; serve it with fairserved")
@@ -125,38 +140,84 @@ func run(args []string, out io.Writer) (retErr error) {
 		CategoricalSensitive: cli.SplitList(*sensitive),
 	}
 
-	// scaling is nil until the min-max pass has measured the columns;
-	// from then on every pass reads the file through it.
-	var scaling *model.Scaling
-	open := func() (pipeline.Source, *os.File, error) {
-		f, err := os.Open(*in)
-		if err != nil {
-			return nil, nil, err
-		}
-		src, err := dataset.NewCSVStream(f, spec, *chunk)
-		if err != nil {
-			f.Close() //fairvet:ignore errflow -- read-only file closed on the error path; the stream error wins
-			return nil, nil, err
-		}
-		return pipeline.Scaled(src, scaling), f, nil
+	// A pass that parses the CSV reads its -shards byte ranges (one by
+	// default), except an evaluate pass without spills, which reads the
+	// whole file as one stream.
+	split, err := dataset.SplitCSV(*in, *shards)
+	if err != nil {
+		return err
 	}
+	readRanges := func() ([]pipeline.Source, func(), error) {
+		srcs := make([]pipeline.Source, split.Shards())
+		closers := make([]io.Closer, 0, split.Shards())
+		closeAll := func() {
+			for _, c := range closers {
+				c.Close() //fairvet:ignore errflow -- shard readers are opened read-only; nothing was buffered to lose
+			}
+		}
+		for i := range srcs {
+			stream, closer, err := split.Open(i, spec, *chunk)
+			if err != nil {
+				closeAll()
+				return nil, nil, err
+			}
+			closers = append(closers, closer)
+			srcs[i] = stream
+		}
+		return srcs, closeAll, nil
+	}
+
+	// The first pass over the ranges also writes each range's decoded
+	// chunks to a spill file, and the later passes replay the spills
+	// instead of parsing the CSV again. Without -minmax the first pass
+	// is the summarize pass, and with -skip-eval nothing reads the rows
+	// after it. When a spill cannot be written the later passes read
+	// the CSV again, with a note on stderr.
+	var spills rangeSpills
+	defer func() { spills.close() }()
+	reread := func(err error) {
+		fmt.Fprintf(os.Stderr, "fairstream: %v; reading %s again for each later pass\n", err, *in)
+		spills.close()
+		spills = nil
+	}
+	if *minmax || !*skipEval {
+		if spills, err = newRangeSpills(split.Shards()); err != nil {
+			reread(err)
+		}
+	}
+	// replays returns the ranges read back from their spills, or nil
+	// when there are none to read.
+	replays := func() []pipeline.Source {
+		if spills == nil {
+			return nil
+		}
+		srcs, err := spills.replays()
+		if err != nil {
+			reread(err)
+		}
+		return srcs
+	}
+
+	// scaling is nil until the min-max pass has measured the columns;
+	// from then on every pass reads the rows through it.
+	var scaling *model.Scaling
 
 	// Optional pass 0: min-max statistics.
 	if *minmax {
-		src, f, err := open()
+		srcs, closeRanges, err := readRanges()
 		if err != nil {
 			return err
 		}
-		scaling, err = pipeline.ScanMinMax(src)
-		f.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
+		spills.tee(srcs)
+		scaling, err = pipeline.ScanMinMaxSharded(srcs, *shardWorkers)
+		closeRanges()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "min-max pass: scaled %d feature columns\n", len(scaling.Mins))
 	}
 
-	// Pass 1: summarize the file's -shards byte ranges (one range by
-	// default) and solve on the merged summary.
+	// Pass 1: summarize the byte ranges and solve on the merged summary.
 	var journal *telemetry.RunLog
 	if *telem != "" {
 		var cerr error
@@ -168,32 +229,26 @@ func run(args []string, out io.Writer) (retErr error) {
 		pcfg.Observer = journal.Observer("fairstream")
 	}
 	started := time.Now()
-	split, err := dataset.SplitCSV(*in, *shards)
-	if err != nil {
-		return err
+	var srcs []pipeline.Source
+	closeRanges := func() {}
+	if *minmax {
+		srcs = replays()
 	}
-	srcs := make([]pipeline.Source, split.Shards())
-	closers := make([]io.Closer, 0, split.Shards())
-	closeAll := func() {
-		for _, c := range closers {
-			c.Close() //fairvet:ignore errflow -- shard readers are opened read-only; nothing was buffered to lose
-		}
-	}
-	for i := range srcs {
-		stream, closer, err := split.Open(i, spec, *chunk)
-		if err != nil {
-			closeAll()
+	if srcs == nil {
+		if srcs, closeRanges, err = readRanges(); err != nil {
 			return err
 		}
-		closers = append(closers, closer)
-		srcs[i] = pipeline.Scaled(stream, scaling)
+		spills.tee(srcs)
+	}
+	for i, src := range srcs {
+		srcs[i] = pipeline.Scaled(src, scaling)
 	}
 	res, err := pipeline.FitSharded(srcs, pipeline.ShardedConfig{
 		Config:      pcfg,
 		Workers:     *shardWorkers,
 		MergeBudget: *mergeBudget,
 	})
-	closeAll()
+	closeRanges()
 	if err != nil {
 		return err
 	}
@@ -215,7 +270,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if res.Shards > 1 {
 		note := ""
 		if res.Reduced {
-			note = fmt.Sprintf(", union reduced to the %d-row budget", *mergeBudget)
+			note = fmt.Sprintf(", union reduced to %d rows (at most the %d-row budget plus one row per stratum)", res.Summary.N(), *mergeBudget)
 		}
 		fmt.Fprintf(out, "sharded: %d byte-range shards ingested in parallel%s\n", res.Shards, note)
 	}
@@ -243,13 +298,22 @@ func run(args []string, out io.Writer) (retErr error) {
 		return nil
 	}
 
-	// Pass 2: exact full-data metrics for the deployed centroids.
-	src2, f2, err := open()
-	if err != nil {
-		return err
+	// Pass 2: exact full-data metrics for the deployed centroids, over
+	// the spilled ranges in file order or else the whole file.
+	var src2 pipeline.Source
+	if r := replays(); r != nil {
+		src2 = pipeline.Concat(r)
+	} else {
+		f, err := os.Open(*in)
+		if err != nil {
+			return err
+		}
+		defer f.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
+		if src2, err = dataset.NewCSVStream(f, spec, *chunk); err != nil {
+			return err
+		}
 	}
-	ev, err := pipeline.Evaluate(src2, res.Solve.Centroids, res.Lambda)
-	f2.Close() //fairvet:ignore errflow -- file opened read-only; nothing was buffered to lose
+	ev, err := pipeline.Evaluate(pipeline.Scaled(src2, scaling), res.Solve.Centroids, res.Lambda)
 	if err != nil {
 		return err
 	}
@@ -270,4 +334,47 @@ func formatMasses(masses []float64) string {
 		parts[i] = strconv.FormatFloat(m, 'f', 1, 64)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
+}
+
+// rangeSpills holds one spill per byte range; a nil set spills nothing.
+type rangeSpills []*pipeline.Spill
+
+func newRangeSpills(n int) (rangeSpills, error) {
+	s := make(rangeSpills, 0, n)
+	for i := 0; i < n; i++ {
+		sp, err := pipeline.NewSpill("")
+		if err != nil {
+			s.close()
+			return nil, err
+		}
+		s = append(s, sp)
+	}
+	return s, nil
+}
+
+// tee makes each range's source write its chunks to its spill.
+func (s rangeSpills) tee(srcs []pipeline.Source) {
+	for i, sp := range s {
+		srcs[i] = sp.Tee(srcs[i])
+	}
+}
+
+// replays returns a replay of every range, or the first range's reason
+// why it cannot be replayed.
+func (s rangeSpills) replays() ([]pipeline.Source, error) {
+	srcs := make([]pipeline.Source, len(s))
+	for i, sp := range s {
+		r, err := sp.Replay()
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = r
+	}
+	return srcs, nil
+}
+
+func (s rangeSpills) close() {
+	for _, sp := range s {
+		sp.Close() //fairvet:ignore errflow -- the spill is unlinked and only ever read back by this process
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -121,7 +122,8 @@ func TestFairstreamSharded(t *testing.T) {
 }
 
 // TestFairstreamShardedMergeBudget: an undersized budget triggers the
-// reduce pass and the report says so.
+// reduce pass, and the report says so with the reduced row count, which
+// stays within the budget plus one row per stratum.
 func TestFairstreamShardedMergeBudget(t *testing.T) {
 	csv := writeTestCSV(t, 1200)
 	var buf bytes.Buffer
@@ -133,8 +135,14 @@ func TestFairstreamShardedMergeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "union reduced to the 60-row budget") {
-		t.Errorf("no reduce note in:\n%s", buf.String())
+	m := regexp.MustCompile(`(\d+) summary rows out .*, (\d+) strata\n.*union reduced to (\d+) rows \(at most the 60-row budget plus one row per stratum\)`).FindStringSubmatch(buf.String())
+	if m == nil {
+		t.Fatalf("no reduce note in:\n%s", buf.String())
+	}
+	rows, _ := strconv.Atoi(m[1])
+	strata, _ := strconv.Atoi(m[2])
+	if m[3] != m[1] || rows > 60+strata {
+		t.Errorf("reduced to %s rows, summary %d rows, over %d strata; want one count within 60 + strata:\n%s", m[3], rows, strata, buf.String())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data/adult"
 	"repro/internal/dataset"
+	"repro/internal/pipeline"
 )
 
 // adultSpec reads every column of the synthetic Adult table: its eight
@@ -94,4 +95,63 @@ func benchCSVStream(b *testing.B, workers int) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dataset.DefaultChunkSize), "ns/row")
+}
+
+// BenchmarkSpillReplay reads back 4096-row chunks of the synthetic
+// Adult table that a pipeline.Spill recorded from a CSVStream: what
+// each pass after fairstream's first pays per chunk instead of
+// BenchmarkCSVStream's decode. One op is one Next of a replay, which
+// starts over at the spill's end; it reports ns/row alongside
+// allocs/op.
+func BenchmarkSpillReplay(b *testing.B) {
+	const chunks = 16
+	s, err := dataset.NewCSVStream(adultCSVSource(b), adultSpec(), dataset.DefaultChunkSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spill, err := pipeline.NewSpill(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer spill.Close()
+	tee := spill.Tee(&firstChunks{src: s, left: chunks})
+	for {
+		if _, err := tee.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+	replay, err := spill.Replay()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chunk, err := replay.Next()
+		if err == io.EOF {
+			if replay, err = spill.Replay(); err == nil {
+				chunk, err = replay.Next()
+			}
+		}
+		if err != nil || chunk.N() != dataset.DefaultChunkSize {
+			b.Fatalf("Next: %v", err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dataset.DefaultChunkSize), "ns/row")
+}
+
+// firstChunks yields the first left chunks of src, then io.EOF.
+type firstChunks struct {
+	src  pipeline.Source
+	left int
+}
+
+func (f *firstChunks) Next() (*dataset.Dataset, error) {
+	if f.left == 0 {
+		return nil, io.EOF
+	}
+	f.left--
+	return f.src.Next()
 }

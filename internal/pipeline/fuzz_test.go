@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -86,7 +87,8 @@ func decodeShardedProblem(data []byte) (func() []Source, ShardedConfig, error) {
 // FuzzFitShardedWorkers holds FitSharded to its determinism contract
 // (DESIGN.md "Determinism contract"): at a fixed shard split, Workers
 // 1, 2, 3 and −1 give bit-identical summaries, weights, assignments,
-// centroids and objectives — or the same error.
+// centroids and objectives — or the same error. A reduced summary
+// holds at most MergeBudget + Groups rows.
 func FuzzFitShardedWorkers(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -109,6 +111,46 @@ func FuzzFitShardedWorkers(f *testing.F) {
 				continue
 			}
 			requireBitIdentical(t, fmt.Sprintf("Workers %d vs 1", w), want, got)
+		}
+		if wantErr == nil && cfg.MergeBudget > 0 && want.Summary.N() > cfg.MergeBudget+want.Groups {
+			t.Fatalf("summary holds %d rows, over MergeBudget %d + %d groups", want.Summary.N(), cfg.MergeBudget, want.Groups)
+		}
+	})
+}
+
+// FuzzSpillReplay holds Spill to its contract on arbitrary CSV bytes
+// and chunk sizes: the tee hands CSVStream's chunks on unchanged, a
+// replay yields them again bit for bit and then the stream's first
+// error (io.EOF after a clean end), and a second replay does the same.
+// For bytes without a quote, which dataset.SplitCSV always cuts on row
+// boundaries, the spilled byte ranges read back through Concat hold
+// one whole-file stream's rows, codes and domains, or fail when it
+// fails.
+func FuzzSpillReplay(f *testing.F) {
+	f.Add([]byte("x,y,g,w\n1,2,a,3\n-0,4,b,5\n"), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		size := 1 + int(chunk)
+		if _, err := dataset.NewCSVStream(bytes.NewReader(data), spillSpec(), size); err != nil {
+			return
+		}
+		sp, err := NewSpill(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sp.Close()
+		checkSameStream(t, "tee", sp.Tee(newStream(t, data, size)), newStream(t, data, size))
+		for pass := 0; pass < 2; pass++ {
+			r, err := sp.Replay()
+			if err != nil {
+				t.Fatalf("replay after a drained tee: %v", err)
+			}
+			checkSameStream(t, fmt.Sprintf("replay %d", pass), r, newStream(t, data, size))
+		}
+		if bytes.IndexByte(data, '"') >= 0 {
+			return
+		}
+		for _, shards := range []int{2, 3} {
+			sameRows(t, fmt.Sprintf("%d ranges", shards), Concat(splitSpills(t, data, spillSpec(), shards, size)), newStream(t, data, size))
 		}
 	})
 }

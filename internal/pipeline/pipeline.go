@@ -28,9 +28,17 @@
 // shard count; see DESIGN.md "Sharded ingestion".
 //
 // Min-max scaling is written once, here: ScanMinMax is the extra
-// leading pass that measures per-column minima and ranges, and Scaled
+// leading pass that measures per-column minima and ranges
+// (ScanMinMaxSharded over several sources, merged exactly), and Scaled
 // wraps any Source so its chunks arrive in the scaled space — for
 // training and for re-evaluating a saved model over raw data alike.
+//
+// A multi-pass run decodes its input once: Spill.Tee wraps the first
+// pass's Source and writes every chunk to an unlinked temporary file,
+// and Spill.Replay reads the chunks back, bit for bit, for each later
+// pass. Concat joins replayed byte ranges into one stream with the
+// codes a single whole-file CSVStream assigns, for the evaluate pass;
+// see DESIGN.md "One decode per run: the spill".
 //
 // cmd/fairstream exposes the pipeline over CSV files;
 // internal/experiments benchmarks it against full-data solves.

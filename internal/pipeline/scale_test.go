@@ -126,3 +126,39 @@ func TestScaledSourceAllocsPerChunk(t *testing.T) {
 		t.Errorf("allocs per chunk = %v for 16 and 1024 rows, want the same and <= 3", per)
 	}
 }
+
+// TestScanMinMaxShardedMatchesScan: scanning contiguous row ranges on
+// any number of workers and merging their bounds gives one whole scan's
+// scaling bit for bit, signed-zero ties included; ranges with no rows
+// are skipped, and no rows at all is an error.
+func TestScanMinMaxShardedMatchesScan(t *testing.T) {
+	ds := testfix.Adult(9, 700)
+	for i, row := range ds.Features {
+		if i%5 == 0 {
+			row[0] = math.Copysign(0, float64(i%2)-0.5) // -0 and +0 in turn
+		}
+	}
+	want, err := ScanMinMax(NewSliceSource(ds, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3, 7, 701} {
+		for _, workers := range []int{0, 1, 2, -1} {
+			got, err := ScanMinMaxSharded(SliceShards(ds, shards, 32), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Mins {
+				if math.Float64bits(got.Mins[j]) != math.Float64bits(want.Mins[j]) ||
+					math.Float64bits(got.Ranges[j]) != math.Float64bits(want.Ranges[j]) {
+					t.Fatalf("%d shards, %d workers, col %d: min %v range %v, want %v %v",
+						shards, workers, j, got.Mins[j], got.Ranges[j], want.Mins[j], want.Ranges[j])
+				}
+			}
+		}
+	}
+	empty := &dataset.Dataset{FeatureNames: ds.FeatureNames}
+	if _, err := ScanMinMaxSharded(SliceShards(empty, 3, 4), 0); err == nil {
+		t.Error("sources without rows accepted")
+	}
+}

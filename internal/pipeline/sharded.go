@@ -26,12 +26,15 @@ type ShardedConfig struct {
 	// W), so results are bit-identical for every worker count.
 	Workers int
 
-	// MergeBudget, when positive, caps the merged summary's row count:
-	// if the union of per-shard summaries exceeds it, one reduce pass
-	// through coreset.LightweightWeighted re-samples each sensitive
-	// group proportionally (preserving group masses exactly). Zero
-	// means never reduce — the union solves as-is, which is what
-	// FitStream and Summarizer.Solve ask for.
+	// MergeBudget, when positive, bounds the merged summary's row
+	// count: if the union of per-shard summaries exceeds it, one reduce
+	// pass (coreset.ReduceGroups) re-samples each sensitive group
+	// proportionally, preserving group masses exactly. The reduce keeps
+	// at least one row per group, so the reduced summary holds at most
+	// MergeBudget + Groups rows, not MergeBudget: a budget below the
+	// group count is exceeded. Zero means never reduce — the union
+	// solves as-is, which is what FitStream and Summarizer.Solve ask
+	// for.
 	MergeBudget int
 }
 
@@ -42,9 +45,9 @@ func shardSeed(seed int64, i int) int64 {
 	return seed + int64(i)*-0x61c8864680b583eb // 0x9e3779b97f4a7c15 as int64
 }
 
-// workerCount resolves cfg.Workers against S shards.
-func (cfg ShardedConfig) workerCount(shards int) int {
-	w := cfg.Workers
+// workerCount resolves a Workers setting against S shards: 0 means one
+// worker per shard, -1 GOMAXPROCS, n at most n workers.
+func workerCount(w, shards int) int {
 	switch {
 	case w == 0:
 		w = shards
@@ -58,6 +61,31 @@ func (cfg ShardedConfig) workerCount(shards int) int {
 		w = 1
 	}
 	return w
+}
+
+// forEachShard runs fn(i) for every shard i on workerCount(workers, s)
+// goroutines, shard i owned by worker i mod W, and returns the error of
+// the first shard that failed, in shard order.
+func forEachShard(s, workers int, fn func(i int) error) error {
+	w := workerCount(workers, s)
+	errs := make([]error, s)
+	var wg sync.WaitGroup
+	for worker := 0; worker < w; worker++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for i := worker; i < s; i += w {
+				errs[i] = fn(i)
+			}
+		}(worker)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FitSharded is the pipeline's one fit driver. It runs one Summarizer
@@ -80,23 +108,8 @@ func FitSharded(sources []Source, cfg ShardedConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := cfg.workerCount(s)
-	errs := make([]error, s)
-	var wg sync.WaitGroup
-	for worker := 0; worker < w; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := worker; i < s; i += w {
-				errs[i] = drainInto(sums[i], sources[i])
-			}
-		}(worker)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := forEachShard(s, cfg.Workers, func(i int) error { return drainInto(sums[i], sources[i]) }); err != nil {
+		return nil, err
 	}
 	return solveSharded(sums, cfg)
 }
@@ -302,4 +315,95 @@ func mergeSummaries(sums []*Summarizer, cfg ShardedConfig) (*dataset.Dataset, []
 		return nil, nil, 0, 0, false, fmt.Errorf("pipeline: merged summary: %w", err)
 	}
 	return ds, weights, n, groups, reduced, nil
+}
+
+// Concat returns a Source yielding the chunks of sources one source
+// after another, with every categorical code remapped into one domain
+// per attribute. Each source's new values join that domain in the
+// source's own code order, sources in order, so when every source
+// assigns codes by first appearance — as CSVStream does — the merged
+// codes and each chunk's Values snapshot are exactly what one stream
+// over the concatenated rows assigns. Feature rows and numeric
+// attributes pass through unchanged. It is the evaluate pass over
+// dataset.SplitCSV byte ranges read back in file order; one source is
+// returned as is.
+func Concat(sources []Source) Source {
+	if len(sources) == 1 {
+		return sources[0]
+	}
+	return &concatSource{sources: sources}
+}
+
+type concatSource struct {
+	sources []Source
+	cur     int
+	domains []*dataset.DomainIndex // the merged domain per attribute; nil for numeric
+	remap   [][]int                // the current source's code → merged code
+}
+
+// Next implements Source.
+func (c *concatSource) Next() (*dataset.Dataset, error) {
+	for c.cur < len(c.sources) {
+		chunk, err := c.sources[c.cur].Next()
+		if err == io.EOF {
+			c.cur++
+			c.remap = nil
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return c.remapChunk(chunk)
+	}
+	return nil, io.EOF
+}
+
+// remapChunk returns chunk with its categorical codes and Values moved
+// into the merged domains.
+func (c *concatSource) remapChunk(chunk *dataset.Dataset) (*dataset.Dataset, error) {
+	if c.domains == nil {
+		c.domains = make([]*dataset.DomainIndex, len(chunk.Sensitive))
+		for ai, attr := range chunk.Sensitive {
+			if attr.Kind == dataset.Categorical {
+				c.domains[ai] = dataset.NewDomainIndex()
+			}
+		}
+	}
+	if len(chunk.Sensitive) != len(c.domains) {
+		return nil, fmt.Errorf("pipeline: chunk has %d sensitive attributes, want %d", len(chunk.Sensitive), len(c.domains))
+	}
+	if c.remap == nil {
+		c.remap = make([][]int, len(c.domains))
+	}
+	out := *chunk
+	out.Sensitive = make([]*dataset.SensitiveAttr, len(chunk.Sensitive))
+	for ai, attr := range chunk.Sensitive {
+		dom := c.domains[ai]
+		if (attr.Kind == dataset.Categorical) != (dom != nil) {
+			return nil, fmt.Errorf("pipeline: attribute %q changed kind between sources", attr.Name)
+		}
+		if dom == nil {
+			out.Sensitive[ai] = attr
+			continue
+		}
+		remap := c.remap[ai]
+		for _, v := range attr.Values[len(remap):] {
+			remap = append(remap, dom.Code(v))
+		}
+		c.remap[ai] = remap
+		codes := make([]int, len(attr.Codes))
+		for i, code := range attr.Codes {
+			if code < 0 || code >= len(remap) {
+				return nil, fmt.Errorf("pipeline: attribute %q row %d code %d out of domain [0,%d)", attr.Name, i, code, len(remap))
+			}
+			codes[i] = remap[code]
+		}
+		out.Sensitive[ai] = &dataset.SensitiveAttr{
+			Name:   attr.Name,
+			Kind:   attr.Kind,
+			Values: append([]string(nil), dom.Values()...),
+			Codes:  codes,
+		}
+	}
+	return &out, nil
 }

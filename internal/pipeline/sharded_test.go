@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -434,4 +436,38 @@ func TestFitShardedValidation(t *testing.T) {
 	if _, err := FitSharded([]Source{NewSliceSource(ds, 64), NewSliceSource(other, 64)}, ShardedConfig{Config: Config{K: 2}}); err == nil {
 		t.Error("mismatched shard schemas should error")
 	}
+}
+
+// TestMergeBudgetBoundsWithGroups pins what MergeBudget promises on the
+// tight-merge-budget corpus input of FuzzFitShardedWorkers: a 2-row
+// budget over 61 rows cannot be met, since the reduce keeps one row per
+// sensitive group, and the summary stays within MergeBudget + Groups.
+func TestMergeBudgetBoundsWithGroups(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzFitShardedWorkers", "tight-merge-budget"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+	if !ok {
+		t.Fatalf("corpus file is not one []byte value:\n%s", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, cfg, err := decodeShardedProblem([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := FitSharded(split(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.MergeBudget != 2 || res.N != 61 || !res.Reduced {
+		t.Fatalf("corpus case decodes to budget %d over %d rows (reduced %v), want 2 over 61, reduced", cfg.MergeBudget, res.N, res.Reduced)
+	}
+	if got, bound := res.Summary.N(), cfg.MergeBudget+res.Groups; got > bound {
+		t.Errorf("summary holds %d rows, more than MergeBudget %d + %d groups", got, cfg.MergeBudget, res.Groups)
+	}
+	t.Logf("summary holds %d rows for budget %d over %d groups", res.Summary.N(), cfg.MergeBudget, res.Groups)
 }
