@@ -108,6 +108,8 @@ bench-smoke:
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/single' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/kernel=' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServeTelemetry' -benchtime 1x
+	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/labelled=' -benchtime 1x
+	$(GO) test ./internal/numparse -run '^$$' -bench 'BenchmarkParseFloat' -benchtime 1x
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x
 	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad/rate=500' -benchtime 1x
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1x
@@ -115,12 +117,16 @@ bench-smoke:
 	$(GO) test ./cmd/fairserved -run 'TestAssignHandlerAllocs' -bench 'BenchmarkHTTPAssign' -benchtime 1x
 
 # fuzz-smoke runs each fuzz target on a short fixed budget.
+# FuzzParseFloat holds numparse.ParseFloat, the decimal converter both
+# byte-level decoders share, to strconv.ParseFloat bit for bit: value
+# bits (-0 and the ±Inf or 0 of a range error included), error
+# presence and the NumError's fields.
 # FuzzCSVDecode is the differential test of the byte-level CSV
 # tokenizer and the parallel CSVStream against encoding/csv,
 # FuzzSplitCSV checks SplitCSV's shard union against one sequential
 # read, FuzzAssignBody is the differential test of the
-# /v1/assign request decoder against encoding/json (plus the real
-# handler's status contract), FuzzReloadBody holds the real
+# /v1/assign request decoder against encoding/json, its sensitive
+# spans read back as maps (plus the real handler's status contract), FuzzReloadBody holds the real
 # /v1/models/reload handler to 200/400/404/413 with the model's
 # generation unchanged on every non-200 (paths outside its temp dir
 # are skipped), FuzzModelDecode holds the model artifact decoder to no
@@ -145,6 +151,7 @@ bench-smoke:
 # A crasher any of them finds is written under the package's
 # testdata/fuzz and must be committed as a regression input.
 fuzz-smoke:
+	$(GO) test ./internal/numparse -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzSplitCSV$$' -fuzztime 10s

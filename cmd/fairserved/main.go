@@ -21,6 +21,12 @@
 // /v1/assign row whose squared distance to its nearest centroid
 // overflows (finite but huge features) fails the request with 400.
 //
+// /v1/assign bodies are decoded in one byte-level pass (wire.go):
+// numbers convert during the JSON scan, exactly as strconv.ParseFloat
+// would, and each row's sensitive values stay byte spans until the
+// model is known, then resolve to the model's codes for the drift
+// tracker (serve.Labels), with no per-row map.
+//
 // Endpoints (all JSON unless noted):
 //
 //	POST /v1/assign        single {"features":[...]} or batch
@@ -210,29 +216,6 @@ func serveCtx(ctx context.Context, args []string, out io.Writer) error {
 
 // ---- HTTP API ----
 
-// assignRow is one query row.
-type assignRow struct {
-	Features []float64 `json:"features"`
-	// Sensitive optionally carries the row's sensitive values (by
-	// attribute name) for the drift tracker; it never influences the
-	// assignment.
-	Sensitive map[string]string `json:"sensitive,omitempty"`
-}
-
-// assignRequest is the /v1/assign body: either the single form
-// (features at top level) or the batch form (rows).
-type assignRequest struct {
-	Model string `json:"model,omitempty"`
-	// Raw asks the server to apply the artifact's feature scaling
-	// (min-max) to each row before assignment.
-	Raw bool `json:"raw,omitempty"`
-
-	Features  []float64         `json:"features,omitempty"`
-	Sensitive map[string]string `json:"sensitive,omitempty"`
-
-	Rows []assignRow `json:"rows,omitempty"`
-}
-
 type modelInfo struct {
 	Name       string           `json:"name"`
 	Path       string           `json:"path,omitempty"`
@@ -373,18 +356,19 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 		httpError(w, bodyErrStatus(err), err.Error())
 		return
 	}
-	req, err := decodeAssign(*bp)
-	putBuf(bp)
-	if err != nil {
+	defer putBuf(bp) // the decoder's spans point into the body
+	d := getDecoder()
+	defer putDecoder(d)
+	if err := d.decode(*bp); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	single := req.Features != nil
-	if single == (len(req.Rows) > 0) {
+	single := d.top.features.set
+	if single == (len(d.rows) > 0) {
 		httpError(w, http.StatusBadRequest, "provide exactly one of \"features\" (single) or \"rows\" (batch)")
 		return
 	}
-	e, err := reg.Get(req.Model)
+	e, err := reg.Get(d.model)
 	if err != nil {
 		httpError(w, http.StatusNotFound, err.Error())
 		return
@@ -392,23 +376,23 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 	a := e.Assigner()
 	m := e.Model()
 
-	rows := req.Rows
+	objs := d.rows
 	if single {
-		rows = []assignRow{{Features: req.Features, Sensitive: req.Sensitive}}
+		objs = []object{d.top}
 	}
-	features := make([][]float64, len(rows))
-	var sensitive []map[string]string
-	for i, row := range rows {
-		x := row.Features
-		if req.Raw && m.Scaling != nil && len(x) == m.Dim() {
+	features := make([][]float64, len(objs))
+	var labels *serve.Labels
+	for i, o := range objs {
+		x := d.features(o.features)
+		if d.raw && m.Scaling != nil && len(x) == m.Dim() {
 			m.Scaling.Apply(x) // in place: the decoded slab belongs to this request
 		}
 		features[i] = x
-		if row.Sensitive != nil {
-			if sensitive == nil {
-				sensitive = make([]map[string]string, len(rows))
+		if o.sensitive.set {
+			if labels == nil {
+				labels = a.NewLabels(len(objs))
 			}
-			sensitive[i] = row.Sensitive
+			d.label(labels, i, o.sensitive)
 		}
 	}
 	ctx := r.Context()
@@ -417,7 +401,7 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 		ctx, cancel = context.WithTimeout(ctx, opts.RequestTimeout)
 		defer cancel()
 	}
-	clusters, dists, err := a.AssignBatchCtx(ctx, features, sensitive)
+	clusters, dists, err := a.AssignLabelled(ctx, features, labels)
 	if err != nil {
 		var shed *serve.ShedError
 		switch {
@@ -436,14 +420,14 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 		}
 		return
 	}
-	bp = bufPool.Get().(*[]byte)
-	*bp = appendAssignResponse((*bp)[:0], e.Name, e.Generation, clusters, dists)
+	rp := bufPool.Get().(*[]byte)
+	*rp = appendAssignResponse((*rp)[:0], e.Name, e.Generation, clusters, dists)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	h.Set("Content-Length", strconv.Itoa(len(*rp)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(*bp) //fairvet:ignore errflow -- status line already sent; a write error means the client hung up
-	putBuf(bp)
+	w.Write(*rp) //fairvet:ignore errflow -- status line already sent; a write error means the client hung up
+	putBuf(rp)
 }
 
 func modelInfos(reg *serve.Registry) []modelInfo {

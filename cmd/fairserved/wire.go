@@ -10,16 +10,23 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/numparse"
+	"repro/internal/serve"
 )
 
-// The /v1/assign wire codec. decodeAssign reads a request body in one
-// byte-level pass straight into an assignRequest, and
-// appendAssignResponse appends the response into a caller buffer;
-// neither goes through reflection. The contract is encoding/json's,
-// which the tests keep as the oracle (FuzzAssignBody,
-// TestAssignResponseBytes): decodeAssign accepts exactly the bodies
-// json.Decoder with DisallowUnknownFields accepts into an
-// assignRequest, with reflect.DeepEqual results, except for two
+// The /v1/assign wire codec. wireDecoder.decode reads a request body
+// in one byte-level pass: numbers convert inside the JSON grammar scan
+// (numparse), features land in one slab, and each sensitive member is
+// kept as a key span and a value span into the body, with no map and
+// no string; the handler resolves the spans to model codes once the
+// model is known (wireDecoder.label). appendAssignResponse appends the
+// response into a caller buffer. Neither goes through reflection. The
+// contract is encoding/json's, which the tests keep as the oracle
+// (FuzzAssignBody, TestAssignResponseBytes): the decoder accepts
+// exactly the bodies json.Decoder with DisallowUnknownFields accepts
+// into the request schema (assignRequest in the tests), and its spans
+// read back as maps give reflect.DeepEqual results, except for two
 // rejections: any non-whitespace after the value, and a struct field
 // given twice in one object (the request or a row; keys inside
 // "sensitive" may repeat, last wins). appendAssignResponse writes
@@ -74,8 +81,9 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) (*[]byte, e
 	return bp, nil
 }
 
-// fieldNames are the struct fields of assignRequest and assignRow,
-// indexed by the field constants, most frequent first.
+// fieldNames are the request's and a row's JSON fields (the struct
+// fields encoding/json would match), indexed by the field constants,
+// most frequent first.
 var fieldNames = [...][]byte{[]byte("features"), []byte("sensitive"), []byte("rows"), []byte("model"), []byte("raw")}
 
 const (
@@ -94,76 +102,128 @@ type fieldSet uint8
 // returns -1 for an unknown key, and fails on a field the object has
 // already given.
 func (s *fieldSet) add(key []byte) (int, error) {
-	for f, name := range fieldNames {
-		if bytes.EqualFold(key, name) {
-			if *s&(1<<f) != 0 {
-				return f, fmt.Errorf("repeated field %q", key)
-			}
-			*s |= 1 << f
-			return f, nil
+	f := field(key)
+	if f >= 0 {
+		if *s&(1<<f) != 0 {
+			return f, fmt.Errorf("repeated field %q", key)
 		}
+		*s |= 1 << f
 	}
-	return -1, nil
+	return f, nil
 }
 
-// region is one features slice's place in the decoder's slab: n values
-// at slab[off:off+n].
+// field returns the struct field key names, or -1. Keys almost always
+// spell a field exactly, so that is tried before case folding.
+func field(key []byte) int {
+	for f, name := range fieldNames {
+		if bytes.Equal(key, name) {
+			return f
+		}
+	}
+	for f, name := range fieldNames {
+		if bytes.EqualFold(key, name) {
+			return f
+		}
+	}
+	return -1
+}
+
+// region is a run of n decoded values at off in one of the decoder's
+// slabs: a features slice in slab, or a sensitive object's members in
+// pairs.
 type region struct {
 	off, n int
-	set    bool // false: the slice is nil
+	set    bool // false: the value was absent or null
 }
+
+// span is a decoded string: body bytes [off, end), or, at or past
+// len(body), the unescaped bytes [off−len(body), end−len(body)) of the
+// decoder's strs.
+type span struct{ off, end int }
+
+// pair is one member of a sensitive object. A null value is the empty
+// span, the "" that encoding/json decodes it to.
+type pair struct{ key, val span }
 
 // object is the decode state of one JSON object that carries features
 // and sensitive values: the top-level request or one row.
 type object struct {
 	features  region
-	sensitive map[string]string
+	sensitive region
 }
 
-// wireDecoder is the state of one request's decode.
+// wireDecoder is the state of one request's decode. Its slabs outlive
+// the decode: the handler scores the features in place and resolves
+// the sensitive spans against the model once the model field, which
+// may follow the rows, names it. Decoders are pooled, slabs included.
 type wireDecoder struct {
 	b   []byte
 	pos int
 
+	model   string
+	raw     bool
+	top     object
+	rows    []object
+	hasRows bool // a rows array was given, possibly empty
+
 	// slab holds every features array in parse order. Regions never
 	// overlap, so each decoded row's features are a disjoint sub-slice
 	// the caller may scale in place.
-	slab []float64
-	rows []object // nil unless the body holds a rows array
+	slab  []float64
+	pairs []pair
+	strs  []byte // unescaped strings
 
-	interned map[string]string // sensitive keys and values
-	scratch  []byte            // unescaped string bytes
+	keys []keySlot // the request's distinct sensitive keys, resolved
 }
 
-// decodeAssign decodes a /v1/assign body.
-func decodeAssign(body []byte) (assignRequest, error) {
-	d := wireDecoder{b: body, interned: make(map[string]string)}
-	req, err := d.decode()
-	if err != nil {
-		err = fmt.Errorf("bad request body: %w", err)
+// keySlot is a sensitive key resolved to its tracked attribute slot.
+type keySlot struct {
+	name []byte
+	slot int
+}
+
+// maxKeys bounds how many distinct sensitive keys a request resolves
+// once and remembers; keys past it are resolved at every use.
+const maxKeys = 16
+
+// maxPooledValues bounds each slab of a pooled decoder, as maxPooledBuf
+// bounds pooled buffers.
+const maxPooledValues = 1 << 17
+
+var decoderPool = sync.Pool{New: func() any { return new(wireDecoder) }}
+
+func getDecoder() *wireDecoder { return decoderPool.Get().(*wireDecoder) }
+
+// putDecoder recycles d once nothing reads its slabs.
+func putDecoder(d *wireDecoder) {
+	if cap(d.slab) > maxPooledValues || cap(d.pairs) > maxPooledValues || cap(d.rows) > maxPooledValues || cap(d.strs) > maxPooledBuf {
+		return
 	}
-	return req, err
+	clear(d.keys)
+	*d = wireDecoder{rows: d.rows[:0], slab: d.slab[:0], pairs: d.pairs[:0], strs: d.strs[:0], keys: d.keys[:0]}
+	decoderPool.Put(d)
 }
 
-func (d *wireDecoder) decode() (assignRequest, error) {
-	var req assignRequest
-	var top object
+// decode decodes a /v1/assign body into d, a decoder from getDecoder.
+// body must outlive every use of d's spans.
+func (d *wireDecoder) decode(body []byte) error {
+	d.b = body
 	var seen fieldSet
 	var err error
 	switch d.peek() {
 	case 'n':
 		err = d.literal("null") // null leaves the request zero
 	case '{':
-		err = d.members(func(key []byte) error {
-			f, err := seen.add(key)
+		err = d.members(func(key span) error {
+			f, err := seen.add(d.text(key))
 			if err != nil {
 				return err
 			}
 			switch f {
 			case fieldFeatures:
-				return d.floats(&top.features)
+				return d.floats(&d.top.features)
 			case fieldSensitive:
-				return d.strmap(&top.sensitive)
+				return d.sensitive(&d.top.sensitive)
 			case fieldRows:
 				return d.rowsArray()
 			case fieldModel:
@@ -172,7 +232,7 @@ func (d *wireDecoder) decode() (assignRequest, error) {
 					return d.literal("null")
 				case '"':
 					s, err := d.str()
-					req.Model = string(s)
+					d.model = string(d.text(s))
 					return err
 				}
 				return d.typeErr("model", "a string")
@@ -181,42 +241,77 @@ func (d *wireDecoder) decode() (assignRequest, error) {
 				case 'n':
 					return d.literal("null")
 				case 't':
-					req.Raw = true
+					d.raw = true
 					return d.literal("true")
 				case 'f':
 					return d.literal("false")
 				}
 				return d.typeErr("raw", "a boolean")
 			}
-			return fmt.Errorf("unknown field %q", key)
+			return fmt.Errorf("unknown field %q", d.text(key))
 		})
 	default:
 		err = d.typeErr("request", "an object")
 	}
+	if err == nil {
+		if d.ws(); d.pos != len(d.b) {
+			err = fmt.Errorf("trailing data at offset %d", d.pos)
+		}
+	}
 	if err != nil {
-		return assignRequest{}, err
+		return fmt.Errorf("bad request body: %w", err)
 	}
-	if d.ws(); d.pos != len(d.b) {
-		return assignRequest{}, fmt.Errorf("trailing data at offset %d", d.pos)
-	}
+	return nil
+}
 
-	take := func(f region) []float64 {
-		switch {
-		case !f.set:
-			return nil
-		case f.n == 0:
-			return []float64{} // [] decodes to a non-nil empty slice
-		}
-		return d.slab[f.off : f.off+f.n : f.off+f.n]
+// features returns the features slice f holds: nil when absent or
+// null, non-nil and empty for [], as encoding/json decodes them.
+func (d *wireDecoder) features(f region) []float64 {
+	switch {
+	case !f.set:
+		return nil
+	case f.n == 0:
+		return []float64{}
 	}
-	req.Features, req.Sensitive = take(top.features), top.sensitive
-	if d.rows != nil {
-		req.Rows = make([]assignRow, len(d.rows))
-		for i, o := range d.rows {
-			req.Rows[i] = assignRow{Features: take(o.features), Sensitive: o.sensitive}
+	return d.slab[f.off : f.off+f.n : f.off+f.n]
+}
+
+// text returns a span's bytes.
+func (d *wireDecoder) text(s span) []byte {
+	if n := len(d.b); s.off >= n {
+		return d.strs[s.off-n : s.end-n]
+	}
+	return d.b[s.off:s.end]
+}
+
+// label gives row's sensitive values, the pairs of r, to l. A key
+// given twice keeps its last value, as in a decoded map; keys the
+// model does not track are skipped.
+func (d *wireDecoder) label(l *serve.Labels, row int, r region) {
+	for i, p := range d.pairs[r.off : r.off+r.n] {
+		if s := d.slot(l, d.text(p.key), i); s >= 0 {
+			l.Set(row, s, d.text(p.val))
 		}
 	}
-	return req, nil
+}
+
+// slot resolves a sensitive key to its tracked slot, each distinct key
+// once per request. Rows usually list their keys in one order, so the
+// key at the member's own position is tried first.
+func (d *wireDecoder) slot(l *serve.Labels, key []byte, pos int) int {
+	if pos < len(d.keys) && bytes.Equal(d.keys[pos].name, key) {
+		return d.keys[pos].slot
+	}
+	for _, k := range d.keys {
+		if bytes.Equal(k.name, key) {
+			return k.slot
+		}
+	}
+	s := l.Slot(key)
+	if len(d.keys) < maxKeys {
+		d.keys = append(d.keys, keySlot{name: key, slot: s})
+	}
+	return s
 }
 
 // rowsArray decodes the rows value into d.rows; a null element is a
@@ -230,7 +325,7 @@ func (d *wireDecoder) rowsArray() error {
 	default:
 		return d.typeErr("rows", "an array of objects")
 	}
-	d.rows = make([]object, 0) // [] is a non-nil empty slice; no allocation
+	d.hasRows = true
 	if d.peek() == ']' {
 		d.pos++
 		return nil
@@ -246,8 +341,8 @@ func (d *wireDecoder) rowsArray() error {
 		case '{':
 			o := &d.rows[n]
 			var seen fieldSet
-			err := d.members(func(key []byte) error {
-				f, err := seen.add(key)
+			err := d.members(func(key span) error {
+				f, err := seen.add(d.text(key))
 				if err != nil {
 					return fmt.Errorf("%w in row %d", err, n)
 				}
@@ -255,9 +350,9 @@ func (d *wireDecoder) rowsArray() error {
 				case fieldFeatures:
 					return d.floats(&o.features)
 				case fieldSensitive:
-					return d.strmap(&o.sensitive)
+					return d.sensitive(&o.sensitive)
 				}
-				return fmt.Errorf("unknown field %q in row %d", key, n)
+				return fmt.Errorf("unknown field %q in row %d", d.text(key), n)
 			})
 			if err != nil {
 				return err
@@ -317,9 +412,10 @@ func (d *wireDecoder) floats(f *region) error {
 	}
 }
 
-// strmap decodes a sensitive value into *m; a repeated key keeps its
-// last value, and a null member value decodes as "".
-func (d *wireDecoder) strmap(m *map[string]string) error {
+// sensitive decodes a sensitive value into r: each member's key and
+// value as spans, in order, with no map and no string. A null member
+// value is the empty span.
+func (d *wireDecoder) sensitive(r *region) error {
 	switch d.peek() {
 	case 'n':
 		return d.literal("null")
@@ -327,39 +423,32 @@ func (d *wireDecoder) strmap(m *map[string]string) error {
 	default:
 		return d.typeErr("sensitive", "an object of strings")
 	}
-	*m = make(map[string]string)
-	return d.members(func(key []byte) error {
-		k := d.intern(key)
+	*r = region{off: len(d.pairs), set: true}
+	return d.members(func(key span) error {
+		p := pair{key: key}
 		switch d.peek() {
 		case '"':
 			v, err := d.str()
 			if err != nil {
 				return err
 			}
-			(*m)[k] = d.intern(v)
-			return nil
+			p.val = v
 		case 'n':
-			(*m)[k] = ""
-			return d.literal("null")
+			if err := d.literal("null"); err != nil {
+				return err
+			}
+		default:
+			return d.typeErr("sensitive", "an object of strings")
 		}
-		return d.typeErr("sensitive", "an object of strings")
+		d.pairs = append(d.pairs, p)
+		r.n++
+		return nil
 	})
 }
 
-// intern returns b as a string, allocating only on its first sighting
-// in this request.
-func (d *wireDecoder) intern(b []byte) string {
-	if s, ok := d.interned[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	d.interned[s] = s
-	return s
-}
-
-// members walks the object at d.pos, calling member with each
-// unescaped key and d.pos at the member's value.
-func (d *wireDecoder) members(member func(key []byte) error) error {
+// members walks the object at d.pos, calling member with each key and
+// d.pos at the member's value.
+func (d *wireDecoder) members(member func(key span) error) error {
 	d.pos++ // '{'
 	if d.peek() == '}' {
 		d.pos++
@@ -393,6 +482,9 @@ func (d *wireDecoder) members(member func(key []byte) error) error {
 }
 
 func (d *wireDecoder) ws() {
+	if d.pos < len(d.b) && d.b[d.pos] > ' ' {
+		return // compact JSON: no whitespace between tokens
+	}
 	for d.pos < len(d.b) {
 		switch d.b[d.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -421,45 +513,61 @@ func (d *wireDecoder) literal(lit string) error {
 	return nil
 }
 
-// number consumes a number matching the JSON grammar and parses it as
-// encoding/json does; out-of-range values are rejected.
+// number consumes a number matching the JSON grammar and converts it as
+// encoding/json does, to strconv.ParseFloat's value: the scan feeds the
+// digits to a numparse.Decimal, and only a number it cannot decide is
+// handed to strconv. Out-of-range values are rejected.
 func (d *wireDecoder) number() (float64, error) {
 	b, start, i := d.b, d.pos, d.pos
-	digits := func() bool {
-		j := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > j
-	}
-	if i < len(b) && b[i] == '-' {
+	var dec numparse.Decimal
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
-	case !digits():
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i += dec.IntDigits(b[i:])
+	default:
 		d.pos = i
 		return 0, d.syntaxErr()
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
-		if !digits() {
+		n := dec.FracDigits(b[i:])
+		if n == 0 {
 			d.pos = i
 			return 0, d.syntaxErr()
 		}
+		i += n
 	}
+	exp := 0
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		esign := 1
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				esign = -1
+			}
 			i++
 		}
-		if !digits() {
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if exp < 10000 {
+				exp = exp*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
 			d.pos = i
 			return 0, d.syntaxErr()
 		}
+		exp *= esign
 	}
 	d.pos = i
+	if v, ok := dec.Float(neg, exp); ok {
+		return v, nil
+	}
 	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
 		return 0, fmt.Errorf("number %s at offset %d: %w", b[start:i], start, err)
@@ -467,22 +575,30 @@ func (d *wireDecoder) number() (float64, error) {
 	return v, nil
 }
 
-// str consumes the string literal at d.pos and returns its unescaped
-// bytes: a sub-slice of the body when the literal is escape-free valid
-// UTF-8, else d.scratch.
-func (d *wireDecoder) str() ([]byte, error) {
+// plain marks the bytes a string literal holds as they are: ASCII
+// other than the quote, the backslash and control characters.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str consumes the string literal at d.pos and returns its span: in the
+// body when the literal is escape-free valid UTF-8, else in d.strs.
+func (d *wireDecoder) str() (span, error) {
 	b := d.b
 	start := d.pos + 1
 	for i := start; i < len(b); {
 		c := b[i]
 		switch {
+		case plain[c]:
+			i++
 		case c == '"':
 			d.pos = i + 1
-			return b[start:i], nil
+			return span{start, i}, nil
 		case c == '\\' || c < ' ':
 			return d.unescape(start, i)
-		case c < utf8.RuneSelf:
-			i++
 		default:
 			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
@@ -492,29 +608,31 @@ func (d *wireDecoder) str() ([]byte, error) {
 		}
 	}
 	d.pos = len(b)
-	return nil, d.syntaxErr()
+	return span{}, d.syntaxErr()
 }
 
 // unescape finishes a string literal whose bytes from start up to i
-// need no rewriting. As in encoding/json, invalid UTF-8 and unpaired
-// surrogate escapes decode to U+FFFD.
-func (d *wireDecoder) unescape(start, i int) ([]byte, error) {
+// need no rewriting, appending the unescaped string to d.strs. As in
+// encoding/json, invalid UTF-8 and unpaired surrogate escapes decode
+// to U+FFFD.
+func (d *wireDecoder) unescape(start, i int) (span, error) {
 	b := d.b
-	out := append(d.scratch[:0], b[start:i]...)
-	defer func() { d.scratch = out[:0] }()
+	off := len(d.strs)
+	out := append(d.strs, b[start:i]...)
+	defer func() { d.strs = out }()
 	for i < len(b) {
 		c := b[i]
 		switch {
 		case c == '"':
 			d.pos = i + 1
-			return out, nil
+			return span{len(b) + off, len(b) + len(out)}, nil
 		case c < ' ':
 			d.pos = i
-			return nil, d.syntaxErr()
+			return span{}, d.syntaxErr()
 		case c == '\\':
 			if i+1 == len(b) {
 				d.pos = len(b)
-				return nil, d.syntaxErr()
+				return span{}, d.syntaxErr()
 			}
 			switch e := b[i+1]; e {
 			case '"', '\\', '/':
@@ -533,7 +651,7 @@ func (d *wireDecoder) unescape(start, i int) ([]byte, error) {
 				r, ok := hex4(b[i+2:])
 				if !ok {
 					d.pos = i
-					return nil, d.syntaxErr()
+					return span{}, d.syntaxErr()
 				}
 				if utf16.IsSurrogate(r) {
 					lo := rune(-1)
@@ -550,7 +668,7 @@ func (d *wireDecoder) unescape(start, i int) ([]byte, error) {
 				i += 4
 			default:
 				d.pos = i + 1
-				return nil, d.syntaxErr()
+				return span{}, d.syntaxErr()
 			}
 			i += 2
 		case c < utf8.RuneSelf:
@@ -563,7 +681,7 @@ func (d *wireDecoder) unescape(start, i int) ([]byte, error) {
 		}
 	}
 	d.pos = len(b)
-	return nil, d.syntaxErr()
+	return span{}, d.syntaxErr()
 }
 
 func hex4(b []byte) (rune, bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -246,5 +247,33 @@ func TestFairstreamJournal(t *testing.T) {
 	elapsed := regexp.MustCompile(`"elapsed_ns":\d+`)
 	if elapsed.ReplaceAllString(first, "") != elapsed.ReplaceAllString(second, "") {
 		t.Errorf("fixed-seed journals differ beyond elapsed_ns:\n--- a ---\n%s\n--- b ---\n%s", first, second)
+	}
+}
+
+// TestFairstreamShardedErrorLine: a malformed row in a later byte range
+// is reported at its line in the file, as an unsharded run reports it,
+// with and without -minmax (whose first pass reads the ranges too).
+func TestFairstreamShardedErrorLine(t *testing.T) {
+	raw, err := os.ReadFile(writeTestCSV(t, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	lines[2600] = "1.5,not-a-number,a,n\n" // data row 2600, line 2601
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, minmax := range []bool{false, true} {
+		for _, shards := range []string{"1", "3"} {
+			args := []string{"-in", bad, "-features", "x,y", "-sensitive", "grp,reg", "-k", "3", "-m", "24", "-shards", shards}
+			if minmax {
+				args = append(args, "-minmax")
+			}
+			err := run(args, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "line 2601 ") {
+				t.Errorf("-shards %s -minmax=%v: error %v, want one naming line 2601", shards, minmax, err)
+			}
+		}
 	}
 }

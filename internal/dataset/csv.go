@@ -7,6 +7,8 @@ import (
 	"io"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/numparse"
 )
 
 // CSVSpec tells ReadCSV how to interpret columns of a headed CSV file.
@@ -101,9 +103,10 @@ func (c *csvReader) read(feats, nums []float64) ([][]byte, error) {
 	}
 	c.line++
 	for i, j := range c.fIdx {
-		// string(b) in the call does not allocate for short cells, and
-		// strconv rounds exactly as it does for any other string.
-		v, err := strconv.ParseFloat(string(trimCell(rec[j])), 64)
+		// numparse converts plain decimals without strconv's second
+		// scan and hands everything else to strconv, so values and
+		// errors are strconv's own.
+		v, err := numparse.ParseFloat(trimCell(rec[j]))
 		if err != nil {
 			return nil, &recordError{line: c.line, column: c.spec.Features[i], err: err}
 		}
@@ -113,7 +116,7 @@ func (c *csvReader) read(feats, nums []float64) ([][]byte, error) {
 		c.cats[i] = trimCell(rec[j])
 	}
 	for i, j := range c.nIdx {
-		v, err := strconv.ParseFloat(string(trimCell(rec[j])), 64)
+		v, err := numparse.ParseFloat(trimCell(rec[j]))
 		if err != nil {
 			return nil, &recordError{line: c.line, column: c.spec.NumericSensitive[i], err: err}
 		}

@@ -123,20 +123,62 @@ func (s *CSVShards) Open(i int, spec CSVSpec, chunkSize int) (*CSVStream, io.Clo
 		f.Close() //fairvet:ignore errflow -- read-only file closed on the error path; the stream error wins
 		return nil, nil, err
 	}
+	if data := int64(len(s.header)); r.Start > data {
+		// A bad row is reported by its place in the file: the stream
+		// counts from the range start, so the lines before the range
+		// are counted, only when an error needs them.
+		stream.before = func() (lines, records int, err error) {
+			return countLines(io.NewSectionReader(f, data, r.Start-data))
+		}
+	}
 	return stream, f, nil
+}
+
+// countLines counts the lines r holds, each ending in '\n' (ranges
+// hold no embedded newlines), and how many of them are records: not
+// blank ("\n" or "\r\n"), which a CSV reader skips.
+func countLines(r io.Reader) (lines, records int, err error) {
+	buf := make([]byte, splitScanBuf)
+	prev2, prev := byte(0), byte('\n') // r starts a line
+	for {
+		k, err := r.Read(buf)
+		for _, c := range buf[:k] {
+			if c == '\n' {
+				lines++
+				if prev != '\n' && (prev != '\r' || prev2 != '\n') {
+					records++
+				}
+			}
+			prev2, prev = prev, c
+		}
+		if err == io.EOF {
+			return lines, records, nil
+		}
+		if err != nil {
+			return lines, records, err
+		}
+	}
 }
 
 // readHeaderLine reads the header line (including its newline) from the
 // start of the file, honouring quoted fields so a quoted header name
-// containing '\n' does not truncate the header.
+// containing '\n' does not truncate the header. Blank lines ahead of
+// it, which a CSV reader skips, are part of the returned bytes.
 func readHeaderLine(f io.ReaderAt, size int64) ([]byte, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("dataset: split: empty CSV")
 	}
-	var header []byte
 	buf := make([]byte, splitScanBuf)
+	start, err := blankPrefix(f, size, buf)
+	if err != nil {
+		return nil, err
+	}
+	header := make([]byte, start)
+	if _, err := f.ReadAt(header, 0); err != nil {
+		return nil, fmt.Errorf("dataset: split: %w", err)
+	}
 	inQuote := false
-	for off := int64(0); off < size; {
+	for off := start; off < size; {
 		n, err := f.ReadAt(buf, off)
 		if n == 0 && err != nil && err != io.EOF {
 			return nil, fmt.Errorf("dataset: split: %w", err)
@@ -154,6 +196,38 @@ func readHeaderLine(f io.ReaderAt, size int64) ([]byte, error) {
 	}
 	// No newline: the whole file is the header (no data rows).
 	return header, nil
+}
+
+// blankPrefix returns the length of the blank lines ("\n" or "\r\n")
+// the file starts with.
+func blankPrefix(f io.ReaderAt, size int64, buf []byte) (int64, error) {
+	pos := int64(0)
+	for pos < size {
+		n, err := f.ReadAt(buf, pos)
+		if n == 0 && err != nil && err != io.EOF {
+			return 0, fmt.Errorf("dataset: split: %w", err)
+		}
+		i := 0
+		for i < n {
+			if buf[i] == '\n' {
+				i++
+			} else if buf[i] == '\r' && i+1 < n && buf[i+1] == '\n' {
+				i += 2
+			} else {
+				break
+			}
+		}
+		pos += int64(i)
+		// Stop at a line that is not blank; a '\r' that ends the read
+		// is looked at again with the bytes after it.
+		if i < n && (buf[i] != '\r' || i+1 < n || i == 0) {
+			return pos, nil
+		}
+		if err == io.EOF {
+			break
+		}
+	}
+	return pos, nil
 }
 
 // nextRowStart advances pos to the first byte after the next '\n' at or

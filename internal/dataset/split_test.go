@@ -239,3 +239,59 @@ func TestSplitCSVErrors(t *testing.T) {
 		t.Fatal("missing column should error at Open")
 	}
 }
+
+// TestSplitCSVErrorLine: a bad row in a later range is reported where
+// one whole-file stream reports it, for a cell that does not parse and
+// for a record the tokenizer rejects, with and without blank lines
+// (which a CSV reader skips) ahead of it.
+func TestSplitCSVErrorLine(t *testing.T) {
+	for _, c := range []struct {
+		bad, line string
+		blank     bool
+	}{
+		{"1.5,oops,g1\n", "line 352", false},
+		{"1.5,2,\"g1\n", "line 352", false},
+		{"1.5,oops,g1\n", "line 350", true},
+		{"1.5,2,\"g1\n", "line 350", true},
+	} {
+		lines := strings.SplitAfter(makeCSV(400, true), "\n")
+		lines[351] = c.bad // data row 351, line 352
+		if c.blank {
+			lines[100], lines[200] = "\n", "\r\n"
+		}
+		bad := c.bad
+		path := writeTempCSV(t, strings.Join(lines, ""))
+		drain := func(shards int) string {
+			t.Helper()
+			s, err := SplitCSV(path, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < s.Shards(); i++ {
+				stream, closer, err := s.Open(i, splitSpec, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closer.Close()
+				for {
+					if _, err := stream.Next(); err == io.EOF {
+						break
+					} else if err != nil {
+						return err.Error()
+					}
+				}
+			}
+			t.Fatalf("%d shards read the bad row %q without an error", shards, bad)
+			return ""
+		}
+		want := drain(1)
+		if !strings.Contains(want, c.line) {
+			t.Fatalf("one range reports %q, want %s", want, c.line)
+		}
+		for _, shards := range []int{2, 3, 7} {
+			if got := drain(shards); got != want {
+				t.Errorf("%d shards report %q, one range %q", shards, got, want)
+			}
+		}
+	}
+}

@@ -61,6 +61,12 @@ type CSVStream struct {
 	lines  int   // input lines before decs[cur]'s piece, header included
 	rows   int   // data rows decoded, as Rows reports them
 	err    error // io.EOF or the first error, returned by every later Next
+
+	// before, when set, counts the lines of the file between its
+	// header and the source (CSVShards.Open's range), and the records
+	// among them, so a record error is placed in the file. It runs
+	// only for an error.
+	before func() (lines, records int, err error)
 }
 
 // pieceDecoder is one worker's state. It decodes a piece of the window
@@ -298,9 +304,17 @@ func (s *CSVStream) place(e *recordError) error {
 	if e.column != "" {
 		s.rows++
 	}
+	lines := s.lines
+	if s.before != nil {
+		// Unreadable, the prefix leaves the numbers source-relative.
+		if l, r, err := s.before(); err == nil {
+			lines += l
+			e.line += r
+		}
+	}
 	if pe, ok := e.err.(*parseError); ok {
-		pe.startLine += s.lines
-		pe.line += s.lines
+		pe.startLine += lines
+		pe.line += lines
 	}
 	return e
 }

@@ -9,6 +9,11 @@
 //     It counts requests, rows, sheds, deadlines and latency into
 //     owned instruments of Options.Metrics, and tracks its own
 //     traffic's fairness drift.
+//   - Labels: a batch's sensitive values as codes against the model's
+//     categorical attributes, the input of AssignLabelled. Training
+//     values resolve through a read-only lookup built with the
+//     Assigner; AssignBatch's per-row maps are resolved to Labels too,
+//     so both entry points score and observe through one path.
 //   - Registry: a named set of Assigners with atomic hot-swap — a
 //     reload under traffic lets in-flight requests finish on the model
 //     they started with while new requests see the new one. It owns
@@ -29,6 +34,15 @@
 // by row position, so batch order is preserved. This contract is pinned
 // by TestAssignerDeterministic (every worker×batch combination, under
 // -race).
+//
+// # Drift
+//
+// Each labelled batch tallies its codes per (attribute, cluster,
+// value) without a lock and merges the tally into the Assigner's drift
+// state under one lock acquisition, values unseen in training taking
+// their codes in row order. Counts are whole numbers, so the reports
+// equal a row-by-row observation bit for bit, whatever the batching
+// (TestDriftBatchMatchesRows).
 //
 // # Overload
 //
@@ -421,15 +435,26 @@ func (a *Assigner) AssignBatch(rows [][]float64, sensitive []map[string]string) 
 // orphaned task writes into slots nothing reads anymore). A row whose
 // winning squared distance is not finite fails the whole request, with
 // nothing counted or observed for drift.
-func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensitive []map[string]string) (_ []int, _ []float64, retErr error) {
+//
+// It resolves the maps to Labels and runs AssignLabelled's path, so
+// both entry points score and observe drift identically.
+func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensitive []map[string]string) ([]int, []float64, error) {
+	return a.AssignLabelled(ctx, rows, a.mapLabels(sensitive))
+}
+
+// AssignLabelled is AssignBatchCtx with the rows' sensitive values
+// given as Labels built by this Assigner for len(rows) rows (nil: no
+// values). The batch's drift counts merge into the tracker under one
+// lock acquisition.
+func (a *Assigner) AssignLabelled(ctx context.Context, rows [][]float64, labels *Labels) (_ []int, _ []float64, retErr error) {
 	dim := a.m.Dim()
 	for i, x := range rows {
 		if len(x) != dim {
 			return nil, nil, fmt.Errorf("serve: row %d has %d features, model %q expects %d", i, len(x), a.m.Name, dim)
 		}
 	}
-	if sensitive != nil && len(sensitive) != len(rows) {
-		return nil, nil, fmt.Errorf("serve: %d sensitive records for %d rows", len(sensitive), len(rows))
+	if err := a.checkLabels(labels, len(rows)); err != nil {
+		return nil, nil, err
 	}
 	start := time.Now()
 	// Span trace bookkeeping: admitted and queueWait are filled in by
@@ -538,10 +563,8 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 			return nil, nil, a.nonFiniteErr(i)
 		}
 	}
-	for i, sv := range sensitive {
-		if sv != nil {
-			a.stats.observe(out[i], sv)
-		}
+	if labels != nil {
+		a.stats.observe(out, labels)
 	}
 	return out, dists, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -93,6 +94,64 @@ func BenchmarkServe(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r, x := range rows {
 					out[r], _ = ix.Nearest(x, sc)
+				}
+			}
+		})
+	}
+
+	// Labelled traffic: the same rows carrying their five sensitive
+	// values, observed for drift through the map adapter
+	// (AssignBatchCtx) and through the code path fairserved takes
+	// (labels resolved from value bytes, then AssignLabelled), against
+	// the same rows unlabelled.
+	sens := make([]map[string]string, len(rows))
+	vals := make([][][]byte, len(rows))
+	for i := range rows {
+		sens[i] = map[string]string{}
+		for _, at := range ds.Sensitive {
+			sens[i][at.Name] = at.Values[at.Codes[i]]
+			vals[i] = append(vals[i], []byte(at.Values[at.Codes[i]]))
+		}
+	}
+	for _, v := range []struct {
+		name   string
+		assign func(a *Assigner) error
+	}{
+		{"labelled=off", func(a *Assigner) error {
+			_, _, err := a.AssignBatch(rows, nil)
+			return err
+		}},
+		{"labelled=on/path=maps", func(a *Assigner) error {
+			_, _, err := a.AssignBatch(rows, sens)
+			return err
+		}},
+		{"labelled=on/path=codes", func(a *Assigner) error {
+			l := a.NewLabels(len(rows))
+			slots := make([]int, len(ds.Sensitive))
+			for j, at := range ds.Sensitive {
+				slots[j] = l.Slot([]byte(at.Name))
+			}
+			for i, row := range vals {
+				for j, val := range row {
+					l.Set(i, slots[j], val)
+				}
+			}
+			_, _, err := a.AssignLabelled(context.Background(), rows, l)
+			return err
+		}},
+	} {
+		b.Run(v.name+"/workers=2/batch=64", func(b *testing.B) {
+			a, err := NewAssigner(m, Options{Workers: 2, BatchSize: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer a.Close()
+			b.SetBytes(int64(len(rows)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := v.assign(a); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

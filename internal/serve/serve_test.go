@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -385,5 +387,125 @@ func TestNonFiniteDistance(t *testing.T) {
 			t.Errorf("rejected rows were observed for drift: %+v", reps[0])
 		}
 		a.Close()
+	}
+}
+
+// TestDriftBatchMatchesRows replays one labelled stream — training
+// values, values training never saw, "", attributes left out, keys the
+// model does not track, rows with no values — through four shapes of
+// traffic: one request per row, one batch through the map adapter,
+// uneven batches, and one batch of Labels built from value bytes. The
+// batch paths tally each request and merge it under one lock; their
+// Drift reports must equal the row-by-row ones bit for bit.
+func TestDriftBatchMatchesRows(t *testing.T) {
+	ds := testfix.Adult(1, 512)
+	m := trainModel(t, ds, 15, 1)
+	sens := make([]map[string]string, ds.N())
+	for i := range sens {
+		if i%11 == 10 {
+			continue // no values at all
+		}
+		sv := map[string]string{"untracked": "x"}
+		for ai, at := range ds.Sensitive {
+			v := at.Values[at.Codes[i]]
+			switch {
+			case (i+ai)%7 == 0:
+				continue // attribute left out
+			case (i+ai)%13 == 0:
+				v = fmt.Sprintf("unseen-%d", i%3)
+			case (i+ai)%17 == 0:
+				v = ""
+			}
+			sv[at.Name] = v
+		}
+		sens[i] = sv
+	}
+	newA := func() *Assigner {
+		a, err := NewAssigner(m, Options{Workers: 2, BatchSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		return a
+	}
+	report := func(a *Assigner) string { return fmt.Sprintf("%#v", a.Drift()) }
+
+	rowByRow := newA()
+	clusters := make([]int, ds.N())
+	for i, x := range ds.Features {
+		out, _, err := rowByRow.AssignBatch([][]float64{x}, sens[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters[i] = out[0]
+	}
+	want := report(rowByRow)
+
+	// The drift state itself against a from-scratch count: training
+	// values keep their codes, others take the next code in order of
+	// first sight, and each row adds one to its cluster's value.
+	rowByRow.stats.driftMu.Lock()
+	for _, da := range rowByRow.stats.attrs {
+		values := append([]string(nil), m.Sensitive[da.ai].Values...)
+		counts := make([][]float64, m.K)
+		for c := range counts {
+			counts[c] = make([]float64, len(values))
+		}
+		seen := uint64(0)
+		for i, sv := range sens {
+			v, ok := sv[da.name]
+			if !ok {
+				continue
+			}
+			code := slices.Index(values, v)
+			if code < 0 {
+				code = len(values)
+				values = append(values, v)
+			}
+			c := clusters[i]
+			for len(counts[c]) <= code {
+				counts[c] = append(counts[c], 0)
+			}
+			counts[c][code]++
+			seen++
+		}
+		if !reflect.DeepEqual(da.dom.Values(), values) || !reflect.DeepEqual(da.counts, counts) || da.seen != seen {
+			t.Errorf("%s: drift state\n values %q counts %v seen %d\nwant\n values %q counts %v seen %d", da.name, da.dom.Values(), da.counts, da.seen, values, counts, seen)
+		}
+	}
+	rowByRow.stats.driftMu.Unlock()
+
+	batch := newA()
+	if _, _, err := batch.AssignBatch(ds.Features, sens); err != nil {
+		t.Fatal(err)
+	}
+	uneven := newA()
+	for lo, step := 0, 1; lo < ds.N(); lo, step = lo+step, step*2+1 {
+		hi := min(lo+step, ds.N())
+		if _, _, err := uneven.AssignBatch(ds.Features[lo:hi], sens[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	codes := newA()
+	l := codes.NewLabels(ds.N())
+	for i, sv := range sens {
+		for k, v := range sv {
+			if s := l.Slot([]byte(k)); s >= 0 {
+				l.Set(i, s, []byte(v))
+			}
+		}
+	}
+	if _, _, err := codes.AssignLabelled(context.Background(), ds.Features, l); err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Assigner{"one batch": batch, "uneven batches": uneven, "labels": codes} {
+		if got := report(a); got != want {
+			t.Errorf("%s: drift differs from row-by-row observation\n got %s\nwant %s", name, got, want)
+		}
+	}
+
+	// Labels belong to the Assigner that built them.
+	if _, _, err := rowByRow.AssignLabelled(context.Background(), ds.Features, l); err == nil {
+		t.Error("labels built by another Assigner were accepted")
 	}
 }

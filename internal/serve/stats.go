@@ -66,6 +66,11 @@ type tracker struct {
 	requests, rows, shed, deadline telemetry.Counter
 	lat                            telemetry.HistogramMetric
 
+	// vocab resolves labels without driftMu; tallies recycles the
+	// per-batch counts observe merges under it.
+	vocab   *vocab
+	tallies sync.Pool
+
 	driftMu sync.Mutex
 	attrs   []*driftAttr // guarded by driftMu
 }
@@ -99,12 +104,19 @@ func newTracker(m *model.Model, reg *telemetry.Registry, name string) *tracker {
 		deadline: reg.Counter(deadlineFamily.name, deadlineFamily.help, ml),
 		lat:      reg.Histogram(latencyFamily.name, latencyFamily.help, ml),
 	}
+	t.vocab = &vocab{}
 	for _, ai := range m.CategoricalAttrs() {
 		dom, err := m.DomainIndex(ai)
 		if err != nil {
 			continue // Validate already rejects broken domains
 		}
 		s := m.Sensitive[ai]
+		codes := make(map[string]int32, len(s.Values))
+		for c, v := range s.Values {
+			codes[v] = int32(c)
+		}
+		t.vocab.names = append(t.vocab.names, s.Name)
+		t.vocab.codes = append(t.vocab.codes, codes)
 		trainSizes := make([]float64, m.K)
 		trainDists := make([][]float64, m.K)
 		for c := 0; c < m.K; c++ {
@@ -123,6 +135,7 @@ func newTracker(m *model.Model, reg *telemetry.Registry, name string) *tracker {
 		}
 		t.attrs = append(t.attrs, da)
 	}
+	t.tallies.New = func() any { return newTally(t.vocab, m.K) }
 	return t
 }
 
@@ -136,23 +149,92 @@ func (t *tracker) record(rows int, d time.Duration) {
 	t.lat.Record(d)
 }
 
-// observe records one labelled row's sensitive values (keyed by
-// attribute name; attributes absent from the map are skipped).
-func (t *tracker) observe(cluster int, sensitive map[string]string) {
+// tally is one batch's drift counts, made without driftMu and merged
+// under one acquisition of it. Training codes count densely, with the
+// entries a batch touched listed so a merge and a reset cost what the
+// batch touched, not the domain sizes. Unseen values are listed in row
+// order, so the merge assigns their codes in the order a row-by-row
+// observation would.
+type tally struct {
+	base    []int    // slot s's counts start at counts[base[s]], cluster-major
+	counts  []uint32 // per slot, k × (training domain size)
+	touched []int    // indices of the nonzero counts
+	seen    []uint64 // rows per slot carrying the attribute
+	unseen  []unseenHit
+}
+
+// unseenHit is one row's value outside its attribute's training domain.
+type unseenHit struct {
+	cluster, slot int
+	value         string
+}
+
+func newTally(v *vocab, k int) *tally {
+	tl := &tally{base: make([]int, len(v.codes)+1), seen: make([]uint64, len(v.codes))}
+	for s, codes := range v.codes {
+		tl.base[s+1] = tl.base[s] + k*len(codes)
+	}
+	tl.counts = make([]uint32, tl.base[len(v.codes)])
+	return tl
+}
+
+// observe counts a batch's labelled rows, clusters[i] being row i's
+// cluster, into the drift state. It takes driftMu once, however many
+// rows the batch holds.
+func (t *tracker) observe(clusters []int, l *Labels) {
+	w := len(t.vocab.names)
+	tl := t.tallies.Get().(*tally)
+	for i, c := range clusters {
+		for s, code := range l.codes[i*w : i*w+w] {
+			switch {
+			case code >= 0:
+				at := tl.base[s] + c*len(t.vocab.codes[s]) + int(code)
+				if tl.counts[at] == 0 {
+					tl.touched = append(tl.touched, at)
+				}
+				tl.counts[at]++
+				tl.seen[s]++
+			case code != absent:
+				tl.unseen = append(tl.unseen, unseenHit{cluster: c, slot: s, value: l.unseen[-2-code]})
+			}
+		}
+	}
+	t.merge(tl)
+	for _, at := range tl.touched {
+		tl.counts[at] = 0
+	}
+	clear(tl.seen)
+	clear(tl.unseen) // drop the value strings
+	tl.touched, tl.unseen = tl.touched[:0], tl.unseen[:0]
+	t.tallies.Put(tl)
+}
+
+// merge adds a batch's tally into the drift state. Counts are whole
+// numbers, so the sums are exact in any order.
+func (t *tracker) merge(tl *tally) {
 	t.driftMu.Lock()
 	defer t.driftMu.Unlock()
-	for _, da := range t.attrs {
-		v, ok := sensitive[da.name]
-		if !ok {
-			continue
+	for _, at := range tl.touched {
+		s := 0
+		for tl.base[s+1] <= at {
+			s++
 		}
-		code := da.dom.Code(v)
-		cc := da.counts[cluster]
+		n := len(t.vocab.codes[s])
+		c, v := (at-tl.base[s])/n, (at-tl.base[s])%n
+		t.attrs[s].counts[c][v] += float64(tl.counts[at])
+	}
+	for s, da := range t.attrs {
+		da.seen += tl.seen[s]
+	}
+	for _, h := range tl.unseen {
+		da := t.attrs[h.slot]
+		code := da.dom.Code(h.value)
+		cc := da.counts[h.cluster]
 		for code >= len(cc) {
 			cc = append(cc, 0)
 		}
 		cc[code]++
-		da.counts[cluster] = cc
+		da.counts[h.cluster] = cc
 		da.seen++
 	}
 }
