@@ -47,7 +47,7 @@ fairvet-selfcheck:
 # filters keep the expensive packages scoped to their concurrent paths.
 race:
 	$(GO) test -race ./internal/engine ./internal/goldencase
-	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair|TestDeltaMemo|FuzzFitContracts'
+	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair|TestDeltaMemo|TestFairSkip|FuzzFitContracts'
 	$(GO) test -race ./internal/kmeans ./internal/zgya
 	$(GO) test -race ./internal/stats
 	$(GO) test -race ./internal/coreset ./internal/pipeline ./internal/dataset
@@ -100,7 +100,7 @@ bench-check:
 # bench-smoke just proves the benchmarks still compile and run (CI).
 bench-smoke:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweep|BenchmarkBestMove' -benchtime 1x
-	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkRunAdult/sequential' -benchtime 1x
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkRunAdult/sequential|BenchmarkRunAdult/fit-adult' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkZGYAAdult' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream/stream' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard/shards=2/adult6500' -benchtime 1x
@@ -136,7 +136,8 @@ bench-smoke:
 # invariance under splitting an output event. FuzzFitContracts holds
 # FairKM on small decoded problems to its bit-exact contracts:
 # Parallelism 1, 2 and 3 agree, RunWeighted with unit weights equals
-# Run, and the fairness-delta memo forced on or off changes nothing.
+# Run, and neither the fairness-delta memo forced on or off nor the
+# candidate skip bound turned off changes anything.
 # FuzzFitShardedWorkers holds pipeline.FitSharded on small decoded
 # problems split by SliceShards to its determinism contract: Workers 1,
 # 2, 3 and -1 give bit-identical summaries, assignments, centroids and

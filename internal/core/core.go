@@ -57,6 +57,24 @@
 // delta per (cluster, sensitive profile), stamped with the cluster's
 // move generation (see fairStats, "Delta memo").
 //
+// # Candidate skipping
+//
+// Most candidate clusters cannot beat the best move found so far, and
+// bestMove proves that before it computes their fairness delta. The
+// fairness change of adding a row to cluster c is bounded below by
+// the change of c's deviation without its clamp at 0, a quadratic in
+// the row's weight whose linear coefficient sums one per-(cluster,
+// value) term per attribute; every move refreshes the terms of the
+// two clusters it touches (see fairStats, "Skip bound"). The K-Means
+// change is exact and cheap, computed four clusters at a time
+// (kmeans.Stats.InDelta4). A candidate is skipped when the K-Means
+// change plus λ times the bounded fairness change already reaches the
+// best δ so far: the exact δ would then be rejected too, because the
+// bound is padded below the float value it bounds and rounding is
+// monotone. Skipping therefore changes no decision, ties included,
+// sequentially and in frozen sweeps alike. On full-size Adult at k 15
+// it skips 99.4% of the candidates.
+//
 // # Parallel sweeps
 //
 // Config.Parallelism additionally spreads candidate scoring over
@@ -153,6 +171,10 @@ type Config struct {
 	// Test-only: the memo tests and FuzzFitContracts compare the two,
 	// and BenchmarkBestMove times the kernel rather than memo hits.
 	memo memoPolicy
+	// noSkip turns the candidate skip bound off (see fairStats, "Skip
+	// bound"), so bestMove scores every candidate. Test-only:
+	// FuzzFitContracts compares the two bit for bit.
+	noSkip bool
 	// initAssign, when non-nil, replaces Init with this starting
 	// assignment (length n, clusters in [0, K)). Test-only: parity
 	// tests need two runs to start from the same partition.

@@ -296,8 +296,9 @@ func within1e9(a, b float64) bool {
 // FuzzFitContracts holds FairKM to its exactness contracts on small
 // decoded problems (decodeFitProblem), each checked bit for bit:
 // Parallelism 1, 2 and 3 give the same Result; RunWeighted with
-// all-ones weights equals Run; and the delta memo, forced on or off,
-// changes nothing, sequentially or in the parallel sweep. Two
+// all-ones weights equals Run; and neither the delta memo, forced on
+// or off, nor turning the candidate skip bound off changes anything,
+// sequentially or in the parallel sweep. Two
 // tolerance contracts hold the incremental statistics to the paper's
 // objective: the sequential run's final Objective equals
 // EvaluateObjectiveWeighted on its assignment, and no sequential sweep
@@ -359,6 +360,12 @@ func FuzzFitContracts(f *testing.F) {
 		check("Parallelism 3", run("Parallelism 3", with(3, memoAuto), rowW), par1)
 		check("Parallelism 2, memo on", run("Parallelism 2, memo on", with(2, memoOn), rowW), par1)
 		check("Parallelism 2, memo off", run("Parallelism 2, memo off", with(2, memoOff), rowW), par1)
+
+		noSkip := cfg
+		noSkip.noSkip = true
+		check("sequential, skip off", run("skip off", noSkip, rowW), seq)
+		noSkip.Parallelism = 2
+		check("Parallelism 2, skip off", run("Parallelism 2, skip off", noSkip, rowW), par1)
 
 		ones := make([]float64, ds.N())
 		for i := range ones {

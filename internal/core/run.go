@@ -140,7 +140,16 @@ func (s *stateSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from
 // Eq. 10 for row i, which currently sits in cluster from. It is the
 // single scoring kernel behind every sweep strategy: the full sweep
 // calls it on the live statistics, the frozen sweep on a snapshot.
-// Ties keep the current cluster (δ = 0 for staying put).
+// Ties keep the current cluster (δ = 0 for staying put), and among
+// candidates the lowest index.
+//
+// The K-Means changes are computed four candidates at a time
+// (kmeans.Stats.InDelta4). A candidate whose fairness change is
+// bounded below (fairStats, "Skip bound") so far that even the bound
+// gives δ ≥ bestDelta is skipped before its fairness delta is
+// computed: rounding is monotone and λ ≥ 0, so the bound's δ is at
+// most the exact kernel's, and `delta < bestDelta` would reject the
+// candidate too.
 //
 //fairvet:hotpath
 func (st *state) bestMove(i, from int) int {
@@ -149,14 +158,34 @@ func (st *state) bestMove(i, from int) int {
 	// those pieces once.
 	dDevOut := fair.fairDelta(km, from, i, -1) - fair.devCache[from]
 	kmOut := km.OutDelta(i, from)
+	w, q := km.Weight(i), 0.0
+	if fair.skip {
+		q = fair.skipQuad(i)
+	}
 
 	best := from
 	bestDelta := 0.0
+	var in [4]float64 // in[b] = InDelta(i, base+b)
+	base := 0
 	for c := 0; c < st.k; c++ {
+		if c%4 == 0 {
+			if st.k < 4 {
+				for b := 0; b < st.k; b++ {
+					in[b] = km.InDelta(i, b)
+				}
+			} else {
+				// The last block is the four clusters ending at k−1.
+				base = min(c, st.k-4)
+				in[0], in[1], in[2], in[3] = km.InDelta4(i, base)
+			}
+		}
 		if c == from {
 			continue
 		}
-		dKM := kmOut + km.InDelta(i, c)
+		dKM := kmOut + in[(c-base)&3]
+		if fair.skip && dKM+st.lambda*(dDevOut+fair.lowerBound(c, i, w, q)) >= bestDelta {
+			continue
+		}
 		dFair := dDevOut + (fair.fairDelta(km, c, i, +1) - fair.devCache[c])
 		delta := dKM + st.lambda*dFair
 		if delta < bestDelta {

@@ -160,7 +160,8 @@ func checkStreamFrom(t *testing.T, data []byte, src func() io.Reader, spec CSVSp
 // bytes without a quoted newline after the header (the restriction
 // SplitCSV documents), the shard streams read in shard order must
 // return the sequential stream's rows, in order and value for value,
-// and fail exactly when it fails — for every shard count.
+// and fail exactly when it fails, with the same error text — for every
+// shard count.
 func FuzzSplitCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if quotedNewline(data) {
@@ -191,7 +192,7 @@ func FuzzSplitCSV(f *testing.F) {
 					closer.Close()
 				}
 			}
-			if (gotErr == nil) != (wantErr == nil) {
+			if errString(gotErr) != errString(wantErr) {
 				t.Fatalf("%d shards of %q: error %q, sequential %q", shards, data, errString(gotErr), errString(wantErr))
 			}
 			if !reflect.DeepEqual(got, want) {

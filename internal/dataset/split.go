@@ -110,14 +110,10 @@ func (s *CSVShards) Open(i int, spec CSVSpec, chunkSize int) (*CSVStream, io.Clo
 		return nil, nil, fmt.Errorf("dataset: split: %w", err)
 	}
 	r := s.Ranges[i]
-	header := s.header
-	if len(header) > 0 && header[len(header)-1] != '\n' {
-		// Header-only file with no trailing newline: give the CSV
-		// reader a terminated header so the (empty) section that
-		// follows starts a fresh record.
-		header = append(append([]byte(nil), header...), '\n')
-	}
-	src := io.MultiReader(bytes.NewReader(header), io.NewSectionReader(f, r.Start, r.Len()))
+	// A header without a newline is the whole file, so every range is
+	// empty and the stream reads exactly the file's bytes, as a
+	// sequential read does: the same records and the same errors.
+	src := io.MultiReader(bytes.NewReader(s.header), io.NewSectionReader(f, r.Start, r.Len()))
 	stream, err := NewCSVStream(src, spec, chunkSize)
 	if err != nil {
 		f.Close() //fairvet:ignore errflow -- read-only file closed on the error path; the stream error wins

@@ -143,6 +143,28 @@ func (s *Stats) InDelta(i, c int) float64 {
 	return m * w / (m + w) * s.distToMean(i, c)
 }
 
+// InDelta4 returns InDelta(i, c), …, InDelta(i, c+3), bit for bit,
+// reading row i once for all four clusters (see distToMean4);
+// c+3 must be a cluster. The four values come back in registers.
+//
+//fairvet:hotpath
+func (s *Stats) InDelta4(i, c int) (d0, d1, d2, d3 float64) {
+	d0, d1, d2, d3 = s.distToMean4(i, c)
+	w := s.Weight(i)
+	n, m := s.Counts[c:c+4], s.Mass[c:c+4]
+	return inDelta(n[0], m[0], w, d0), inDelta(n[1], m[1], w, d1),
+		inDelta(n[2], m[2], w, d2), inDelta(n[3], m[3], w, d3)
+}
+
+// inDelta is InDelta's closed form for a cluster of n rows and mass m
+// at squared distance d2 from a row of weight w.
+func inDelta(n int, m, w, d2 float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return m * w / (m + w) * d2
+}
+
 // distToMean returns ‖x_i − μ_c‖² against the cached mean, summed in
 // index order (stats.SqDist's four-lane sum would round differently).
 //
@@ -156,6 +178,34 @@ func (s *Stats) distToMean(i, c int) float64 {
 		d2 += d * d
 	}
 	return d2
+}
+
+// distToMean4 returns distToMean(i, c), …, distToMean(i, c+3). Each of
+// the four sums has its own accumulator and runs in index order with
+// distToMean's expression, so every value keeps its bits; the four
+// independent chains overlap in the pipeline where one chain's adds
+// would wait on each other.
+//
+//fairvet:hotpath
+func (s *Stats) distToMean4(i, c int) (d0, d1, d2, d3 float64) {
+	x := s.x[i]
+	n := len(x)
+	// Each mean resliced to len(x): no bounds check per feature.
+	mu0 := s.mu[c*s.dim:][:n]
+	mu1 := s.mu[(c+1)*s.dim:][:n]
+	mu2 := s.mu[(c+2)*s.dim:][:n]
+	mu3 := s.mu[(c+3)*s.dim:][:n]
+	for j, xj := range x {
+		e0 := xj - mu0[j]
+		e1 := xj - mu1[j]
+		e2 := xj - mu2[j]
+		e3 := xj - mu3[j]
+		d0 += e0 * e0
+		d1 += e1 * e1
+		d2 += e2 * e2
+		d3 += e3 * e3
+	}
+	return d0, d1, d2, d3
 }
 
 // SSE returns the K-Means term Σ_c (ssqs[c] − ‖sums[c]‖²/Mass[c]),

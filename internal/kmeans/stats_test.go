@@ -33,7 +33,8 @@ func closeRel(got, want float64) bool {
 // moves of fractionally weighted rows, empty and singleton clusters
 // included, and checks after each one the out/in deltas, the SSE and
 // the centroids against from-scratch WeightedSSE and weightedCentroids,
-// and the deltas of a frozen copy against the live ones.
+// the deltas of a frozen copy against the live ones, and InDelta4
+// against four InDelta calls, bit for bit.
 func TestStatsWeightedMoves(t *testing.T) {
 	const n, dim, k = 30, 3, 5
 	rng := stats.NewRNG(5)
@@ -65,6 +66,18 @@ func TestStatsWeightedMoves(t *testing.T) {
 		s.FreezeInto(&fz)
 		if fz.OutDelta(i, from) != out || fz.InDelta(i, to) != in {
 			t.Fatalf("step %d: frozen deltas differ from live ones", step)
+		}
+		for c := 0; c+4 <= k; c++ {
+			var live, frozen [4]float64
+			live[0], live[1], live[2], live[3] = s.InDelta4(i, c)
+			frozen[0], frozen[1], frozen[2], frozen[3] = fz.InDelta4(i, c)
+			for b := range live {
+				want := math.Float64bits(s.InDelta(i, c+b))
+				if math.Float64bits(live[b]) != want || math.Float64bits(frozen[b]) != want {
+					t.Fatalf("step %d: InDelta4(%d, %d)[%d] = %v live, %v frozen; InDelta %v",
+						step, i, c, b, live[b], frozen[b], s.InDelta(i, c+b))
+				}
+			}
 		}
 
 		s.Move(i, from, to)
