@@ -47,7 +47,7 @@ fairvet-selfcheck:
 # filters keep the expensive packages scoped to their concurrent paths.
 race:
 	$(GO) test -race ./internal/engine ./internal/goldencase
-	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair|TestDeltaMemo|TestFairSkip|FuzzFitContracts'
+	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair|TestFairSkip|FuzzFitContracts'
 	$(GO) test -race ./internal/kmeans ./internal/zgya
 	$(GO) test -race ./internal/stats
 	$(GO) test -race ./internal/coreset ./internal/pipeline ./internal/dataset
@@ -136,8 +136,9 @@ bench-smoke:
 # invariance under splitting an output event. FuzzFitContracts holds
 # FairKM on small decoded problems to its bit-exact contracts:
 # Parallelism 1, 2 and 3 agree, RunWeighted with unit weights equals
-# Run, and neither the fairness-delta memo forced on or off nor the
-# candidate skip bound turned off changes anything.
+# Run, and turning the candidate skip bound off changes nothing; where
+# the aggregate and per-value kernels pick different moves from the
+# initial state, the per-value deltas of both picks agree within 1e-9.
 # FuzzFitShardedWorkers holds pipeline.FitSharded on small decoded
 # problems split by SliceShards to its determinism contract: Workers 1,
 # 2, 3 and -1 give bit-identical summaries, assignments, centroids and

@@ -8,162 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/stats"
-	"repro/internal/testfix"
 )
-
-// direct returns a copy of st that shares its statistics but scores
-// without the delta memo.
-func direct(st *state) *state {
-	d := *st
-	d.fair.rowProf, d.fair.memoFull = nil, false
-	return &d
-}
-
-// memoFresh reports, per slot of both memo tables, whether it holds a
-// value stored at its cluster's current generation.
-func memoFresh(st *state) []bool {
-	fresh := make([]bool, 0, 2*len(st.fair.memoIn))
-	for _, tab := range [][]memoEntry{st.fair.memoIn, st.fair.memoOut} {
-		for s, e := range tab {
-			fresh = append(fresh, e.gen == st.fair.gen[s/st.fair.nProf])
-		}
-	}
-	return fresh
-}
-
-// checkMemoDeltas scores every (c, i, ±1) through the memo and against
-// the memo-free kernel, requiring the same bits, and returns how many
-// of those calls found their slot fresh.
-func checkMemoDeltas(t *testing.T, st *state, step int) int {
-	t.Helper()
-	ref := direct(st)
-	hits := 0
-	for c := 0; c < st.k; c++ {
-		for i := 0; i < st.n; i++ {
-			for _, sign := range []int{+1, -1} {
-				tab := st.fair.memoIn
-				if sign < 0 {
-					tab = st.fair.memoOut
-				}
-				if tab[c*st.fair.nProf+int(st.fair.rowProf[i])].gen == st.fair.gen[c] {
-					hits++
-				}
-				got, want := st.fair.fairDelta(&st.km, c, i, sign), ref.fair.deviationWithDelta(&ref.km, c, i, sign)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("step %d: delta(c=%d, i=%d, sign=%+d) = %v through the memo, %v direct",
-						step, c, i, sign, got, want)
-				}
-			}
-		}
-	}
-	return hits
-}
-
-// TestDeltaMemoInvalidation scripts moves on small problems with the
-// memo forced on. After each move, a slot is fresh exactly when it was
-// fresh before and the move left its cluster alone, and every memoized
-// delta has the bits of a direct deviationWithDelta call.
-func TestDeltaMemoInvalidation(t *testing.T) {
-	repeated := make([]float64, 40)
-	for i := range repeated {
-		repeated[i] = []float64{0.5, 1, 2.5}[i%3]
-	}
-	problems := []struct {
-		name string
-		ds   *dataset.Dataset
-		rowW []float64
-	}{
-		{"unit", testfix.Synth(5, 40, 3, 2, 0), nil},
-		{"weighted", testfix.Synth(5, 40, 3, 2, 0), repeated},
-		{"numeric", testfix.Synth(6, 40, 3, 2, 1), nil},
-	}
-	const k = 4
-	for _, p := range problems {
-		t.Run(p.name, func(t *testing.T) {
-			cfg := Config{K: k, memo: memoOn}
-			assign := make([]int, p.ds.N())
-			for i := range assign {
-				assign[i] = i % k
-			}
-			st := newState(p.ds, &cfg, 3, assign, p.rowW)
-			if st.fair.rowProf == nil || st.fair.nProf >= st.n {
-				t.Fatalf("memo off or no shared profile: %d profiles for %d rows", st.fair.nProf, st.n)
-			}
-			if st.fair.memoFull != (len(st.fair.numReals) == 0) {
-				t.Fatalf("memoFull = %v with %d numeric attributes", st.fair.memoFull, len(st.fair.numReals))
-			}
-			rng := stats.NewRNG(9)
-			hits := checkMemoDeltas(t, st, 0)
-			for step := 1; step <= 60; step++ {
-				i := rng.Intn(st.n)
-				from := st.assign[i]
-				to := (from + 1 + rng.Intn(k-1)) % k
-				before := memoFresh(st)
-				st.move(i, from, to)
-				for s, fresh := range memoFresh(st) {
-					c := (s % len(st.fair.memoIn)) / st.fair.nProf
-					if want := before[s] && c != from && c != to; fresh != want {
-						t.Fatalf("step %d (row %d: %d→%d): slot %d of cluster %d fresh=%v, want %v",
-							step, i, from, to, s, c, fresh, want)
-					}
-				}
-				hits += checkMemoDeltas(t, st, step)
-			}
-			if hits == 0 {
-				t.Fatal("no memoized delta was ever reused")
-			}
-
-			// A generation that wraps must not revive a slot stored
-			// 2³² bumps earlier.
-			st.fair.memoIn[0] = memoEntry{gen: 1, val: 42}
-			st.fair.gen[0] = math.MaxUint32
-			st.fair.bump(0)
-			if st.fair.memoIn[0].gen == st.fair.gen[0] {
-				t.Fatalf("slot stamped 1 is fresh after the generation wrapped to %d", st.fair.gen[0])
-			}
-			checkMemoDeltas(t, st, -1)
-		})
-	}
-}
-
-// TestDeltaMemoCutoff: the memo is on for shared profiles and off
-// where it cannot pay — distinct weights, no categorical attribute,
-// the naive kernel, frozen snapshots — or where a test turns it off.
-func TestDeltaMemoCutoff(t *testing.T) {
-	ds := testfix.Synth(5, 400, 3, 2, 0)
-	distinct := make([]float64, ds.N())
-	for i := range distinct {
-		distinct[i] = 1 + float64(i)/float64(ds.N())
-	}
-	assign := make([]int, ds.N())
-	for _, tc := range []struct {
-		name string
-		ds   *dataset.Dataset
-		cfg  Config
-		rowW []float64
-		on   bool
-	}{
-		{"shared", ds, Config{K: 3}, nil, true},
-		{"distinct-weights", ds, Config{K: 3}, distinct, false},
-		{"distinct-weights-forced", ds, Config{K: 3, memo: memoOn}, distinct, true},
-		{"numeric-only", testfix.Synth(5, 400, 3, 0, 1), Config{K: 3, memo: memoOn}, nil, false},
-		{"naive", ds, Config{K: 3, naiveKernel: true, memo: memoOn}, nil, false},
-		{"off", ds, Config{K: 3, memo: memoOff}, nil, false},
-	} {
-		st := newState(tc.ds, &tc.cfg, 1, assign, tc.rowW)
-		if on := st.fair.rowProf != nil; on != tc.on {
-			t.Errorf("%s: memo on = %v (%d profiles, %d rows), want %v", tc.name, on, st.fair.nProf, st.n, tc.on)
-		}
-		if tc.on && len(st.fair.memoIn) != st.k*st.fair.nProf {
-			t.Errorf("%s: table of %d slots for k=%d × %d profiles", tc.name, len(st.fair.memoIn), st.k, st.fair.nProf)
-		}
-		fz := st.newFrozen()
-		st.freezeInto(fz)
-		if fz.fair.rowProf != nil || fz.fair.memoFull {
-			t.Errorf("%s: frozen snapshot carries the memo", tc.name)
-		}
-	}
-}
 
 // fuzzReader hands out the fuzz input a byte at a time, then zeros.
 type fuzzReader []byte
@@ -293,17 +138,51 @@ func within1e9(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// checkKernelsAgree scores every row of the initial state of the
+// decoded problem (ds, rowW, cfg) at λ with the aggregate kernel and
+// with the per-value reference kernel. Where the two bestMove calls
+// pick different clusters, the reference kernel's objective changes of
+// the two picks (0 for staying put) must agree within 1e-9 relative:
+// the aggregate kernel may break a near-tie the other way, never pass
+// over a better move.
+func checkKernelsAgree(t *testing.T, ds *dataset.Dataset, rowW []float64, cfg Config, lambda float64) {
+	t.Helper()
+	assign := engine.InitAssignmentWeighted(ds.Features, rowW, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
+	agg := newState(ds, &cfg, lambda, append([]int(nil), assign...), rowW)
+	naiveCfg := cfg
+	naiveCfg.naiveKernel = true
+	naive := newState(ds, &naiveCfg, lambda, assign, rowW)
+	delta := func(i, from, to int) float64 {
+		if to == from {
+			return 0
+		}
+		return naive.moveDelta(i, from, to)
+	}
+	for i, from := range assign {
+		a, b := agg.bestMove(i, from), naive.bestMove(i, from)
+		if a == b {
+			continue
+		}
+		if da, db := delta(i, from, a), delta(i, from, b); !within1e9(da, db) {
+			t.Fatalf("row %d in cluster %d: aggregate kernel picks %d (naive δ %v), naive kernel %d (δ %v)",
+				i, from, a, da, b, db)
+		}
+	}
+}
+
 // FuzzFitContracts holds FairKM to its exactness contracts on small
 // decoded problems (decodeFitProblem), each checked bit for bit:
 // Parallelism 1, 2 and 3 give the same Result; RunWeighted with
-// all-ones weights equals Run; and neither the delta memo, forced on
-// or off, nor turning the candidate skip bound off changes anything,
-// sequentially or in the parallel sweep. Two
+// all-ones weights equals Run; and turning the candidate skip bound
+// off changes nothing, sequentially or in the parallel sweep. Three
 // tolerance contracts hold the incremental statistics to the paper's
-// objective: the sequential run's final Objective equals
-// EvaluateObjectiveWeighted on its assignment, and no sequential sweep
-// raises the recorded objective (Algorithm 1 takes only improving
-// moves), each within 1e-9 relative to max(1, |value|).
+// objective and the aggregate kernel to the per-value reference: the
+// sequential run's final Objective equals EvaluateObjectiveWeighted on
+// its assignment, no sequential sweep raises the recorded objective
+// (Algorithm 1 takes only improving moves), and where the two kernels
+// pick different moves from the initial state the reference deltas of
+// both picks agree (checkKernelsAgree), each within 1e-9 relative to
+// max(1, |value|).
 func FuzzFitContracts(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{39, 2, 3, 1, 0x04, 0, 1, 2, 3})
@@ -332,9 +211,9 @@ func FuzzFitContracts(f *testing.F) {
 				t.Fatalf("%s: %s", label, d)
 			}
 		}
-		with := func(par int, memo memoPolicy) Config {
+		with := func(par int) Config {
 			c := cfg
-			c.Parallelism, c.memo = par, memo
+			c.Parallelism = par
 			return c
 		}
 
@@ -352,14 +231,11 @@ func FuzzFitContracts(f *testing.F) {
 				t.Fatalf("sweep %d raised the objective %v → %v", it+1, prev, cur)
 			}
 		}
-		check("sequential, memo on", run("memo on", with(0, memoOn), rowW), seq)
-		check("sequential, memo off", run("memo off", with(0, memoOff), rowW), seq)
+		checkKernelsAgree(t, ds, rowW, cfg, seq.Lambda)
 
-		par1 := run("Parallelism 1", with(1, memoAuto), rowW)
-		check("Parallelism 2", run("Parallelism 2", with(2, memoAuto), rowW), par1)
-		check("Parallelism 3", run("Parallelism 3", with(3, memoAuto), rowW), par1)
-		check("Parallelism 2, memo on", run("Parallelism 2, memo on", with(2, memoOn), rowW), par1)
-		check("Parallelism 2, memo off", run("Parallelism 2, memo off", with(2, memoOff), rowW), par1)
+		par1 := run("Parallelism 1", with(1), rowW)
+		check("Parallelism 2", run("Parallelism 2", with(2), rowW), par1)
+		check("Parallelism 3", run("Parallelism 3", with(3), rowW), par1)
 
 		noSkip := cfg
 		noSkip.noSkip = true

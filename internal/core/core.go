@@ -51,11 +51,7 @@
 // Scoring a candidate cluster thus reads one record, the row's offsets
 // and one cached centroid — no per-attribute slice walks, no
 // allocation — with every floating-point expression in the order that
-// keeps trajectories bit-identical to the golden recordings. Rows that
-// share their sensitive values get the same fairness delta from a
-// cluster until a move touches it, so the live statistics memoize the
-// delta per (cluster, sensitive profile), stamped with the cluster's
-// move generation (see fairStats, "Delta memo").
+// keeps trajectories bit-identical to the golden recordings.
 //
 // # Candidate skipping
 //
@@ -166,11 +162,6 @@ type Config struct {
 	// kernel instead of the O(1) aggregate closed forms. Test-only:
 	// parity tests and benchmarks in this package compare the two.
 	naiveKernel bool
-	// memo overrides the delta memo's cut-off (see fairStats): memoOff
-	// never memoizes, memoOn memoizes whenever the kernel allows.
-	// Test-only: the memo tests and FuzzFitContracts compare the two,
-	// and BenchmarkBestMove times the kernel rather than memo hits.
-	memo memoPolicy
 	// noSkip turns the candidate skip bound off (see fairStats, "Skip
 	// bound"), so bestMove scores every candidate. Test-only:
 	// FuzzFitContracts compares the two bit for bit.
@@ -180,16 +171,6 @@ type Config struct {
 	// tests need two runs to start from the same partition.
 	initAssign []int
 }
-
-// memoPolicy is Config.memo's type; the zero value applies the
-// measured cut-off.
-type memoPolicy int8
-
-const (
-	memoAuto memoPolicy = iota
-	memoOff
-	memoOn
-)
 
 // ParallelismAuto is a Config.Parallelism value selecting GOMAXPROCS
 // worker goroutines.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
 
 	"repro/internal/dataset"
@@ -57,45 +56,13 @@ import (
 // routes scoring through it so parity tests and benchmarks can compare
 // the two end to end.
 //
-// # Delta memo
-//
-// deviationWithDelta(km, c, i, sign) reads row i only through its
-// record offsets, its weight and its numeric sensitive values. Rows
-// with the same offsets (and, under row weights, the same weight bits)
-// form one *profile*; without numeric attributes they get the same
-// delta from cluster c until c's statistics change. newFairStats
-// interns the profiles into rowProf (nProf of them, in
-// first-appearance order), and the memo keeps one k×nProf table of
-// (generation, value) slots per sign, indexed c·nProf+p (cluster-major:
-// one cluster's slots are adjacent). Only move writes cluster
-// statistics after construction, and it bumps the generation gen[c] of
-// both clusters it touches, so a slot stamped gen[c] holds what the
-// kernel would compute now. memoSlot finds the slot; fairDelta returns
-// its value or computes, stores and returns it. Either way the bits
-// are the kernel's.
-//
-// With no numeric sensitive attribute (memoFull) a slot holds the
-// whole delta. Otherwise it holds the categorical sum nd, and
-// deviationWithDelta adds the numeric terms and the cluster weight per
-// call, in the order it always has; a whole-delta slot saves that
-// call's division, measurably on unit-weight categorical runs.
-//
-// The memo is off (rowProf == nil) where it cannot pay: with no
-// categorical attribute, when more than one row in memoMinRowsPerProf
-// starts a new profile (a coreset summary's distinct weights), or when
-// one table would exceed memoMaxEntries slots. It is also off under
-// the naive kernel. A frozen copy copies the tables and the mutable
-// statistics only, so it never carries the memo and parallel workers
-// read no shared mutable table. The unexported Config.memo overrides
-// the cut-off for tests and benchmarks.
-//
 // # Skip bound
 //
 // bestMove skips a candidate cluster c when a lower bound on its
-// fairness change, fairDelta(km, c, i, +1) − devCache[c], shows the
-// move cannot beat the best so far. With s_j = catScale, K_j =
-// catConst, F_v = Fr_X(v), T = totalMass, m = Mass[c] and the record's
-// sq_j, cross_j and cc_v, let
+// fairness change, deviationWithDelta(km, c, i, +1) − devCache[c],
+// shows the move cannot beat the best so far. With s_j = catScale,
+// K_j = catConst, F_v = Fr_X(v), T = totalMass, m = Mass[c] and the
+// record's sq_j, cross_j and cc_v, let
 //
 //	U_c = Σ_j s_j·(sq_j − 2m·cross_j + m²·K_j) / T²
 //
@@ -108,22 +75,21 @@ import (
 //	G_c(v) = 2s_j·(cc_v − m·F_v)/T²,  A_c = Σ_j 2s_j·(m·K_j − cross_j)/T²,
 //	B = Σ_j s_j·(1 + K_j)/T²,         P(v) = 2s_j·F_v/T².
 //
-// fairDelta is (m+w)²/T² times the clamped categorical sum plus
-// numeric terms ≥ 0; the clamp only raises a term and s_j ≥ 0, so
-// fairDelta ≥ U_c + ΔU, and
+// deviationWithDelta is (m+w)²/T² times the clamped categorical sum
+// plus numeric terms ≥ 0; the clamp only raises a term and s_j ≥ 0,
+// so deviationWithDelta ≥ U_c + ΔU, and
 //
-//	fairDelta − devCache[c] ≥ ΔU + (U_c − devCache[c]).
+//	deviationWithDelta − devCache[c] ≥ ΔU + (U_c − devCache[c]).
 //
 // refreshBound keeps G_c in skipG at the value-mass offsets of c's
 // record, A_c in skipA and U_c − devCache[c], less a pad, in skipR;
 // B (skipB) and P (skipP, at the same offsets) are per-run tables.
 // skipQuad(i) gives row i's w² coefficient once per bestMove call, and
 // lowerBound sums G_c at the row's offsets, as the kernel reads the
-// value masses: one load and add per attribute, no division and no
-// memo lookup. (A per-cluster bound valid for every row, with
-// min_v (cc_v − (m+W)·F_v) in place of the row's own terms, skipped
-// 77% of the candidates of a full-size Adult fit; this one skips
-// 99.4%.)
+// value masses: one load and add per attribute and no division. (A
+// per-cluster bound valid for every row, with min_v (cc_v − (m+W)·F_v)
+// in place of the row's own terms, skipped 77% of the candidates of a
+// full-size Adult fit; this one skips 99.4%.)
 //
 // The inequality is exact arithmetic; the kernel and the bound both
 // round. Their rounding error is a few ulps of the magnitudes that
@@ -143,14 +109,6 @@ type fairStats struct {
 
 	cat      []float64 // k records of stride floats
 	devCache []float64 // [c] cluster c's contribution, deviation(km, c)
-
-	// The delta memo (see above); rowProf == nil when it is off.
-	rowProf  []int32     // [i] profile ID of row i
-	nProf    int         // distinct profiles
-	memoFull bool        // slots hold whole deltas (no numeric attributes)
-	gen      []uint32    // [c] generation, bumped by every move touching c
-	memoIn   []memoEntry // [c·nProf+p] slots for sign +1
-	memoOut  []memoEntry // [c·nProf+p] slots for sign −1
 
 	// The skip bound (see above); nil when skip is off.
 	skipG []float64 // [c·stride+off] G_c of the value stored at off
@@ -189,23 +147,6 @@ type fairTables struct {
 	skipB float64   // B
 	skipP []float64 // [off] P of the value stored at off
 }
-
-// memoEntry is one delta-memo slot: the value stored when its
-// cluster's generation was gen.
-type memoEntry struct {
-	gen uint32
-	val float64
-}
-
-// The delta memo's cut-off: a profile must on average cover at least
-// memoMinRowsPerProf rows, and one table holds at most memoMaxEntries
-// slots (16 B each). Measured on weighted full-size Adult fits (k 15),
-// the memo cost 7% at 5.6 rows per profile and saved 3% at 7.3 and 10%
-// at 9.5; unit-weight Adult, at 19, saves a third.
-const (
-	memoMinRowsPerProf = 8
-	memoMaxEntries     = 1 << 20
-)
 
 // skipPad is the skip bound's outward pad, relative to the magnitudes
 // that enter it (see "Skip bound"). Kernel and bound each take a few
@@ -293,75 +234,7 @@ func newFairStats(ds *dataset.Dataset, cfg *Config, km *kmeans.Stats, assign []i
 		f.devCache[c] = f.deviation(km, c)
 		f.refreshBound(km, c)
 	}
-	f.initMemo(cfg.memo, rowW, n)
 	return f
-}
-
-// initMemo interns the n rows' profiles and allocates the delta memo
-// unless policy or the cut-off (see "Delta memo") turns it off.
-func (f *fairStats) initMemo(policy memoPolicy, rowW []float64, n int) {
-	if policy == memoOff || f.naive || f.nCat == 0 {
-		return
-	}
-	k := len(f.devCache)
-	limit := n
-	if policy == memoAuto {
-		limit = min(n/memoMinRowsPerProf, memoMaxEntries/k)
-	}
-	prof, nProf := f.internProfiles(rowW, n, limit)
-	if prof == nil {
-		return
-	}
-	f.rowProf, f.nProf = prof, nProf
-	f.memoFull = len(f.numReals) == 0
-	f.gen = make([]uint32, k)
-	for c := range f.gen {
-		f.gen[c] = 1 // slots start at generation 0: no stamp matches yet
-	}
-	f.memoIn = make([]memoEntry, k*nProf)
-	f.memoOut = make([]memoEntry, k*nProf)
-}
-
-// internProfiles returns each of the n rows' profile IDs — rows with
-// equal record offsets and, when rowW != nil, equal weight bits share
-// one, numbered in first-appearance order — and the profile count. It
-// gives up and returns nil once more than limit profiles appear.
-func (t *fairTables) internProfiles(rowW []float64, n, limit int) ([]int32, int) {
-	ids := make(map[string]int32)
-	prof := make([]int32, n)
-	key := make([]byte, 0, 4*t.nCat+8)
-	for i := range prof {
-		key = key[:0]
-		for _, off := range t.rowOffsets(i) {
-			key = binary.LittleEndian.AppendUint32(key, uint32(off))
-		}
-		if rowW != nil {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(rowW[i]))
-		}
-		p, ok := ids[string(key)]
-		if !ok {
-			if len(ids) == limit {
-				return nil, 0
-			}
-			p = int32(len(ids))
-			ids[string(key)] = p
-		}
-		prof[i] = p
-	}
-	return prof, len(ids)
-}
-
-// bump advances cluster c's memo generation, invalidating every slot
-// stored for c. A generation that wraps to 0 clears c's slots first,
-// so no stamp from 2³² moves ago can match.
-func (f *fairStats) bump(c int) {
-	f.gen[c]++
-	if f.gen[c] == 0 {
-		lo, hi := c*f.nProf, (c+1)*f.nProf
-		clear(f.memoIn[lo:hi])
-		clear(f.memoOut[lo:hi])
-		f.gen[c] = 1
-	}
 }
 
 // record returns cluster c's record of the slab.
@@ -394,8 +267,8 @@ func (f *fairStats) add(i, c int, sw float64) {
 }
 
 // move transfers row i from cluster from to cluster to, refreshing the
-// cached deviation of both clusters and, with the memo on, bumping
-// their generations. km must already hold the move.
+// cached deviation and skip-bound pieces of both clusters. km must
+// already hold the move.
 func (f *fairStats) move(km *kmeans.Stats, i, from, to int) {
 	w := km.Weight(i)
 	f.add(i, from, -w)
@@ -404,10 +277,6 @@ func (f *fairStats) move(km *kmeans.Stats, i, from, to int) {
 	f.devCache[to] = f.deviation(km, to)
 	f.refreshBound(km, from)
 	f.refreshBound(km, to)
-	if f.rowProf != nil {
-		f.bump(from)
-		f.bump(to)
-	}
 }
 
 // refreshBound recomputes cluster c's skip-bound pieces from its
@@ -447,8 +316,8 @@ func (t *fairTables) skipQuad(i int) float64 {
 }
 
 // lowerBound returns the padded skip bound on
-// fairDelta(km, c, i, +1) − devCache[c] for row i of weight w, whose
-// skipQuad is q (see "Skip bound").
+// deviationWithDelta(km, c, i, +1) − devCache[c] for row i of weight
+// w, whose skipQuad is q (see "Skip bound").
 //
 //fairvet:hotpath
 func (f *fairStats) lowerBound(c, i int, w, q float64) float64 {
@@ -481,10 +350,7 @@ func (f *fairStats) deviation(km *kmeans.Stats, c int) float64 {
 //	rec[2j+1]' = rec[2j+1] + sw·Fr_X(code)
 //
 // It reads cluster c's record and the per-run tables at row i's
-// offsets, nothing else. When the delta memo holds categorical parts
-// (numeric attributes present), the categorical sum nd comes from
-// there; the numeric terms and the cluster weight are added per call,
-// in the same order.
+// offsets, nothing else.
 //
 //fairvet:hotpath
 func (f *fairStats) deviationWithDelta(km *kmeans.Stats, c, i, sign int) float64 {
@@ -494,18 +360,10 @@ func (f *fairStats) deviationWithDelta(km *kmeans.Stats, c, i, sign int) float64
 	sw := float64(sign) * km.Weight(i)
 	m := km.Mass[c] + sw
 	inv := 1.0 / m
-	var e *memoEntry // the memo slot of the categorical sum, if any
-	fresh := false
-	if f.rowProf != nil && !f.memoFull && sign != 0 {
-		e, fresh = f.memoSlot(c, i, sign)
-	}
 	nd := 0.0
-	switch {
-	case fresh:
-		nd = e.val
-	case f.naive:
+	if f.naive {
 		nd = f.catTermsNaive(c, i, inv, sw)
-	default:
+	} else {
 		rec := f.record(c)
 		for j, off := range f.rowOffsets(i) {
 			sq := rec[2*j] + sw*(2*rec[off]+sw)
@@ -515,9 +373,6 @@ func (f *fairStats) deviationWithDelta(km *kmeans.Stats, c, i, sign int) float64
 				sum = 0 // floating-point cancellation guard
 			}
 			nd += f.catScale[j] * sum
-		}
-		if e != nil {
-			e.val = nd
 		}
 	}
 	for j, xs := range f.numReals {
@@ -550,41 +405,6 @@ func (f *fairStats) catTermsNaive(c, i int, inv, sw float64) float64 {
 	return nd
 }
 
-// fairDelta returns deviationWithDelta(km, c, i, sign), read from the
-// delta memo when that holds whole deltas: a stale slot is computed
-// and stored.
-//
-//fairvet:hotpath
-func (f *fairStats) fairDelta(km *kmeans.Stats, c, i, sign int) float64 {
-	if !f.memoFull {
-		return f.deviationWithDelta(km, c, i, sign)
-	}
-	e, ok := f.memoSlot(c, i, sign)
-	if !ok {
-		e.val = f.deviationWithDelta(km, c, i, sign)
-	}
-	return e.val
-}
-
-// memoSlot returns the delta-memo slot of (c, row i's profile, sign)
-// and whether it holds a value stored at c's current generation. A
-// stale slot is stamped current before it is returned, so the caller
-// must store the value.
-//
-//fairvet:hotpath
-func (f *fairStats) memoSlot(c, i, sign int) (*memoEntry, bool) {
-	tab := f.memoIn
-	if sign < 0 {
-		tab = f.memoOut
-	}
-	e := &tab[c*f.nProf+int(f.rowProf[i])]
-	if g := f.gen[c]; e.gen != g {
-		e.gen = g
-		return e, false
-	}
-	return e, true
-}
-
 // clusterWeight returns (mass_C/mass_X)². Under unit weights this is
 // the paper's (|C|/|X|)² (Section 4.1, "Cluster Weighting").
 func (t *fairTables) clusterWeight(m float64) float64 {
@@ -615,9 +435,8 @@ func (f *fairStats) newFrozen() fairStats {
 
 // freezeInto copies f's per-cluster statistics into fz (allocated by
 // newFrozen) and shares the per-run tables, yielding a read-only view
-// that scores moves concurrently while f keeps changing. The memo is
-// not copied: fz scores every delta afresh. The skip bound is: fz
-// skips exactly as f would.
+// that scores moves concurrently while f keeps changing. The skip
+// bound is copied too, so fz skips exactly as f would.
 func (f *fairStats) freezeInto(fz *fairStats) {
 	fz.fairTables = f.fairTables
 	copy(fz.cat, f.cat)

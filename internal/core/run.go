@@ -146,17 +146,15 @@ func (s *stateSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from
 // The K-Means changes are computed four candidates at a time
 // (kmeans.Stats.InDelta4). A candidate whose fairness change is
 // bounded below (fairStats, "Skip bound") so far that even the bound
-// gives δ ≥ bestDelta is skipped before its fairness delta is
-// computed: rounding is monotone and λ ≥ 0, so the bound's δ is at
-// most the exact kernel's, and `delta < bestDelta` would reject the
-// candidate too.
+// gives δ ≥ bestDelta is skipped (cannotWin) before its fairness delta
+// is computed.
 //
 //fairvet:hotpath
 func (st *state) bestMove(i, from int) int {
 	km, fair := &st.km, &st.fair
 	// Leaving `from` costs the same regardless of destination; compute
 	// those pieces once.
-	dDevOut := fair.fairDelta(km, from, i, -1) - fair.devCache[from]
+	dDevOut := fair.deviationWithDelta(km, from, i, -1) - fair.devCache[from]
 	kmOut := km.OutDelta(i, from)
 	w, q := km.Weight(i), 0.0
 	if fair.skip {
@@ -183,10 +181,10 @@ func (st *state) bestMove(i, from int) int {
 			continue
 		}
 		dKM := kmOut + in[(c-base)&3]
-		if fair.skip && dKM+st.lambda*(dDevOut+fair.lowerBound(c, i, w, q)) >= bestDelta {
+		if fair.skip && st.cannotWin(dKM, dDevOut+fair.lowerBound(c, i, w, q), bestDelta) {
 			continue
 		}
-		dFair := dDevOut + (fair.fairDelta(km, c, i, +1) - fair.devCache[c])
+		dFair := dDevOut + (fair.deviationWithDelta(km, c, i, +1) - fair.devCache[c])
 		delta := dKM + st.lambda*dFair
 		if delta < bestDelta {
 			bestDelta = delta
@@ -194,4 +192,16 @@ func (st *state) bestMove(i, from int) int {
 		}
 	}
 	return best
+}
+
+// cannotWin reports whether bestMove may skip a candidate whose
+// K-Means change is dKM and whose fairness change is at least
+// dFairLow: the δ the kernel would compute with dFairLow in place of
+// the exact fairness change already reaches bestDelta. Rounding is
+// monotone and λ ≥ 0, so the exact δ is no smaller, and
+// `delta < bestDelta` would reject the candidate too, ties included.
+//
+//fairvet:hotpath
+func (st *state) cannotWin(dKM, dFairLow, bestDelta float64) bool {
+	return dKM+st.lambda*dFairLow >= bestDelta
 }

@@ -123,25 +123,26 @@ func TestFairSkipBound(t *testing.T) {
 // TestFairSkipTie: a candidate whose bound can at best tie the current
 // best is skipped, as `delta < bestDelta` would reject it. Row 0 sits
 // alone in cluster 0 and cluster 2 is empty, so at λ = 0 moving it
-// there changes nothing (δ = 0, the stay-put value); with the memo
-// on, the slot of a candidate whose fairness delta was computed is
-// stamped, so cluster 2's slot must stay stale.
+// there changes nothing: its δ is exactly 0, the stay-put value, and
+// so is the bound's.
 func TestFairSkipTie(t *testing.T) {
 	ds := testfix.Synth(3, 12, 2, 2, 0)
 	assign := make([]int, ds.N())
 	for i := 1; i < len(assign); i++ {
 		assign[i] = 1
 	}
-	cfg := Config{K: 3, memo: memoOn}
+	cfg := Config{K: 3}
 	st := newState(ds, &cfg, 0, assign, nil)
-	if st.fair.rowProf == nil {
-		t.Fatal("memo off")
-	}
 	if got := st.bestMove(0, 0); got != 0 {
 		t.Fatalf("row 0 moves to %d at λ = 0, want to stay in 0", got)
 	}
-	slot := 2*st.fair.nProf + int(st.fair.rowProf[0])
-	if st.fair.memoIn[slot].gen == st.fair.gen[2] {
-		t.Fatal("the empty cluster's fairness delta was computed: a candidate that can only tie was not skipped")
+	km, fair := &st.km, &st.fair
+	if d := st.moveDelta(0, 0, 2); d != 0 {
+		t.Fatalf("moving row 0 to the empty cluster changes the objective by %v, want a tie at 0", d)
+	}
+	dKM := km.OutDelta(0, 0) + km.InDelta(0, 2)
+	dDevOut := fair.deviationWithDelta(km, 0, 0, -1) - fair.devCache[0]
+	if low := dDevOut + fair.lowerBound(2, 0, km.Weight(0), fair.skipQuad(0)); !st.cannotWin(dKM, low, 0) {
+		t.Fatalf("a candidate that can only tie (δ_KM %v, fairness bound %v) is not skipped", dKM, low)
 	}
 }

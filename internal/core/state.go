@@ -69,8 +69,8 @@ func (st *state) move(i, from, to int) {
 func (st *state) moveDelta(i, from, to int) float64 {
 	km, fair := &st.km, &st.fair
 	dKM := km.OutDelta(i, from) + km.InDelta(i, to)
-	dFair := (fair.fairDelta(km, from, i, -1) - fair.devCache[from]) +
-		(fair.fairDelta(km, to, i, +1) - fair.devCache[to])
+	dFair := (fair.deviationWithDelta(km, from, i, -1) - fair.devCache[from]) +
+		(fair.deviationWithDelta(km, to, i, +1) - fair.devCache[to])
 	return dKM + st.lambda*dFair
 }
 
