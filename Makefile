@@ -100,7 +100,7 @@ bench-check:
 # bench-smoke just proves the benchmarks still compile and run (CI).
 bench-smoke:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweep|BenchmarkBestMove' -benchtime 1x
-	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkRunAdult/sequential|BenchmarkRunAdult/fit-adult' -benchtime 1x
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkRunAdult/sequential|BenchmarkRunAdult/fit-adult|BenchmarkRunAdult/weighted' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkZGYAAdult' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream/stream' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard/shards=2/adult6500' -benchtime 1x

@@ -59,15 +59,19 @@
 // bestMove proves that before it computes their fairness delta. The
 // fairness change of adding a row to cluster c is bounded below by
 // the change of c's deviation without its clamp at 0, a quadratic in
-// the row's weight whose linear coefficient sums one per-(cluster,
-// value) term per attribute; every move refreshes the terms of the
-// two clusters it touches (see fairStats, "Skip bound"). The K-Means
-// change is exact and cheap, computed four clusters at a time
-// (kmeans.Stats.InDelta4). A candidate is skipped when the K-Means
-// change plus λ times the bounded fairness change already reaches the
-// best δ so far: the exact δ would then be rejected too, because the
-// bound is padded below the float value it bounds and rounding is
-// monotone. Skipping therefore changes no decision, ties included,
+// the row's weight whose linear coefficient is a per-cluster term,
+// less c's mass times a per-row term, plus one scaled value mass of
+// c's record per attribute; every move refreshes the per-cluster terms
+// of the two clusters it touches in O(#attrs) (see fairStats, "Skip
+// bound"). bestMove scores candidates four clusters at a time: the
+// exact K-Means changes (kmeans.Stats.InDelta4) and the fairness
+// bounds (fairStats.lowerBound4) of each block of four come with
+// independent accumulators, every lane keeping the bits of the scalar
+// form, and lanes are tested in index order. A candidate is skipped
+// when the K-Means change plus λ times the bounded fairness change
+// already reaches the best δ so far: the exact δ would then be
+// rejected too, because the bound is padded below the float value it
+// bounds and rounding is monotone. Skipping therefore changes no decision, ties included,
 // sequentially and in frozen sweeps alike. On full-size Adult at k 15
 // it skips 99.4% of the candidates.
 //

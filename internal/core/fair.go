@@ -81,15 +81,24 @@ import (
 //
 //	deviationWithDelta − devCache[c] ≥ ΔU + (U_c − devCache[c]).
 //
-// refreshBound keeps G_c in skipG at the value-mass offsets of c's
-// record, A_c in skipA and U_c − devCache[c], less a pad, in skipR;
-// B (skipB) and P (skipP, at the same offsets) are per-run tables.
-// skipQuad(i) gives row i's w² coefficient once per bestMove call, and
-// lowerBound sums G_c at the row's offsets, as the kernel reads the
-// value masses: one load and add per attribute and no division. (A
-// per-cluster bound valid for every row, with min_v (cc_v − (m+W)·F_v)
-// in place of the row's own terms, skipped 77% of the candidates of a
-// full-size Adult fit; this one skips 99.4%.)
+// G_c is not stored. With h_j = 2s_j/T², G_c(v) = h_j·cc_v − m·P(v),
+// so the linear coefficient is
+//
+//	Σ_j G_c(v_j) + A_c = A_c − m·Σ_j P(v_j) + Σ_j h_j·cc_{v_j},
+//
+// read from the value masses in c's record, at the row's offsets, as
+// the kernel reads them. refreshBound keeps A_c in skipA, m in skipM
+// and U_c − devCache[c], less a pad, in skipR, in O(#attrs) per
+// cluster; B (skipB), h (skipH) and P (skipP, at the value-mass
+// offsets) are per-run tables. skipQuad(i) gives row i's w²
+// coefficient and Σ_j P(v_j) once per bestMove call, and lowerBound
+// adds one product per attribute to A_c − m·Σ_j P(v_j): no division.
+// lowerBound4 does the same for four consecutive clusters with four
+// independent accumulators, each summing in lowerBound's order, so
+// every lane keeps lowerBound's bits. (A per-cluster bound valid for
+// every row, with min_v (cc_v − (m+W)·F_v) in place of the row's own
+// terms, skipped 77% of the candidates of a full-size Adult fit; this
+// one skips 99.4%.)
 //
 // The inequality is exact arithmetic; the kernel and the bound both
 // round. Their rounding error is a few ulps of the magnitudes that
@@ -97,13 +106,18 @@ import (
 // w·cc_v terms, as cc_v ≤ m) and (|m|+W)²·K_j, each times s_j/T², and
 // devCache[c], with W the largest row weight. The pad is skipPad times
 // their sum, pushing the float bound below the float difference it
-// bounds (the outward padding of kmeans' pruned Lloyd). newFairStats
+// bounds (the outward padding of kmeans' pruned Lloyd). The bound's
+// w·m·P(v_j) and w·h_j·cc_v terms cancel each other in floating point
+// rather than inside one difference cc_v − m·F_v, but each is at most
+// 2s_j·m·w/T² (F_v ≤ 1, cc_v ≤ m), so the sum's rounding error, a few
+// ulps per attribute of ~4s_j·m·w/T², stays far below the pad: the
+// magnitudes already hold 2(|m|+W)·W·s_j/T² per attribute. newFairStats
 // and move refresh the pieces of every cluster whose record, mass or
-// devCache changes, in O(Σ_S |Values(S)|) per cluster, and freezeInto
-// copies them, so frozen snapshots skip too. The bound is off (skip
-// false) under the naive kernel, which stays the oracle that scores
-// every candidate, and where the unexported Config.noSkip asks tests
-// to compare against scoring every candidate.
+// devCache changes, and freezeInto copies them, so frozen snapshots
+// skip too. The bound is off (skip false) under the naive kernel,
+// which stays the oracle that scores every candidate, and where the
+// unexported Config.noSkip asks tests to compare against scoring
+// every candidate.
 type fairStats struct {
 	fairTables
 
@@ -111,8 +125,8 @@ type fairStats struct {
 	devCache []float64 // [c] cluster c's contribution, deviation(km, c)
 
 	// The skip bound (see above); nil when skip is off.
-	skipG []float64 // [c·stride+off] G_c of the value stored at off
 	skipA []float64 // [c] A_c
+	skipM []float64 // [c] m, cluster c's mass
 	skipR []float64 // [c] U_c − devCache[c], less the pad
 }
 
@@ -145,6 +159,7 @@ type fairTables struct {
 	maxW  float64   // W, the largest row weight
 	invT2 float64   // 1/T²
 	skipB float64   // B
+	skipH []float64 // [j] h_j = 2s_j/T²
 	skipP []float64 // [off] P of the value stored at off
 }
 
@@ -213,8 +228,10 @@ func newFairStats(ds *dataset.Dataset, cfg *Config, km *kmeans.Stats, assign []i
 	t.invT2 = 1 / (t.totalMass * t.totalMass)
 	if t.skip {
 		t.skipP = make([]float64, t.stride)
+		t.skipH = make([]float64, t.nCat)
 		for j, s := range t.catScale {
 			t.skipB += s * (1 + t.catConst[j]) * t.invT2
+			t.skipH[j] = 2 * s * t.invT2
 			for off := t.ccOff[j]; off < t.ccOff[j+1]; off++ {
 				t.skipP[off] = 2 * s * t.frXAt[off] * t.invT2
 			}
@@ -226,8 +243,8 @@ func newFairStats(ds *dataset.Dataset, cfg *Config, km *kmeans.Stats, assign []i
 		f.add(i, c, km.Weight(i))
 	}
 	if t.skip {
-		f.skipG = make([]float64, cfg.K*t.stride)
 		f.skipA = make([]float64, cfg.K)
+		f.skipM = make([]float64, cfg.K)
 		f.skipR = make([]float64, cfg.K)
 	}
 	for c := range f.devCache {
@@ -285,48 +302,85 @@ func (f *fairStats) refreshBound(km *kmeans.Stats, c int) {
 	if !f.skip {
 		return
 	}
-	rec, g := f.record(c), f.skipG[c*f.stride:(c+1)*f.stride]
+	rec := f.record(c)
 	m, w := km.Mass[c], f.maxW
 	am := math.Abs(m) + w
 	u, a, mag := 0.0, 0.0, 0.0
 	for j := 0; j < f.nCat; j++ {
 		sq, cross, k, s := rec[2*j], rec[2*j+1], f.catConst[j], f.catScale[j]
-		for off := f.ccOff[j]; off < f.ccOff[j+1]; off++ {
-			g[off] = 2 * s * (rec[off] - m*f.frXAt[off]) * f.invT2
-		}
 		u += s * (sq - 2*m*cross + m*m*k)
 		a += 2 * s * (m*k - cross)
 		mag += s * (math.Abs(sq) + w*w + 2*am*(math.Abs(cross)+w) + am*am*k)
 	}
 	dev := f.devCache[c]
 	f.skipA[c] = a * f.invT2
+	f.skipM[c] = m
 	f.skipR[c] = u*f.invT2 - dev - skipPad*(mag*f.invT2+dev)
 }
 
-// skipQuad returns row i's w² coefficient in the skip bound,
-// B − Σ_j P(v_j) (see "Skip bound").
+// rowBound holds a row's pieces of the skip bound (see "Skip bound").
+type rowBound struct {
+	q float64 // the w² coefficient B − Σ_j P(v_j)
+	p float64 // Σ_j P(v_j)
+}
+
+// skipQuad returns row i's pieces of the skip bound: its w²
+// coefficient and Σ_j P(v_j) (see "Skip bound").
 //
 //fairvet:hotpath
-func (t *fairTables) skipQuad(i int) float64 {
-	q := t.skipB
+func (t *fairTables) skipQuad(i int) rowBound {
+	p := 0.0
 	for _, off := range t.rowOffsets(i) {
-		q -= t.skipP[off]
+		p += t.skipP[off]
 	}
-	return q
+	return rowBound{q: t.skipB - p, p: p}
 }
 
 // lowerBound returns the padded skip bound on
 // deviationWithDelta(km, c, i, +1) − devCache[c] for row i of weight
-// w, whose skipQuad is q (see "Skip bound").
+// w, whose skipQuad is r (see "Skip bound").
 //
 //fairvet:hotpath
-func (f *fairStats) lowerBound(c, i int, w, q float64) float64 {
-	g := f.skipG[c*f.stride : (c+1)*f.stride]
-	lin := f.skipA[c]
-	for _, off := range f.rowOffsets(i) {
-		lin += g[off]
+func (f *fairStats) lowerBound(c, i int, w float64, r rowBound) float64 {
+	rec := f.record(c)
+	offs := f.rowOffsets(i)
+	h := f.skipH[:len(offs)]
+	lin := f.skipA[c] - f.skipM[c]*r.p
+	for j, off := range offs {
+		lin += h[j] * rec[off]
 	}
-	return w*(lin+w*q) + f.skipR[c]
+	return w*(lin+w*r.q) + f.skipR[c]
+}
+
+// lowerBound4 returns lowerBound(c, i, w, r), …, lowerBound(c+3, i, w,
+// r), bit for bit; c+3 must be a cluster. Each lane has its own
+// accumulator and sums in lowerBound's order, and the row's offsets
+// are read once for all four, as kmeans.Stats.InDelta4 reads the
+// row's features.
+//
+//fairvet:hotpath
+func (f *fairStats) lowerBound4(c, i int, w float64, r rowBound) (b0, b1, b2, b3 float64) {
+	offs := f.rowOffsets(i)
+	h := f.skipH[:len(offs)]
+	n := f.stride
+	r0 := f.cat[c*n:][:n]
+	r1 := f.cat[(c+1)*n:][:n]
+	r2 := f.cat[(c+2)*n:][:n]
+	r3 := f.cat[(c+3)*n:][:n]
+	m, a := f.skipM[c:c+4], f.skipA[c:c+4]
+	l0 := a[0] - m[0]*r.p
+	l1 := a[1] - m[1]*r.p
+	l2 := a[2] - m[2]*r.p
+	l3 := a[3] - m[3]*r.p
+	for j, off := range offs {
+		hj := h[j]
+		l0 += hj * r0[off]
+		l1 += hj * r1[off]
+		l2 += hj * r2[off]
+		l3 += hj * r3[off]
+	}
+	u := f.skipR[c : c+4]
+	return w*(l0+w*r.q) + u[0], w*(l1+w*r.q) + u[1], w*(l2+w*r.q) + u[2], w*(l3+w*r.q) + u[3]
 }
 
 // deviation returns cluster c's fairness contribution:
@@ -427,8 +481,8 @@ func (f *fairStats) newFrozen() fairStats {
 	return fairStats{
 		cat:      make([]float64, len(f.cat)),
 		devCache: make([]float64, len(f.devCache)),
-		skipG:    make([]float64, len(f.skipG)),
 		skipA:    make([]float64, len(f.skipA)),
+		skipM:    make([]float64, len(f.skipM)),
 		skipR:    make([]float64, len(f.skipR)),
 	}
 }
@@ -441,7 +495,7 @@ func (f *fairStats) freezeInto(fz *fairStats) {
 	fz.fairTables = f.fairTables
 	copy(fz.cat, f.cat)
 	copy(fz.devCache, f.devCache)
-	copy(fz.skipG, f.skipG)
 	copy(fz.skipA, f.skipA)
+	copy(fz.skipM, f.skipM)
 	copy(fz.skipR, f.skipR)
 }

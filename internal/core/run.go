@@ -143,11 +143,14 @@ func (s *stateSnap) BestMove(i, from int) int { return s.frozen.bestMove(i, from
 // Ties keep the current cluster (δ = 0 for staying put), and among
 // candidates the lowest index.
 //
-// The K-Means changes are computed four candidates at a time
-// (kmeans.Stats.InDelta4). A candidate whose fairness change is
-// bounded below (fairStats, "Skip bound") so far that even the bound
-// gives δ ≥ bestDelta is skipped (cannotWin) before its fairness delta
-// is computed.
+// Candidates are scored four at a time: each block of four clusters
+// takes its K-Means changes from kmeans.Stats.InDelta4 and its
+// fairness lower bounds (fairStats, "Skip bound") from
+// fairStats.lowerBound4, and the short last block reuses the block
+// that ends at k−1 (k < 4 takes the scalar forms). A candidate whose
+// bound gives δ ≥ bestDelta is skipped (cannotWin) before its fairness
+// delta is computed. Lanes are tested in index order, so the lowest
+// index still wins a tie.
 //
 //fairvet:hotpath
 func (st *state) bestMove(i, from int) int {
@@ -156,32 +159,41 @@ func (st *state) bestMove(i, from int) int {
 	// those pieces once.
 	dDevOut := fair.deviationWithDelta(km, from, i, -1) - fair.devCache[from]
 	kmOut := km.OutDelta(i, from)
-	w, q := km.Weight(i), 0.0
+	w := km.Weight(i)
+	var r rowBound
 	if fair.skip {
-		q = fair.skipQuad(i)
+		r = fair.skipQuad(i)
 	}
 
 	best := from
 	bestDelta := 0.0
-	var in [4]float64 // in[b] = InDelta(i, base+b)
+	// in[b] = InDelta(i, base+b) and low[b] its fairness lower bound.
+	var in, low [4]float64
 	base := 0
 	for c := 0; c < st.k; c++ {
 		if c%4 == 0 {
 			if st.k < 4 {
 				for b := 0; b < st.k; b++ {
 					in[b] = km.InDelta(i, b)
+					if fair.skip {
+						low[b] = fair.lowerBound(b, i, w, r)
+					}
 				}
 			} else {
 				// The last block is the four clusters ending at k−1.
 				base = min(c, st.k-4)
 				in[0], in[1], in[2], in[3] = km.InDelta4(i, base)
+				if fair.skip {
+					low[0], low[1], low[2], low[3] = fair.lowerBound4(base, i, w, r)
+				}
 			}
 		}
 		if c == from {
 			continue
 		}
-		dKM := kmOut + in[(c-base)&3]
-		if fair.skip && st.cannotWin(dKM, dDevOut+fair.lowerBound(c, i, w, q), bestDelta) {
+		b := (c - base) & 3
+		dKM := kmOut + in[b]
+		if fair.skip && st.cannotWin(dKM, dDevOut+low[b], bestDelta) {
 			continue
 		}
 		dFair := dDevOut + (fair.deviationWithDelta(km, c, i, +1) - fair.devCache[c])

@@ -12,8 +12,11 @@ import (
 // checkSkipBound requires, for every row i and cluster c of st, that
 // the padded skip bound is at most the float fairness change
 // deviationWithDelta(c, i, +1) − devCache[c] the kernel computes, and
-// that a frozen copy carries the same bound bits. It returns how many
-// bounds came within 1e-9 of the value (scaled by its magnitude).
+// that a frozen copy carries the same bound bits. Every lane of
+// lowerBound4, at every block base 0..k−4 (so at the overlapping last
+// block bestMove uses too), live and frozen, must equal the scalar
+// bound of its cluster bit for bit. It returns how many bounds came
+// within 1e-9 of the value (scaled by its magnitude).
 func checkSkipBound(t *testing.T, st *state, label string) int {
 	t.Helper()
 	km, fair := &st.km, &st.fair
@@ -37,12 +40,29 @@ func checkSkipBound(t *testing.T, st *state, label string) int {
 			}
 		}
 	}
+	for base := 0; base+4 <= st.k; base++ {
+		for i := 0; i < st.n; i++ {
+			for _, f := range []*fairStats{fair, &fz.fair} {
+				var lanes [4]float64
+				w, r := km.Weight(i), f.skipQuad(i)
+				lanes[0], lanes[1], lanes[2], lanes[3] = f.lowerBound4(base, i, w, r)
+				for b, got := range lanes {
+					if want := f.lowerBound(base+b, i, w, r); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: lowerBound4 at base %d, lane %d (row %d) gives %v, lowerBound %v",
+							label, base, b, i, got, want)
+					}
+				}
+			}
+		}
+	}
 	return tight
 }
 
 // checkSkipMoves requires that bestMove picks the same cluster for
 // every row with the skip bound on as with it off, at st's λ and at
-// λ = 0.
+// λ = 0, and that both pick what scanning every other cluster with
+// moveDelta in index order picks: the lowest index of least δ < 0, or
+// the row's own cluster.
 func checkSkipMoves(t *testing.T, st *state, label string) {
 	t.Helper()
 	off := *st
@@ -52,8 +72,22 @@ func checkSkipMoves(t *testing.T, st *state, label string) {
 		on.lambda, off.lambda = lambda, lambda
 		for i := 0; i < st.n; i++ {
 			from := st.assign[i]
-			if got, want := on.bestMove(i, from), off.bestMove(i, from); got != want {
-				t.Fatalf("%s, λ=%v: row %d moves to %d with skipping, %d without", label, lambda, i, got, want)
+			want, bestDelta := from, 0.0
+			for c := 0; c < st.k; c++ {
+				if c == from {
+					continue
+				}
+				if d := on.moveDelta(i, from, c); d < bestDelta {
+					want, bestDelta = c, d
+				}
+			}
+			if got := off.bestMove(i, from); got != want {
+				t.Fatalf("%s, λ=%v: row %d in cluster %d moves to %d without skipping, %d by moveDelta",
+					label, lambda, i, from, got, want)
+			}
+			if got := on.bestMove(i, from); got != want {
+				t.Fatalf("%s, λ=%v: row %d in cluster %d moves to %d with skipping, %d by moveDelta",
+					label, lambda, i, from, got, want)
 			}
 		}
 	}
@@ -118,6 +152,62 @@ func TestFairSkipBound(t *testing.T) {
 		t.Fatal("no bound came within 1e-9 of its value: the states never test the pad")
 	}
 	t.Logf("%d states, %d bounds within 1e-9 of their value", states, tight)
+}
+
+// TestFairSkipLanes holds bestMove's four-lane scan to checkSkipBound
+// and checkSkipMoves at k = 4, 5 and 7, where the last block (based at
+// k − 4) overlaps the one before it for k = 5 and 7, on random small
+// states with rows in every cluster, before and after random moves. It
+// requires rows whose cluster lies inside the overlap, so the lane of
+// a row's own cluster is seen in both blocks.
+func TestFairSkipLanes(t *testing.T) {
+	rng := stats.NewRNG(33)
+	for _, k := range []int{4, 5, 7} {
+		states, overlap := 0, 0
+		for trial := 0; states < 200; trial++ {
+			data := make([]byte, 512)
+			for b := range data {
+				data[b] = byte(rng.Intn(256))
+			}
+			ds, rowW, cfg, err := decodeFitProblem(data)
+			if err != nil || ds.N() < 2*k {
+				continue
+			}
+			cfg.K = k
+			n := ds.N()
+			assign := make([]int, n)
+			for i := range assign {
+				assign[i] = i % k
+			}
+			rng.Shuffle(n, func(a, b int) { assign[a], assign[b] = assign[b], assign[a] })
+			lambda := cfg.Lambda
+			if cfg.AutoLambda {
+				lambda = DefaultLambda(n, k)
+			}
+			st := newState(ds, &cfg, lambda, assign, rowW)
+			for step := 0; step <= 10; step++ {
+				label := fmt.Sprintf("k %d trial %d step %d", k, trial, step)
+				checkSkipBound(t, st, label)
+				checkSkipMoves(t, st, label)
+				states++
+				for _, c := range st.assign {
+					// The last block starts at k−4 and the one before
+					// it ends at (k−1)&^3 − 1: clusters in between lie
+					// in both when k%4 ≠ 0.
+					if k%4 != 0 && c >= k-4 && c < (k-1)&^3 {
+						overlap++
+					}
+				}
+				i := rng.Intn(n)
+				from := st.assign[i]
+				st.move(i, from, (from+1+rng.Intn(k-1))%k)
+			}
+		}
+		if k%4 != 0 && overlap == 0 {
+			t.Fatalf("k %d: no row sat in the overlap of the last two blocks", k)
+		}
+		t.Logf("k %d: %d states, %d row states inside the overlap", k, states, overlap)
+	}
 }
 
 // TestFairSkipTie: a candidate whose bound can at best tie the current

@@ -121,9 +121,11 @@ var fitAdultDataset = sync.OnceValues(func() (*dataset.Dataset, error) {
 
 // BenchmarkRunAdult is the end-to-end wall-clock view: a full FairKM
 // run (up to 10 iterations) sequentially versus with an auto-sized
-// parallel sweep, and fit-adult, the end-to-end benchmark's fit at its
+// parallel sweep; fit-adult, the end-to-end benchmark's fit at its
 // exact shape (15,818 rows, k 15, auto-λ, seed 1, sequential, the
-// default iteration cap).
+// default iteration cap); and weighted, the same fit through
+// RunWeighted with seeded weights 1..64 per row, the path of the
+// weighted summary solve after summarize-then-solve.
 func BenchmarkRunAdult(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -149,6 +151,23 @@ func BenchmarkRunAdult(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := Run(ds, Config{K: benchK, AutoLambda: true, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("weighted", func(b *testing.B) {
+		ds, err := fitAdultDataset()
+		if err != nil {
+			b.Fatalf("generating Adult: %v", err)
+		}
+		rng := stats.NewRNG(1)
+		w := make([]float64, ds.N())
+		for i := range w {
+			w[i] = float64(1 + rng.Intn(64))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := RunWeighted(ds, w, Config{K: benchK, AutoLambda: true, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,7 +17,12 @@ import "repro/internal/stats"
 //   - the cached mean μ_c = sums[c]·(1/Mass[c]), refreshed by every
 //     move that changes the cluster, which the deltas and centroids
 //     read;
-//   - ssqs[c]: Σ w·‖x‖², giving SSE_c = ssqs[c] − ‖sums[c]‖²/Mass[c].
+//   - ssqs[c]: Σ w·‖x‖², giving SSE_c = ssqs[c] − ‖sums[c]‖²/Mass[c];
+//   - under unit weights only, the deltas' coefficients m·w/(m+w) and
+//     −m·w/(m−w) at w = 1, which then depend on the cluster alone:
+//     refreshed with the mean, they spare the deltas a division per
+//     candidate, and the cached value has the bits the closed form
+//     would compute.
 //
 // Weights nil means unit weights. Every expression is arranged so that
 // a unit weight is an IEEE-754 no-op: with w = 1 the deltas
@@ -25,10 +30,10 @@ import "repro/internal/stats"
 // exactly as the count-based m/(m∓1)·‖x − Σx·(1/m)‖², so unweighted
 // trajectories are bit-identical to a kernel that keeps counts only.
 //
-// A frozen copy (NewFrozen, FreezeInto) holds Counts, Mass and the
-// cached means and shares the rows and weights: that is everything
-// the deltas read, so it scores moves concurrently while the live
-// Stats keeps changing. Its sums and ssqs stay nil.
+// A frozen copy (NewFrozen, FreezeInto) holds Counts, Mass, the
+// cached means and coefficients and shares the rows and weights: that
+// is everything the deltas read, so it scores moves concurrently while
+// the live Stats keeps changing. Its sums and ssqs stay nil.
 type Stats struct {
 	x   [][]float64 // rows
 	w   []float64   // per-row weights; nil means unit weights
@@ -39,6 +44,8 @@ type Stats struct {
 	sums   [][]float64
 	mu     []float64 // [c·dim+j] cached means sums[c][j]·(1/Mass[c])
 	ssqs   []float64
+	inK    []float64 // [c] m/(m+1), InDelta's coefficient; nil unless unit weights
+	outK   []float64 // [c] −m/(m−1), OutDelta's coefficient; nil unless unit weights
 }
 
 // NewStats builds the statistics of the k-cluster assignment of the
@@ -57,6 +64,10 @@ func NewStats(x [][]float64, w []float64, k int, assign []int) Stats {
 	}
 	for c := range s.sums {
 		s.sums[c] = make([]float64, dim)
+	}
+	if w == nil {
+		s.inK = make([]float64, k)
+		s.outK = make([]float64, k)
 	}
 	for i, c := range assign {
 		s.add(i, c, +1)
@@ -88,11 +99,17 @@ func (s *Stats) add(i, c, sign int) {
 	s.ssqs[c] += sw * stats.Dot(x, x)
 }
 
-// refresh recomputes cluster c's cached mean from its sums; an empty
-// cluster keeps a stale one that nothing reads.
+// refresh recomputes cluster c's cached mean, and under unit weights
+// its delta coefficients, from its sums and mass; an empty cluster
+// keeps stale ones that nothing reads (nor does a singleton's outK).
 func (s *Stats) refresh(c int) {
 	if s.Counts[c] == 0 {
 		return
+	}
+	if s.inK != nil {
+		m, w := s.Mass[c], 1.0
+		s.inK[c] = m * w / (m + w)
+		s.outK[c] = -m * w / (m - w)
 	}
 	inv := 1.0 / s.Mass[c]
 	mu := s.mean(c)
@@ -124,6 +141,9 @@ func (s *Stats) OutDelta(i, c int) float64 {
 	if s.Counts[c] <= 1 {
 		return 0
 	}
+	if s.outK != nil {
+		return s.outK[c] * s.distToMean(i, c)
+	}
 	m := s.Mass[c]
 	w := s.Weight(i)
 	return -m * w / (m - w) * s.distToMean(i, c)
@@ -138,6 +158,9 @@ func (s *Stats) InDelta(i, c int) float64 {
 	if s.Counts[c] == 0 {
 		return 0
 	}
+	if s.inK != nil {
+		return s.inK[c] * s.distToMean(i, c)
+	}
 	m := s.Mass[c]
 	w := s.Weight(i)
 	return m * w / (m + w) * s.distToMean(i, c)
@@ -150,8 +173,14 @@ func (s *Stats) InDelta(i, c int) float64 {
 //fairvet:hotpath
 func (s *Stats) InDelta4(i, c int) (d0, d1, d2, d3 float64) {
 	d0, d1, d2, d3 = s.distToMean4(i, c)
+	n := s.Counts[c : c+4]
+	if s.inK != nil {
+		k := s.inK[c : c+4]
+		return inDeltaK(n[0], k[0], d0), inDeltaK(n[1], k[1], d1),
+			inDeltaK(n[2], k[2], d2), inDeltaK(n[3], k[3], d3)
+	}
 	w := s.Weight(i)
-	n, m := s.Counts[c:c+4], s.Mass[c:c+4]
+	m := s.Mass[c : c+4]
 	return inDelta(n[0], m[0], w, d0), inDelta(n[1], m[1], w, d1),
 		inDelta(n[2], m[2], w, d2), inDelta(n[3], m[3], w, d3)
 }
@@ -163,6 +192,15 @@ func inDelta(n int, m, w, d2 float64) float64 {
 		return 0
 	}
 	return m * w / (m + w) * d2
+}
+
+// inDeltaK is InDelta for a cluster of n rows whose cached coefficient
+// is k, at squared distance d2.
+func inDeltaK(n int, k, d2 float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return k * d2
 }
 
 // distToMean returns ‖x_i − μ_c‖² against the cached mean, summed in
@@ -241,16 +279,21 @@ func (s *Stats) Centroids() [][]float64 {
 // NewFrozen allocates a snapshot buffer shaped like s, for reuse
 // across FreezeInto calls.
 func (s *Stats) NewFrozen() Stats {
-	return Stats{
+	fz := Stats{
 		Counts: make([]int, len(s.Counts)),
 		Mass:   make([]float64, len(s.Mass)),
 		mu:     make([]float64, len(s.mu)),
 	}
+	if s.inK != nil {
+		fz.inK = make([]float64, len(s.inK))
+		fz.outK = make([]float64, len(s.outK))
+	}
+	return fz
 }
 
-// FreezeInto copies s's counts, masses and cached means into fz
-// (allocated by NewFrozen) and shares the rows and weights, yielding a
-// read-only view that scores moves while s keeps changing.
+// FreezeInto copies s's counts, masses, cached means and coefficients
+// into fz (allocated by NewFrozen) and shares the rows and weights,
+// yielding a read-only view that scores moves while s keeps changing.
 func (s *Stats) FreezeInto(fz *Stats) {
 	fz.x = s.x
 	fz.w = s.w
@@ -258,4 +301,6 @@ func (s *Stats) FreezeInto(fz *Stats) {
 	copy(fz.Counts, s.Counts)
 	copy(fz.Mass, s.Mass)
 	copy(fz.mu, s.mu)
+	copy(fz.inK, s.inK)
+	copy(fz.outK, s.outK)
 }

@@ -99,3 +99,59 @@ func TestStatsWeightedMoves(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsUnitCoefficients: under unit weights (nil) the deltas read
+// the cached coefficients m/(m±1); they must give the bits the closed
+// form gives with explicit weights of 1, for OutDelta, InDelta and
+// InDelta4, live and frozen, through a random sequence of moves that
+// empties clusters and leaves singletons.
+func TestStatsUnitCoefficients(t *testing.T) {
+	const n, dim, k = 24, 3, 6
+	rng := stats.NewRNG(9)
+	x := make([][]float64, n)
+	ones := make([]float64, n)
+	assign := make([]int, n)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		for j := range x[i] {
+			x[i][j] = rng.Gaussian(float64(i%4), 1)
+		}
+		ones[i] = 1
+		assign[i] = rng.Intn(k - 2) // the last two clusters start empty
+	}
+	unit := NewStats(x, nil, k, assign)
+	ref := NewStats(x, ones, k, assign)
+	if unit.inK == nil || ref.inK != nil {
+		t.Fatal("coefficients cached for explicit weights, or not for nil weights")
+	}
+	ufz, rfz := unit.NewFrozen(), ref.NewFrozen()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for step := 0; step < 400; step++ {
+		unit.FreezeInto(&ufz)
+		ref.FreezeInto(&rfz)
+		i := rng.Intn(n)
+		for c := 0; c < k; c++ {
+			for _, u := range []*Stats{&unit, &ufz} {
+				if !same(u.InDelta(i, c), ref.InDelta(i, c)) || !same(u.OutDelta(i, c), rfz.OutDelta(i, c)) {
+					t.Fatalf("step %d: row %d, cluster %d (%d rows): deltas %v/%v under nil weights, %v/%v under ones",
+						step, i, c, unit.Counts[c], u.InDelta(i, c), u.OutDelta(i, c), ref.InDelta(i, c), ref.OutDelta(i, c))
+				}
+			}
+		}
+		for c := 0; c+4 <= k; c++ {
+			var got, want [4]float64
+			got[0], got[1], got[2], got[3] = ufz.InDelta4(i, c)
+			want[0], want[1], want[2], want[3] = ref.InDelta4(i, c)
+			if !same(got[0], want[0]) || !same(got[1], want[1]) || !same(got[2], want[2]) || !same(got[3], want[3]) {
+				t.Fatalf("step %d: InDelta4(%d, %d) = %v under nil weights, %v under ones", step, i, c, got, want)
+			}
+		}
+		from, to := assign[i], rng.Intn(k)
+		if to == from {
+			continue
+		}
+		unit.Move(i, from, to)
+		ref.Move(i, from, to)
+		assign[i] = to
+	}
+}
